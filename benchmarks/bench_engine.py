@@ -1,6 +1,6 @@
 """Engine benchmarks: sharded dispatch, cache reuse, adaptive scheduling.
 
-Eight claims, each asserted:
+Seven claims, each asserted:
 
 1. on a wide batch (32 instances, 8 structure groups), sharded-parallel
    ``solve_many`` beats the serial path wall-clock — with **identical
@@ -14,31 +14,29 @@ Eight claims, each asserted:
 4. adaptive routing beats race-everything on total wall time for a
    32-instance mixed-structure batch, at equal-or-better mean objective —
    the scoreboard pays for itself after one warmup portfolio per structure;
-5. the async executor returns the same objectives as the thread pool while
-   occupying strictly fewer worker threads;
-6. durable engine knowledge pays across restarts: after a cold run against
+5. durable engine knowledge pays across restarts: after a cold run against
    an ``EngineStore``, a fresh "process" (new scheduler, new caches)
    hydrated from the store routes by scoreboard from its very first shard
    (no cold-sampling), hits the shared cross-process cache, and beats the
    cold run's wall time at equal objectives;
-7. the array-native ``QuboModel`` bulk API makes cold formulation (build +
+6. the array-native ``QuboModel`` bulk API makes cold formulation (build +
    fingerprint, nothing cached) of a 32-instance batch >= 5x faster than
    the seed's dict-per-term path, at byte-identical fingerprints;
-8. the qbsolv-style decomposer matches or beats a direct tabu solve on a
+7. the qbsolv-style decomposer matches or beats a direct tabu solve on a
    clustered instance 4x over the imposed capacity.
 
-Claims 6-8 each merge a section into the ``BENCH_<run>.json`` metrics file
+Claims 5-7 each merge a section into the ``BENCH_<run>.json`` metrics file
 (wall times, objectives, speedups, hit-rates) which the
 ``bench-trajectory`` CI job uploads as the engine-performance trajectory
 artifact.
 """
 
-import json
 import os
 import statistics
 import time
 
 import numpy as np
+from trajectory import emit_bench_json
 
 from repro import obs
 from repro import (
@@ -50,7 +48,6 @@ from repro import (
     solve_portfolio,
 )
 from repro.api import MQOAdapter, as_problem
-from repro.engine import AsyncExecutor
 from repro.mqo import generate_mqo_problem
 from repro.mqo.qubo import mqo_to_qubo
 from repro.qubo.model import QuboModel
@@ -213,71 +210,8 @@ def test_adaptive_routing_beats_race_everything(benchmark):
     )
 
 
-def test_async_executor_matches_threads_with_fewer_workers(benchmark):
-    """Same objectives as the thread pool from a strictly smaller thread
-    budget — the async executor's bounded-concurrency event loop replaces
-    thread-per-shard with shards multiplexed over a capped pool."""
-    problems = _wide_batch()
-    num_shards = BATCH_STRUCTURES
-    thread_workers = min(num_shards, (os.cpu_count() or 1) * 2)
-    async_budget = max(1, thread_workers // 2)
-    async_exec = AsyncExecutor(max_concurrency=async_budget)
-
-    def kernel():
-        t0 = time.perf_counter()
-        threaded = solve_many(problems, backend="sa", seed=11, executor="threads", **SA_OPTS)
-        threads_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        via_async = solve_many(problems, backend="sa", seed=11, executor=async_exec, **SA_OPTS)
-        async_s = time.perf_counter() - t0
-        return threaded, threads_s, via_async, async_s
-
-    threaded, threads_s, via_async, async_s = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert _objectives(via_async) == _objectives(threaded)
-    assert [r.solution for r in via_async] == [r.solution for r in threaded]
-    used = async_exec.last_run["worker_threads"]
-    print(f"\nthreads: {threads_s:.2f}s on <= {thread_workers} workers  "
-          f"async: {async_s:.2f}s on {used} workers (budget {async_budget})")
-    assert used <= async_budget
-    if thread_workers > 1:
-        assert used < thread_workers, (
-            f"async used {used} worker threads, no fewer than the thread pool's "
-            f"{thread_workers}"
-        )
-
-
-def _emit_bench_json(payload: dict) -> str:
-    """Merge a claim's metrics into ``BENCH_<run>.json``.
-
-    The run id comes from ``BENCH_RUN_ID`` (CI passes ``github.run_id``),
-    falling back to ``GITHUB_RUN_ID`` then ``"local"``; the directory from
-    ``BENCH_OUTPUT_DIR`` (default: current directory).  Several benchmarks
-    contribute to one run file, so each payload lands under its
-    ``payload["benchmark"]`` key — existing sections from earlier tests in
-    the same run are preserved.  CI uploads the file as an artifact so
-    engine performance has a trajectory, not just a pass/fail.
-    """
-    run_id = os.environ.get("BENCH_RUN_ID") or os.environ.get("GITHUB_RUN_ID") or "local"
-    out_dir = os.environ.get("BENCH_OUTPUT_DIR", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"BENCH_{run_id}.json")
-    sections = {}
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                existing = json.load(fh)
-            if isinstance(existing, dict):
-                sections = {k: v for k, v in existing.items() if isinstance(v, dict)}
-        except (OSError, ValueError):
-            sections = {}
-    sections[payload["benchmark"]] = payload
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sections, fh, indent=2, sort_keys=True)
-    return path
-
-
 def test_store_restart_warm_routing_beats_cold(benchmark, tmp_path):
-    """Claim 6: durable knowledge survives a restart and pays immediately.
+    """Claim 5: durable knowledge survives a restart and pays immediately.
 
     The cold phase is a fresh deployment: it must *learn* (one warmup
     portfolio per structure feeding the durable scoreboard) and *solve*
@@ -345,7 +279,7 @@ def test_store_restart_warm_routing_beats_cold(benchmark, tmp_path):
     # Emit the trajectory point *before* asserting: a regressed run is
     # exactly the data point the trajectory exists to record, so the
     # artifact must exist even when the assertions below fail the job.
-    path = _emit_bench_json({
+    path = emit_bench_json("store_restart", {
         "benchmark": "store_restart",
         "seed": 11,
         "batch_size": len(problems),
@@ -432,7 +366,7 @@ def test_tracing_noop_overhead_within_2_percent(benchmark):
     )
 
 
-# -- claim 7: vectorized formulation ----------------------------------------
+# -- claim 6: vectorized formulation ----------------------------------------
 
 
 class _SeedDictModel:
@@ -521,7 +455,7 @@ def _seed_mqo_to_qubo(problem):
 
 
 def test_vectorized_formulation_at_least_5x_faster(benchmark):
-    """Claim 7: cold batch formulation (build + fingerprint, no caching)
+    """Claim 6: cold batch formulation (build + fingerprint, no caching)
     through the array-native bulk API vs the seed's dict-per-term path, at
     byte-identical fingerprints on every instance."""
     problems = [
@@ -546,7 +480,7 @@ def test_vectorized_formulation_at_least_5x_faster(benchmark):
         kernel, rounds=1, iterations=1
     )
     speedup = reference_s / vectorized_s
-    path = _emit_bench_json({
+    path = emit_bench_json("formulation", {
         "benchmark": "formulation",
         "batch_size": len(problems),
         "instance_shape": {"queries": 20, "plans_per_query": 40},
@@ -565,11 +499,11 @@ def test_vectorized_formulation_at_least_5x_faster(benchmark):
     )
 
 
-# -- claim 8: qbsolv-style decomposition ------------------------------------
+# -- claim 7: qbsolv-style decomposition ------------------------------------
 
 
 def test_decomposer_matches_direct_tabu_when_4x_over_capacity(benchmark):
-    """Claim 8: a 96-variable clustered QUBO solved through blocks of 24
+    """Claim 7: a 96-variable clustered QUBO solved through blocks of 24
     (4x over the imposed capacity) must match or beat direct tabu."""
     rng = np.random.default_rng(42)
     n, cluster = 96, 24
@@ -601,7 +535,7 @@ def test_decomposer_matches_direct_tabu_when_4x_over_capacity(benchmark):
         kernel, rounds=1, iterations=1
     )
     provenance = decomposed.info["decompose"]
-    path = _emit_bench_json({
+    path = emit_bench_json("decompose", {
         "benchmark": "decompose",
         "num_variables": n,
         "capacity": cluster,

@@ -26,10 +26,10 @@ both runs land in a single CI trajectory artifact) alongside
 """
 
 import asyncio
-import json
 import math
-import os
 import time
+
+from trajectory import emit_bench_json
 
 from repro.api.facade import solve
 from repro.service import AdmissionShed, ServiceConfig, SolverService, problem_from_spec
@@ -58,33 +58,6 @@ def _burst():
         for seed in range(SEEDS_PER_INSTANCE)
     ]
     return requests * DUPLICATES
-
-
-def _emit_bench_json(section: str, payload: dict) -> str:
-    """Merge one scenario's payload into ``BENCH_<run>_service.json``.
-
-    Same naming convention as bench_engine (suffixed so the two trajectory
-    files can share an output directory); sections merge rather than
-    overwrite so both scenarios in this file land in one artifact
-    regardless of test order.
-    """
-    run_id = os.environ.get("BENCH_RUN_ID") or os.environ.get("GITHUB_RUN_ID") or "local"
-    out_dir = os.environ.get("BENCH_OUTPUT_DIR", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"BENCH_{run_id}_service.json")
-    data: dict = {}
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-            if isinstance(loaded, dict):
-                data = loaded
-        except (OSError, json.JSONDecodeError):
-            data = {}
-    data[section] = payload
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-    return path
 
 
 def _p95(values):
@@ -150,7 +123,7 @@ def test_coalesced_burst_beats_sequential_at_equal_objectives(benchmark):
         f"coalesced burst took {service_s:.3f}s vs sequential {sequential_s:.3f}s"
     )
 
-    path = _emit_bench_json(
+    path = emit_bench_json(
         "coalescing_burst",
         {
             "benchmark": "service_coalescing_burst",
@@ -165,7 +138,8 @@ def test_coalesced_burst_beats_sequential_at_equal_objectives(benchmark):
             "mean_objective": round(
                 sum(r.objective for r in direct) / len(direct), 6
             ),
-        }
+        },
+        suffix="_service",
     )
     print(
         f"\n[bench_service] {len(requests)} requests -> {int(waves)} wave(s), "
@@ -307,7 +281,7 @@ def test_overload_flood_sheds_while_interactive_stays_fast():
 
     shed_count = len(sheds)
     degraded_count = len(admitted_floods)
-    path = _emit_bench_json(
+    path = emit_bench_json(
         "overload",
         {
             "benchmark": "service_admission_overload",
@@ -323,6 +297,7 @@ def test_overload_flood_sheds_while_interactive_stays_fast():
             ),
             "wall_s": round(elapsed, 4),
         },
+        suffix="_service",
     )
     print(
         f"\n[bench_service] overload: {flood_total} best_effort floods -> "

@@ -58,7 +58,7 @@ class SimulatedAnnealingSolver:
         rng = ensure_rng(rng)
         if self.beta_schedule is None and self.num_reads >= 2:
             return self._solve_portfolio(model, rng, blocks)
-        return self._solve_single(model, rng, blocks, self.beta_schedule, self.num_reads)
+        return self._anneal(model, rng, blocks, self.beta_schedule, self.num_reads)
 
     def _solve_portfolio(self, model: QuboModel, rng, blocks) -> SampleSet:
         from repro.annealing.schedule import beta_range
@@ -68,8 +68,8 @@ class SimulatedAnnealingSolver:
         field_sched = geometric_beta_schedule(lo_f, hi_f, self.num_sweeps)
         lo_c, hi_c = beta_range(model.max_abs_coefficient())
         coeff_sched = geometric_beta_schedule(lo_c, hi_c, self.num_sweeps)
-        first = self._solve_single(model, rng, blocks, coeff_sched, self.num_reads - half)
-        second = self._solve_single(model, rng, blocks, field_sched, half)
+        first = self._anneal(model, rng, blocks, coeff_sched, self.num_reads - half)
+        second = self._anneal(model, rng, blocks, field_sched, half)
         info = {**first.info, **second.info}
         info["schedule_portfolio"] = {
             "coeff_reads": self.num_reads - half,
@@ -77,7 +77,7 @@ class SimulatedAnnealingSolver:
         }
         return SampleSet(list(first) + list(second), info=info)
 
-    def _solve_single(self, model: QuboModel, rng, blocks, beta_schedule, num_reads) -> SampleSet:
+    def _anneal(self, model: QuboModel, rng, blocks, beta_schedule, num_reads) -> SampleSet:
         n = model.num_variables
         a, S = model.symmetric_couplings()
         betas = beta_schedule

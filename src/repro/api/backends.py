@@ -5,7 +5,7 @@ A :class:`Backend` consumes a QUBO and returns a
 this boundary, which is what lets one facade serve every Table I workload
 on every machine class.  The registry maps short names (``"sa"``,
 ``"qaoa"``, ``"annealer"``, ...) to backend factories so callers select
-engines by string; new engines (real hardware clients, async dispatchers)
+engines by string; new engines (real hardware clients, remote dispatchers)
 plug in via :func:`register_backend` without touching any domain code.
 
 Backends are stateful on purpose: the annealer backend memoises hardware
@@ -37,12 +37,6 @@ class Backend(abc.ABC):
     #: directly (classical baselines); those implement ``solve_problem``.
     solves_problem_directly: bool = False
 
-    #: True for latency-bound clients that implement the coroutine
-    #: :meth:`run_async`; the engine's ``async`` executor awaits those
-    #: directly on its event loop instead of dedicating a worker thread to
-    #: each in-flight shard.
-    supports_async: bool = False
-
     #: Largest QUBO (variable count) this engine can take in one call, or
     #: ``None`` for no inherent limit.  The facade's ``decompose=True`` auto
     #: threshold and the qbsolv-style splitter in
@@ -53,19 +47,6 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def run(self, model: QuboModel, rng=None, **opts) -> SampleSet:
         """Sample low-energy assignments of ``model``."""
-
-    async def run_async(self, model: QuboModel, rng=None, **opts) -> SampleSet:
-        """Coroutine variant of :meth:`run` for latency-bound clients.
-
-        Implementations (remote annealer/QAOA endpoints that wait on the
-        network) must set ``supports_async = True`` and return **the same
-        samples** :meth:`run` would for the same model and RNG — the
-        determinism contract of the engine does not bend for transport.
-        The default simply delegates to :meth:`run` so subclasses can opt
-        in by flipping the flag when their ``run`` is already non-blocking;
-        true async clients override this with real awaits.
-        """
-        return self.run(model, rng=rng, **opts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -6,10 +6,10 @@ registered engine::
     from repro import solve
     result = solve(problem, backend="annealer", seed=7)
 
-Since the execution-engine refactor these entry points are thin front-ends
-over :mod:`repro.engine`: the planner compiles batches into structure-keyed
-shards, pluggable executors (``serial`` / ``threads`` / ``processes`` /
-``async``) run the shards, and a content-addressed
+These entry points are thin front-ends over one engine path in
+:mod:`repro.engine`: the planner compiles work into structure-keyed shards
+(``solve`` is a one-item plan), pluggable executors (``serial`` /
+``threads`` / ``processes``) run the shards, and a content-addressed
 :class:`~repro.engine.cache.ResultCache` skips repeat work.
 ``solve_portfolio`` races several backends on one instance (optionally
 under a wall-clock deadline) and keeps the best answer; ``solve_many`` runs
@@ -24,18 +24,18 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.api.adapters import as_problem, as_problems
+import numpy as np
+
+from repro.api.adapters import as_problem
 from repro.api.backends import Backend, get_backend
 from repro.api.problem import Problem
 from repro.api.result import SolveResult
-from repro.engine.runner import run_portfolio, solve_batch, solve_single
-from repro.engine.scheduler import (
-    AdaptiveScheduler,
-    run_portfolio_scheduled,
-    solve_batch_scheduled,
-)
+from repro.engine.plan import _SEED_RANGE
+from repro.engine.runner import run_portfolio, solve_batch
+from repro.engine.scheduler import AdaptiveScheduler
 from repro.exceptions import ReproError
 from repro.obs import trace as obs
+from repro.utils.rngtools import ensure_rng
 
 #: How many of the lowest-energy samples are decoded (and refined) per
 #: solve.  Post-processing several reads — not just the single best — is
@@ -64,6 +64,10 @@ def solve(
     **backend_opts,
 ) -> SolveResult:
     """Solve one problem end to end on one backend.
+
+    The solve runs as a one-item engine plan on the same path as
+    :func:`solve_many`, so the result carries the same ``info["engine"]``
+    block batch items carry (shard 0 of 1 on the ``serial`` executor).
 
     Args:
         problem: A :class:`Problem` adapter, or a raw domain object
@@ -106,11 +110,11 @@ def solve(
         **backend_opts: Forwarded to the backend factory (e.g.
             ``num_reads=32`` for ``"sa"``, ``num_layers=3`` for ``"qaoa"``).
     """
-    backend_name = backend if isinstance(backend, str) else None
     coerced = as_problem(problem)
-    resolved = _as_backend(backend, **backend_opts)
-    with obs.span("facade.solve", backend=resolved.name, problem=coerced.name):
+    with obs.span("facade.solve", backend=getattr(backend, "name", backend),
+                  problem=coerced.name):
         if decompose:
+            resolved = _as_backend(backend, **backend_opts)
             capacity = resolved.capacity if decompose is True else int(decompose)
             if capacity is not None and coerced.to_qubo().num_variables > capacity:
                 from repro.engine.decompose import solve_decomposed
@@ -119,7 +123,7 @@ def solve(
                     coerced,
                     resolved,
                     capacity,
-                    backend_name=backend_name,
+                    backend_name=backend if isinstance(backend, str) else None,
                     backend_opts=backend_opts,
                     seed=seed,
                     refine=refine,
@@ -127,17 +131,23 @@ def solve(
                     cache=cache,
                     store=store,
                 )
-        return solve_single(
-            coerced,
-            resolved,
-            backend_name,
-            backend_opts,
-            seed,
-            refine,
-            top_k,
+        # A one-item plan: an in-range int seed keeps it content-addressable
+        # (its key is any batch shard leader's); anything else becomes a
+        # Generator the item draws from in place, which is never cached.
+        if isinstance(seed, (int, np.integer)) and 0 <= seed < _SEED_RANGE:
+            item_seed = int(seed)
+        else:
+            item_seed = ensure_rng(seed)
+        return solve_batch(
+            [coerced],
+            backend,
+            refine=refine,
+            top_k=top_k,
             cache=cache,
+            backend_opts=backend_opts,
             store=store,
-        )
+            seeds=[item_seed],
+        )[0]
 
 
 def solve_portfolio(
@@ -187,18 +197,6 @@ def solve_portfolio(
         contenders=len(backends),
         scheduled=scheduler is not None,
     ):
-        if scheduler is not None:
-            return run_portfolio_scheduled(
-                as_problem(problem),
-                backends,
-                scheduler,
-                seed=seed,
-                refine=refine,
-                top_k=top_k,
-                backend_opts=backend_opts,
-                deadline_s=deadline_s,
-                store=store,
-            )
         return run_portfolio(
             as_problem(problem),
             backends,
@@ -208,6 +206,7 @@ def solve_portfolio(
             backend_opts=backend_opts,
             deadline_s=deadline_s,
             store=store,
+            scheduler=scheduler,
         )
 
 
@@ -244,11 +243,7 @@ def solve_many(
         executor: ``"serial"`` (default), ``"threads"`` (overlaps wherever
             the backend drops the GIL or waits on I/O), ``"processes"``
             (true parallelism for the CPU-bound simulator backends; shards
-            must pickle, so select the backend by name), ``"async"``
-            (asyncio event loop with bounded global/per-backend concurrency;
-            backends implementing the ``run_async`` coroutine overlap on
-            the loop without pinning a worker thread each — built for
-            latency-bound hardware clients), or an
+            must pickle, so select the backend by name), or an
             :class:`~repro.engine.executors.Executor` instance.  A
             caller-supplied ``Backend`` *instance* keeps the determinism
             guarantee only while its state is keyed by QUBO signature
@@ -299,28 +294,6 @@ def solve_many(
     with obs.span(
         "facade.solve_many", executor=executor_label, scheduled=scheduler is not None
     ):
-        if scheduler is not None:
-            candidates = [backend] if isinstance(backend, (str, Backend)) else list(backend)
-            return solve_batch_scheduled(
-                as_problems(problems),
-                candidates,
-                scheduler,
-                seed=seed,
-                refine=refine,
-                top_k=top_k,
-                executor=executor,
-                cache=cache,
-                max_shard_size=max_shard_size,
-                backend_opts=backend_opts,
-                store=store,
-                seeds=seeds,
-                labels=labels,
-            )
-        if not isinstance(backend, (str, Backend)):
-            raise ReproError(
-                "a sequence of candidate backends requires scheduler=; pass an "
-                "AdaptiveScheduler or select one backend"
-            )
         return solve_batch(
             problems,
             backend,
@@ -334,4 +307,5 @@ def solve_many(
             store=store,
             seeds=seeds,
             labels=labels,
+            scheduler=scheduler,
         )

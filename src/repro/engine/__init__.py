@@ -6,7 +6,9 @@ under it, split into three pieces that compose::
     compile_plan(problems, backend, seed)        # plan.py      — what to run
         -> ExecutionPlan (shards, seeds, fingerprints, cache keys)
     execute_plan(plan, executor=..., cache=...)  # runner.py    — how to run it
-        -> [SolveResult]  via serial / threads / processes / async executors
+        -> [SolveResult]  via serial / threads / processes executors
+        (solve_batch: compile -> route -> execute -> record, the one path
+        behind solve, solve_many, and the service)
     ResultCache                                  # cache.py     — what to skip
     AdaptiveScheduler / BackendScoreboard        # scheduler.py — where to run it
         (telemetry-driven shard routing + route-then-race-top-k portfolios)
@@ -34,7 +36,6 @@ from repro.engine.decompose import (
     solve_decomposed,
 )
 from repro.engine.executors import (
-    AsyncExecutor,
     Executor,
     ProcessExecutor,
     SerialExecutor,
@@ -49,8 +50,6 @@ from repro.engine.runner import (
     run_portfolio,
     solve_batch,
     solve_one,
-    solve_one_async,
-    solve_single,
 )
 from repro.engine.scheduler import (
     AdaptiveScheduler,
@@ -58,8 +57,6 @@ from repro.engine.scheduler import (
     BackendStats,
     RoutingDecision,
     expected_service_time,
-    run_portfolio_scheduled,
-    solve_batch_scheduled,
 )
 from repro.engine.store import (
     EngineStore,
@@ -82,7 +79,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "AsyncExecutor",
     "get_executor",
     "list_executors",
     "ExecutionPlan",
@@ -93,16 +89,12 @@ __all__ = [
     "execute_plans",
     "solve_batch",
     "solve_one",
-    "solve_one_async",
-    "solve_single",
     "run_portfolio",
     "AdaptiveScheduler",
     "BackendScoreboard",
     "BackendStats",
     "RoutingDecision",
     "expected_service_time",
-    "solve_batch_scheduled",
-    "run_portfolio_scheduled",
     "EngineStore",
     "ScoreboardStore",
     "SharedCacheTier",

@@ -1,9 +1,9 @@
-"""Pluggable shard executors: serial, thread-pool, process-pool, and async.
+"""Pluggable shard executors: serial, thread-pool, and process-pool.
 
 An executor maps the shard worker over shard payloads and returns results
 in payload order.  Because the planner fixes every item's seed and shard
 before dispatch, the executor choice changes *wall-clock only* — the
-returned objectives are identical across all four (the determinism
+returned objectives are identical across all three (the determinism
 contract the engine tests pin down).  For caller-supplied backend
 *instances* that guarantee additionally relies on instance state being
 keyed by QUBO structural signature (true of every built-in backend):
@@ -16,25 +16,13 @@ hardware client); ``processes`` sidesteps the GIL for the CPU-bound
 simulator backends at the price of pickling shards to workers.  Payloads
 for the process pool must therefore be picklable — by-name backend specs
 always are, and every built-in adapter/problem pickles cleanly.
-
-``async`` targets latency-bound clients — remote annealers, hosted QAOA
-endpoints — where a thread per in-flight shard wastes a worker blocking on
-the network.  It runs an asyncio event loop with bounded global and
-per-backend concurrency: shards whose backend implements the coroutine
-``run_async`` hook are awaited directly on the loop (thousands can be in
-flight without a dedicated thread each — the waits are thread-free, CPU
-segments borrow the bounded pool), while sync-only backends fall back to
-that pool wholesale.  The plug-point is the ``to_coroutine`` attribute a
-worker function may carry (see :func:`repro.engine.runner._shard_coroutine`).
 """
 
 from __future__ import annotations
 
 import abc
-import asyncio
 import os
 import pickle
-import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Sequence
 
@@ -107,119 +95,10 @@ class ProcessExecutor(Executor):
             raise
 
 
-class AsyncExecutor(Executor):
-    """Asyncio event loop with bounded global / per-backend concurrency.
-
-    Dispatch is still per *shard* (items within a shard stay ordered on one
-    backend instance), but shards overlap on the event loop instead of each
-    pinning a pool thread:
-
-    * a global semaphore caps how many shards are in flight at once
-      (``max_concurrency``, default ``2 * cores`` bounded by the payload
-      count);
-    * an optional per-backend semaphore (``per_backend``) additionally caps
-      concurrent shards per backend name — the knob for a rate-limited
-      hardware endpoint;
-    * shards whose worker advertises a coroutine variant (the worker
-      function's ``to_coroutine`` attribute) and whose backend supports it
-      are awaited inline, consuming **no** worker thread while they wait;
-      everything else runs on a thread pool of at most ``max_threads``
-      workers (default: ``max_concurrency``).
-
-    Determinism matches the other executors: seeds and shard membership are
-    fixed at plan time, so concurrency only reorders wall-clock, never
-    samples.  ``last_run`` records, after each ``run``, how many distinct
-    worker threads the executor actually used — the async-vs-threads
-    benchmark pins that this stays below a same-width thread pool.
-    """
-
-    name = "async"
-
-    def __init__(
-        self,
-        max_concurrency: "int | None" = None,
-        per_backend: "int | None" = None,
-        max_threads: "int | None" = None,
-    ):
-        if max_concurrency is not None and max_concurrency < 1:
-            raise ReproError("max_concurrency must be >= 1")
-        if per_backend is not None and per_backend < 1:
-            raise ReproError("per_backend must be >= 1")
-        self.max_concurrency = max_concurrency
-        self.per_backend = per_backend
-        self.max_threads = max_threads
-        self.last_run: dict = {}
-
-    def run(self, worker: Callable, payloads: Sequence) -> list:
-        payloads = list(payloads)
-        if not payloads:
-            return []
-        coro = self._drive(worker, payloads)
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            return asyncio.run(coro)
-        # Already inside an event loop (notebook / async application): run
-        # the batch on a private loop in a helper thread rather than nesting.
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="async-exec-host") as host:
-            return host.submit(asyncio.run, coro).result()
-
-    async def _drive(self, worker: Callable, payloads: list) -> list:
-        limit = self.max_concurrency or min(len(payloads), (os.cpu_count() or 1) * 2)
-        limit = max(1, min(limit, len(payloads)))
-        gate = asyncio.Semaphore(limit)
-        backend_gates: dict = {}
-        to_coroutine = getattr(worker, "to_coroutine", None)
-        loop = asyncio.get_running_loop()
-        threads_used: set = set()
-
-        def _tracked(thunk):
-            threads_used.add(threading.get_ident())
-            return thunk()
-
-        pool = ThreadPoolExecutor(
-            max_workers=self.max_threads or limit, thread_name_prefix="async-exec"
-        )
-        try:
-            async def _on_pool(thunk):
-                return await loop.run_in_executor(pool, _tracked, thunk)
-
-            async def _dispatch(payload):
-                # The worker may advertise a coroutine variant; it gets the
-                # thread-pool fallback as a coroutine factory so sync-only
-                # payloads take a worker thread without re-doing whatever
-                # resolution the hook already performed.
-                if to_coroutine is not None:
-                    return await to_coroutine(payload, _on_pool)
-                return await _on_pool(lambda: worker(payload))
-
-            async def one(payload):
-                key = payload.get("backend_name") if isinstance(payload, dict) else None
-                async with gate:
-                    if self.per_backend is not None and key is not None:
-                        bgate = backend_gates.setdefault(
-                            key, asyncio.Semaphore(self.per_backend)
-                        )
-                        async with bgate:
-                            return await _dispatch(payload)
-                    return await _dispatch(payload)
-
-            results = list(await asyncio.gather(*(one(p) for p in payloads)))
-        finally:
-            pool.shutdown(wait=True)
-        self.last_run = {
-            "payloads": len(payloads),
-            "max_concurrency": limit,
-            "worker_threads": len(threads_used),
-        }
-        return results
-
-
 _EXECUTORS: dict[str, Callable[..., Executor]] = {
     "serial": SerialExecutor,
     "threads": ThreadExecutor,
     "processes": ProcessExecutor,
-    "async": AsyncExecutor,
 }
 
 

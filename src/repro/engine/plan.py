@@ -20,8 +20,8 @@ can run:
    ``0..k-1`` (the embedding is searched with the leader's RNG, warm-start
    angles come from the leader's optimisation), so the key hashes the
    predecessors' fingerprints and seeds too.  A shard-position-0 key has an
-   empty history and is therefore interchangeable with a standalone
-   ``solve`` of the same fingerprint/opts/seed.
+   empty history, so a standalone ``solve`` — a one-item plan — shares it
+   with every batch shard leader of the same fingerprint/opts/seed.
 
 Backend instances passed by the caller are shared and stateful by design;
 their state is not content-addressable, so instance-backed plans disable
@@ -33,6 +33,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
+
+import numpy as np
 
 from repro.engine.cache import make_cache_key
 from repro.exceptions import ReproError
@@ -68,7 +70,7 @@ class PlanItem:
 
     index: int            #: position in the original batch
     problem: Problem
-    seed: int             #: child seed split from the batch seed
+    seed: "int | np.random.Generator"  #: child seed (a live Generator is drawn in place)
     shard: int            #: shard id (items of one shard share a backend instance)
     shard_pos: int        #: position within the shard (0 = shard leader)
     fingerprint: str      #: canonical content hash of the item's QUBO
@@ -109,7 +111,10 @@ class ExecutionPlan:
 
     @property
     def cacheable(self) -> bool:
-        return self.backend_name is not None
+        # A live Generator's position cannot be content-addressed.
+        return self.backend_name is not None and all(
+            isinstance(item.seed, int) for item in self.items
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         backend = self.backend_name or repr(self.backend_instance)
@@ -128,7 +133,7 @@ def compile_plan(
     backend_opts: "dict | None" = None,
     max_shard_size: "int | None" = None,
     adapter_opts: "dict | None" = None,
-    seeds: "Sequence[int] | None" = None,
+    seeds: "Sequence[int | np.random.Generator] | None" = None,
     labels: "Sequence[str | None] | None" = None,
 ) -> ExecutionPlan:
     """Compile a batch into an :class:`ExecutionPlan`.
@@ -147,7 +152,9 @@ def compile_plan(
             split); ``None`` keeps one shard per signature.
         adapter_opts: Extra kwargs for ``as_problems`` coercion.
         seeds: Explicit per-item child seeds, overriding the batch split.
-            One integer per problem, used verbatim.  This is the seam a
+            One integer per problem, used verbatim; an entry may also be a
+            live ``numpy`` Generator, which the item draws from in place
+            (the plan is then not cacheable).  This is the seam a
             caller that aggregates *independently seeded* requests (the
             service tier's coalescing queue) needs: combined with
             ``max_shard_size=1``, every item is its own shard leader, so
@@ -192,13 +199,13 @@ def compile_plan(
 
     coerced = as_problems(problems, **(adapter_opts or {}))
     if seeds is not None:
-        child_seeds = [int(s) for s in seeds]
+        child_seeds = [s if isinstance(s, np.random.Generator) else int(s) for s in seeds]
         if len(child_seeds) != len(coerced):
             raise ReproError(
                 f"seeds= must provide one seed per problem: got {len(child_seeds)} "
                 f"seeds for {len(coerced)} problems"
             )
-        if any(not 0 <= s < _SEED_RANGE for s in child_seeds):
+        if any(isinstance(s, int) and not 0 <= s < _SEED_RANGE for s in child_seeds):
             raise ReproError(f"explicit seeds must be integers in [0, {_SEED_RANGE})")
     else:
         base = ensure_rng(seed)
@@ -280,22 +287,3 @@ def _assign_cache_keys(plan: ExecutionPlan) -> None:
             history.update(item.fingerprint.encode("ascii"))
             history.update(str(item.seed).encode("ascii"))
 
-
-def single_solve_cache_key(
-    fingerprint: str,
-    backend_name: str,
-    backend_opts: dict,
-    refine: bool,
-    top_k: int,
-    seed: int,
-) -> str:
-    """Cache key for a standalone ``solve`` call with an integer seed.
-
-    Uses an *empty* shard history, making it interchangeable with the
-    shard-leader key of a batch item that has the same fingerprint, backend,
-    opts, and effective seed — both run a fresh backend instance on a fresh
-    RNG, so their results coincide.
-    """
-    opts_key = _opts_key(dict(backend_opts), refine, top_k)
-    empty_history = hashlib.sha256().hexdigest()
-    return make_cache_key(fingerprint, backend_name, opts_key + "|" + empty_history, seed)

@@ -5,10 +5,16 @@ This module owns the code that actually runs a compiled
 
 * :func:`solve_one` — the Problem -> QUBO -> Backend -> SolveResult kernel
   (moved here from the facade so every executor shares one definition);
-* :func:`execute_plan` — cache lookup, shard dispatch through a pluggable
-  executor, cache fill, and per-result engine metadata;
-* :func:`run_portfolio` — several backends on one instance, optionally
-  raced under a wall-clock deadline.
+* :func:`execute_plans` — cache lookup, shard dispatch through a pluggable
+  executor, cache fill, and per-result engine metadata.  It is the only
+  code that produces engine results: everything below reaches the kernel
+  through it;
+* :func:`solve_batch` — compile, optionally route (adaptive scheduler),
+  execute, record: the one path behind ``solve`` (a one-item plan),
+  ``solve_many`` and the service's waves;
+* :func:`run_portfolio` — several backends on one instance, each a
+  one-item plan, optionally narrowed by a scheduler and raced under a
+  wall-clock deadline.
 
 Cache semantics are **shard-atomic**: a shard's items are served from the
 cache only when *every* item hits.  Item *k* of a shard is solved on
@@ -22,16 +28,18 @@ plan time, a hit never perturbs the RNG stream of neighbouring items.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.engine.cache import ResultCache, resolve_cache
 from repro.engine.executors import get_executor
-from repro.engine.plan import ExecutionPlan, compile_plan, single_solve_cache_key
+from repro.engine.plan import ExecutionPlan, compile_plan, signature_key
+from repro.engine.scheduler import _candidate_names, _validated_opts_map
 from repro.exceptions import ReproError
 from repro.obs import trace as obs
 from repro.utils.rngtools import ensure_rng, spawn
@@ -40,69 +48,18 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.api.backends import Backend
     from repro.api.problem import Problem
     from repro.api.result import SolveResult
-
-
-def _direct_result(problem, backend, rng, refine: bool, start: float, model,
-                   formulate_s: float = 0.0) -> SolveResult:
-    """Finish a direct-solve (no QUBO sampling) run; energy is NaN by convention."""
-    from repro.api.result import SolveResult
-
-    solve_t0 = time.perf_counter()
-    solution = backend.solve_problem(problem, rng=rng)
-    solve_s = time.perf_counter() - solve_t0
-    if refine:
-        solution = problem.refine(solution)
-    return SolveResult(
-        problem=problem.name,
-        method=backend.name,
-        solution=solution,
-        objective=problem.evaluate(solution),
-        energy=math.nan,
-        wall_time=time.perf_counter() - start,
-        num_variables=model.num_variables,
-        info={
-            "solver": backend.name,
-            "timings": {"formulate_time": formulate_s, "solve_time": solve_s},
-        },
-    )
-
-
-def _sampled_result(problem, backend, samples, refine: bool, top_k: int, start: float, model,
-                    formulate_s: float = 0.0, solve_s: float = 0.0) -> SolveResult:
-    """Decode/refine the ``top_k`` lowest-energy samples, keep the best."""
-    from repro.api.result import SolveResult
-
-    best_solution = None
-    best_objective = math.inf
-    for sample in samples.truncate(max(top_k, 1)):
-        solution = problem.decode(sample.bits)
-        if refine:
-            solution = problem.refine(solution)
-        objective = problem.evaluate(solution)
-        if objective < best_objective:
-            best_objective = objective
-            best_solution = solution
-    info = dict(samples.info)
-    info["timings"] = {"formulate_time": formulate_s, "solve_time": solve_s}
-    return SolveResult(
-        problem=problem.name,
-        method=backend.name,
-        solution=best_solution,
-        objective=best_objective,
-        energy=samples.best.energy,
-        wall_time=time.perf_counter() - start,
-        num_variables=model.num_variables,
-        info=info,
-    )
+    from repro.engine.scheduler import AdaptiveScheduler
 
 
 def solve_one(problem: Problem, backend: Backend, rng, refine: bool, top_k: int) -> SolveResult:
     """Solve one problem on one backend instance (the pipeline kernel).
 
-    Direct-solve backends (``classical``) bypass QUBO *sampling* but still
-    report ``num_variables`` from the problem's cached formulation, so
-    result rows stay comparable across backends; their ``energy`` is NaN by
-    convention (see :class:`~repro.api.result.SolveResult`).
+    Sampling backends return samples whose ``top_k`` lowest-energy reads
+    are decoded (and refined); the best evaluated one wins.  Direct-solve
+    backends (``classical``) bypass QUBO *sampling* but still report
+    ``num_variables`` from the problem's cached formulation, so result rows
+    stay comparable across backends; their ``energy`` is NaN by convention
+    (see :class:`~repro.api.result.SolveResult`).
 
     Every result carries ``info["timings"]`` — ``formulate_time`` (the
     ``to_qubo`` call; near zero when the adapter's cached formulation is
@@ -110,56 +67,41 @@ def solve_one(problem: Problem, backend: Backend, rng, refine: bool, top_k: int)
     (backend sampling / direct solve).  Decode/refine/evaluate is the
     remainder of ``wall_time``.
     """
+    from repro.api.result import SolveResult
+
     start = time.perf_counter()
     model = problem.to_qubo()
     formulate_s = time.perf_counter() - start
-    if backend.solves_problem_directly:
-        return _direct_result(problem, backend, rng, refine, start, model, formulate_s)
     solve_t0 = time.perf_counter()
-    samples = backend.run(model, rng=rng)
-    solve_s = time.perf_counter() - solve_t0
-    return _sampled_result(
-        problem, backend, samples, refine, top_k, start, model, formulate_s, solve_s
-    )
-
-
-async def solve_one_async(
-    problem: Problem, backend: Backend, rng, refine: bool, top_k: int, offload=None
-) -> SolveResult:
-    """Coroutine twin of :func:`solve_one` for ``supports_async`` backends.
-
-    Awaits :meth:`~repro.api.backends.Backend.run_async` instead of calling
-    ``run``; everything around the sampling step (formulation, decode,
-    refine, evaluation) is byte-for-byte the same code, so an async backend
-    that honours the run/run_async equivalence contract yields identical
-    results on every executor.
-
-    ``offload`` is an optional async callable (``thunk -> awaitable``) that
-    runs the CPU segments — formulation, decode/refine/evaluation — off the
-    event loop.  The async executor passes its bounded thread pool here so
-    many in-flight shards never single-thread their post-processing on the
-    loop; ``None`` runs those segments inline.
-    """
-
-    async def cpu(thunk):
-        if offload is None:
-            return thunk()
-        return await offload(thunk)
-
-    start = time.perf_counter()
-    model = await cpu(problem.to_qubo)
-    formulate_s = time.perf_counter() - start
     if backend.solves_problem_directly:
-        return await cpu(
-            lambda: _direct_result(problem, backend, rng, refine, start, model, formulate_s)
-        )
-    solve_t0 = time.perf_counter()
-    samples = await backend.run_async(model, rng=rng)
-    solve_s = time.perf_counter() - solve_t0
-    return await cpu(
-        lambda: _sampled_result(
-            problem, backend, samples, refine, top_k, start, model, formulate_s, solve_s
-        )
+        solution = backend.solve_problem(problem, rng=rng)
+        solve_s = time.perf_counter() - solve_t0
+        if refine:
+            solution = problem.refine(solution)
+        objective = problem.evaluate(solution)
+        energy, info = math.nan, {"solver": backend.name}
+    else:
+        samples = backend.run(model, rng=rng)
+        solve_s = time.perf_counter() - solve_t0
+        solution, objective = None, math.inf
+        for sample in samples.truncate(max(top_k, 1)):
+            candidate = problem.decode(sample.bits)
+            if refine:
+                candidate = problem.refine(candidate)
+            value = problem.evaluate(candidate)
+            if value < objective:
+                solution, objective = candidate, value
+        energy, info = samples.best.energy, dict(samples.info)
+    info["timings"] = {"formulate_time": formulate_s, "solve_time": solve_s}
+    return SolveResult(
+        problem=problem.name,
+        method=backend.name,
+        solution=solution,
+        objective=objective,
+        energy=energy,
+        wall_time=time.perf_counter() - start,
+        num_variables=model.num_variables,
+        info=info,
     )
 
 
@@ -190,8 +132,16 @@ def _shard_payload(plan: ExecutionPlan, shard_items, executor_name: str) -> dict
     }
 
 
-def _engine_info(payload: dict, pos: int, seed: int, fingerprint: str) -> dict:
-    info = {
+def _engine_info(result, payload: dict, pos: int, seed: "int | None", fingerprint: str) -> None:
+    """Attach ``info["engine"]`` including the wall-time split.
+
+    ``formulate_time``/``solve_time`` come from the kernel's
+    ``info["timings"]``; ``cache_time`` (the shard's cache-probe seconds)
+    is stamped by :func:`execute_plans` once the dispatch returns — workers
+    never see the cache.
+    """
+    timings = result.info.get("timings") or {}
+    engine = {
         "shard": payload["shard"],
         "shard_pos": pos,
         "shard_size": payload["shard_size"],
@@ -203,20 +153,7 @@ def _engine_info(payload: dict, pos: int, seed: int, fingerprint: str) -> dict:
     }
     labels = payload.get("labels") or []
     if pos < len(labels) and labels[pos] is not None:
-        info["label"] = labels[pos]
-    return info
-
-
-def _stamp_engine_info(result, payload: dict, pos: int, seed: int, fingerprint: str) -> None:
-    """Attach ``info["engine"]`` including the wall-time split.
-
-    ``formulate_time``/``solve_time`` come from the kernel's
-    ``info["timings"]``; ``cache_time`` (the shard's cache-probe seconds)
-    is stamped by :func:`execute_plans` once the dispatch returns — workers
-    never see the cache.
-    """
-    engine = _engine_info(payload, pos, seed, fingerprint)
-    timings = result.info.get("timings") or {}
+        engine["label"] = labels[pos]
     engine["formulate_time"] = timings.get("formulate_time", 0.0)
     engine["solve_time"] = timings.get("solve_time", 0.0)
     engine["cache_time"] = 0.0
@@ -231,128 +168,63 @@ def _shard_tier(tiers: list) -> "str | None":
     return None
 
 
-def _resolve_payload_backend(payload: dict):
-    from repro.api.backends import get_backend
-
-    if payload["backend_name"] is not None:
-        return get_backend(payload["backend_name"], **payload["backend_opts"])
-    return payload["backend_instance"]
-
-
-def _begin_shard_span(tracer, payload: dict, backend):
-    if tracer is None:
-        return None
-    return tracer.begin(
-        "engine.shard",
-        parent=payload.get("trace"),
-        shard=payload["shard"],
-        shard_size=payload["shard_size"],
-        signature=payload.get("signature"),
-        backend=backend.name,
-        executor=payload["executor"],
-    )
-
-
-def _begin_solve_span(tracer, shard_span, payload: dict, seed: int, fp: str, index: int):
-    if tracer is None:
-        return None
-    return tracer.begin(
-        "engine.solve",
-        parent=shard_span,
-        shard=payload["shard"],
-        index=index,
-        seed=seed,
-        fingerprint=fp[:16],
-    )
-
-
-def _end_solve_span(tracer, span, result) -> None:
-    """Close a per-item span and stamp its ids as the result's join key."""
-    if tracer is None:
-        return
-    tracer.end(span)
-    result.info["trace"] = {"trace_id": span["trace_id"], "span_id": span["span_id"]}
-
-
-def _run_shard_items(backend, payload: dict) -> dict:
-    """Run a shard's items in order on an already-resolved backend instance.
+def _execute_shard(payload: dict) -> dict:
+    """Run one shard's items in order on one backend; module-level for pickling.
 
     Items run in shard order on the shared instance, so signature-keyed
     backend caches (embeddings, warm-start angles) amortise across the
-    shard exactly as they did on the old single-instance batch path.
+    shard.  A live Generator seed (an uncacheable one-item plan) is drawn
+    in place and reported as seed ``None``.
 
     Returns ``{"items": [(index, result), ...], "spans": [...]}`` — spans
     collected worker-side when the payload carries a trace context, so the
     dispatching side can re-emit them regardless of executor.
     """
+    from repro.api.backends import get_backend
+
+    if payload["backend_name"] is not None:
+        backend = get_backend(payload["backend_name"], **payload["backend_opts"])
+    else:
+        backend = payload["backend_instance"]
     tracer = obs.collector_for(payload.get("trace"))
-    shard_span = _begin_shard_span(tracer, payload, backend)
+    shard_span = None
+    if tracer is not None:
+        shard_span = tracer.begin(
+            "engine.shard",
+            parent=payload.get("trace"),
+            shard=payload["shard"],
+            shard_size=payload["shard_size"],
+            signature=payload.get("signature"),
+            backend=backend.name,
+            executor=payload["executor"],
+        )
     out = []
     for pos, (index, problem, seed, fp) in enumerate(
         zip(payload["indices"], payload["problems"], payload["seeds"], payload["fingerprints"])
     ):
-        solve_span = _begin_solve_span(tracer, shard_span, payload, seed, fp, index)
+        seed_tag = seed if isinstance(seed, int) else None
+        if tracer is not None:
+            solve_span = tracer.begin(
+                "engine.solve",
+                parent=shard_span,
+                shard=payload["shard"],
+                index=index,
+                seed=seed_tag,
+                fingerprint=fp[:16],
+            )
         result = solve_one(
             problem, backend, np.random.default_rng(seed), payload["refine"], payload["top_k"]
         )
-        _end_solve_span(tracer, solve_span, result)
-        _stamp_engine_info(result, payload, pos, seed, fp)
+        if tracer is not None:
+            tracer.end(solve_span)
+            result.info["trace"] = {
+                "trace_id": solve_span["trace_id"], "span_id": solve_span["span_id"]
+            }
+        _engine_info(result, payload, pos, seed_tag, fp)
         out.append((index, result))
     if tracer is not None:
         tracer.end(shard_span)
     return {"items": out, "spans": tracer.drain() if tracer is not None else []}
-
-
-def _execute_shard(payload: dict) -> dict:
-    """Resolve the shard's backend and run it; module-level for pickling."""
-    return _run_shard_items(_resolve_payload_backend(payload), payload)
-
-
-async def _execute_shard_async(payload: dict, backend, offload) -> dict:
-    """Coroutine twin of :func:`_execute_shard` (same ordering, same state).
-
-    Items still run strictly in shard order on the shared instance — the
-    awaits overlap *across* shards on the event loop, never within one, so
-    signature-keyed backend caches see the exact sequence the sync path
-    produces.  CPU segments go through ``offload`` (the executor's bounded
-    pool) so the event loop only ever holds the waits.
-    """
-    tracer = obs.collector_for(payload.get("trace"))
-    shard_span = _begin_shard_span(tracer, payload, backend)
-    out = []
-    for pos, (index, problem, seed, fp) in enumerate(
-        zip(payload["indices"], payload["problems"], payload["seeds"], payload["fingerprints"])
-    ):
-        solve_span = _begin_solve_span(tracer, shard_span, payload, seed, fp, index)
-        result = await solve_one_async(
-            problem, backend, np.random.default_rng(seed), payload["refine"], payload["top_k"],
-            offload=offload,
-        )
-        _end_solve_span(tracer, solve_span, result)
-        _stamp_engine_info(result, payload, pos, seed, fp)
-        out.append((index, result))
-    if tracer is not None:
-        tracer.end(shard_span)
-    return {"items": out, "spans": tracer.drain() if tracer is not None else []}
-
-
-def _shard_coroutine(payload: dict, fallback):
-    """``to_coroutine`` hook for the async executor.
-
-    Resolves the shard's backend exactly once: sync-only backends are
-    handed — already resolved — to the executor's ``fallback`` (a
-    coroutine factory running a thunk on the bounded thread pool), while
-    ``supports_async`` backends run on the event loop, awaiting their
-    samples thread-free and borrowing the pool only for the CPU segments
-    around each wait.
-    """
-    backend = _resolve_payload_backend(payload)
-    if not getattr(backend, "supports_async", False):
-        return fallback(lambda: _run_shard_items(backend, payload))
-    return _execute_shard_async(payload, backend, fallback)
-
-
-_execute_shard.to_coroutine = _shard_coroutine
 
 
 def execute_plans(
@@ -475,7 +347,7 @@ def execute_plan(
 
 def solve_batch(
     problems,
-    backend: "str | Backend" = "sa",
+    backend: "str | Backend | Sequence[str]" = "sa",
     seed: "int | None" = None,
     refine: bool = True,
     top_k: int = 8,
@@ -486,24 +358,55 @@ def solve_batch(
     store=None,
     seeds=None,
     labels=None,
+    scheduler: "AdaptiveScheduler | None" = None,
 ) -> list[SolveResult]:
-    """Compile + execute in one call (the engine behind ``repro.solve_many``).
+    """Compile + execute in one call: the engine behind ``repro.solve`` and
+    ``repro.solve_many``.
+
+    Without a ``scheduler`` the compiled plan runs as is.  With an
+    :class:`~repro.engine.scheduler.AdaptiveScheduler`, ``backend`` may be
+    a sequence of registry names and ``backend_opts`` is portfolio-style
+    (per-backend factory options keyed by name): the batch is compiled
+    once, every shard is routed up front
+    (:meth:`~repro.engine.scheduler.AdaptiveScheduler.route`), the routed
+    sub-plans run as one dispatch wave, and when the whole batch has
+    returned every result is fed to the scheduler's scoreboard.  Item seeds
+    are the compiled ones regardless of routing, so two runs with equal
+    scheduler state solve every item identically on any executor.
 
     With a durable ``store`` (a path, an
     :class:`~repro.engine.store.EngineStore`, or ``None`` + ``REPRO_STORE``),
     results flow through the store's shared cache tier and the batch's
     telemetry is recorded into the durable scoreboard at the batch
-    boundary — so even unscheduled batches feed the routing knowledge a
-    later :class:`~repro.engine.scheduler.AdaptiveScheduler` hydrates.
+    boundary, exactly once: directly when unscheduled (so even plain
+    batches feed the routing knowledge a later scheduler hydrates), else
+    through the scheduler's scoreboard, which is bound to the store
+    (hydrating any pairs it lacks) and whose routed structures are
+    prefetched from the shared tier before dispatch.  An explicit
+    ``store=False`` keeps a scheduled call out of a store-bound
+    scoreboard's durable log (the live statistics still learn).
 
     ``seeds`` passes explicit per-item child seeds to the planner (see
     :func:`~repro.engine.plan.compile_plan`); ``seed`` is ignored when set.
     ``labels`` tags items for telemetry (``info["engine"]["label"]``)
     without affecting sharding, seeding, or cache keys.
     """
-    from repro.engine.store import resolve_store, store_bound_cache
+    from repro.api.backends import Backend
+    from repro.engine.store import record_best_effort, resolve_store, store_bound_cache
 
-    store = resolve_store(store)
+    durable_off = store is False
+    durable = resolve_store(store)
+    if scheduler is not None:
+        names = _candidate_names([backend] if isinstance(backend, (str, Backend)) else backend)
+        opts_map = _validated_opts_map(backend_opts, names)
+        backend, backend_opts = names[0], opts_map.get(names[0], {})
+        if durable is not None:
+            scheduler.scoreboard.bind_store(durable)
+    elif not isinstance(backend, (str, Backend)):
+        raise ReproError(
+            "a sequence of candidate backends requires scheduler=; pass an "
+            "AdaptiveScheduler or select one backend"
+        )
     with obs.span("engine.plan_compile") as plan_span:
         plan = compile_plan(
             problems,
@@ -517,118 +420,28 @@ def solve_batch(
             labels=labels,
         )
         plan_span.set(items=len(plan.items), shards=plan.num_shards)
-    with store_bound_cache(cache, store) as bound:
-        results = execute_plan(plan, executor=executor, cache=bound)
-    if store is not None:
-        from repro.engine.store import record_best_effort
-
-        record_best_effort(
-            lambda: store.scoreboard.record_results(results), "batch telemetry record"
-        )
+    plans, gather = [plan], None
+    if scheduler is not None:
+        plans, gather = scheduler.route(plan, names, opts_map)
+    with store_bound_cache(cache, durable) as bound:
+        if gather is not None and bound is not None and bound.store is not None:
+            # Scheduler-aware prefetch: routing just named the structures
+            # this batch will touch, so results a sibling process already
+            # stored for them are warmed into the memory LRU first.
+            for signature in dict.fromkeys(plan.meta["shard_signatures"]):
+                bound.prefetch(signature)
+        outputs = execute_plans(plans, executor=executor, cache=bound)
+    if gather is None:
+        results = outputs[0]
+        if durable is not None:
+            record_best_effort(
+                lambda: durable.scoreboard.record_results(results), "batch telemetry record"
+            )
+        return results
+    results = gather(outputs)
+    scheduler.observe_batch(results)
+    scheduler.checkpoint(discard=durable_off)
     return results
-
-
-def solve_single(
-    problem: Problem,
-    backend: Backend,
-    backend_name: "str | None",
-    backend_opts: dict,
-    seed,
-    refine: bool,
-    top_k: int,
-    cache: "ResultCache | bool | str | None" = None,
-    store=None,
-) -> SolveResult:
-    """One solve with optional caching (the engine behind ``repro.solve``).
-
-    Caching applies only when the backend was selected by name *and* the
-    seed is an integer — a live Generator's position cannot be content-
-    addressed, and an instance backend's caches make its output depend on
-    call history.  The key uses an empty shard history, so it is shared
-    with shard-leader batch items of the same fingerprint/opts/seed.
-
-    A durable ``store`` adds its shared cache tier under the cache and
-    records the solve's outcome into the durable scoreboard (keyed by the
-    problem's structure signature) so single solves feed routing knowledge
-    too.
-    """
-    from repro.engine.store import resolve_store, store_bound_cache
-
-    durable = resolve_store(store)
-    signature = None
-    if durable is not None:
-        from repro.api.problem import qubo_signature
-        from repro.engine.plan import signature_key
-
-        signature = signature_key(qubo_signature(problem.to_qubo()))
-    with store_bound_cache(cache, durable) as cache_store:
-        key = None
-        if (
-            cache_store is not None
-            and backend_name is not None
-            and isinstance(seed, (int, np.integer))
-        ):
-            key = single_solve_cache_key(
-                problem.to_qubo().fingerprint(), backend_name, backend_opts, refine,
-                top_k, int(seed),
-            )
-            with obs.span("cache.lookup", items=1) as cache_span:
-                probe_t0 = time.perf_counter()
-                hit, tier = cache_store.lookup(key)
-                probe_s = time.perf_counter() - probe_t0
-                cache_span.set(hit=hit is not None, tier=tier)
-            if hit is not None:
-                timings = hit.info.get("timings") or {}
-                hit.info.setdefault("engine", {}).update(
-                    cache_hit=True,
-                    cache_tier=tier,
-                    formulate_time=timings.get("formulate_time", 0.0),
-                    solve_time=timings.get("solve_time", 0.0),
-                    cache_time=probe_s,
-                )
-                if cache_span.span_id is not None:
-                    hit.info["trace"] = {
-                        "trace_id": cache_span.trace_id,
-                        "span_id": cache_span.span_id,
-                    }
-                if durable is not None:
-                    from repro.engine.store import record_best_effort
-
-                    record_best_effort(
-                        lambda: durable.scoreboard.record(
-                            [("observe", hit.method, signature, hit.objective,
-                              hit.wall_time, True)]
-                        ),
-                        "solve telemetry record",
-                    )
-                return hit
-        with obs.span("engine.solve", backend=backend.name) as solve_span:
-            result = solve_one(problem, backend, ensure_rng(seed), refine, top_k)
-            if solve_span.span_id is not None:
-                result.info["trace"] = {
-                    "trace_id": solve_span.trace_id,
-                    "span_id": solve_span.span_id,
-                }
-        if key is not None:
-            timings = result.info.get("timings") or {}
-            result.info.setdefault("engine", {}).update(
-                cache_hit=False,
-                formulate_time=timings.get("formulate_time", 0.0),
-                solve_time=timings.get("solve_time", 0.0),
-                cache_time=probe_s,
-            )
-            cache_store.put(key, result, signature=signature)
-    if durable is not None:
-        from repro.engine.store import record_best_effort
-
-        record_best_effort(
-            lambda: durable.scoreboard.record(
-                [("observe", result.method, signature, result.objective,
-                  result.wall_time, False)]
-            ),
-            "solve telemetry record",
-        )
-    return result
 
 
 # -- portfolio racing -------------------------------------------------------
@@ -643,22 +456,43 @@ def run_portfolio(
     backend_opts: "dict | None" = None,
     deadline_s: "float | None" = None,
     store=None,
+    scheduler: "AdaptiveScheduler | None" = None,
 ) -> SolveResult:
     """Race several backends on one instance; return the best finisher.
 
-    Each contender gets an independent child RNG split from ``seed`` in
-    contender order, so a deadline-free portfolio is reproducible as a
-    whole.  With ``deadline_s`` set, contenders run concurrently in a
-    thread pool and only those that finish inside the deadline compete
-    (stragglers are abandoned, not interrupted — their entry is marked
+    Each contender runs as a one-item plan through :func:`execute_plan` on
+    an independent child RNG split from ``seed`` in contender order, so a
+    deadline-free portfolio is reproducible as a whole.  With
+    ``deadline_s`` set, contenders run concurrently in a thread pool and
+    only those that finish inside the deadline compete (stragglers are
+    abandoned, not interrupted — their entry is marked
     ``"deadline_exceeded"``); at least one contender is always awaited so
     the call never returns empty-handed.  Which contenders beat a wall-
     clock deadline is inherently machine-dependent, so deadline racing
     trades determinism for latency — leave ``deadline_s=None`` when exact
     reproducibility matters.
+
+    With an :class:`~repro.engine.scheduler.AdaptiveScheduler` the race is
+    narrowed first
+    (:meth:`~repro.engine.scheduler.AdaptiveScheduler.select_contenders`):
+    only the scoreboard's top ``race_top_k`` candidates for this
+    instance's structure race — contenders must then be registry names —
+    and the winner's ``info["portfolio_meta"]["scheduler"]`` records the
+    ranking, the raced subset, and the exploration flag.  The scheduler's
+    ``deadline_s`` shapes routing feasibility only; it is never promoted
+    into a race deadline.
+
+    A durable ``store`` records every raced contender's outcome once:
+    directly, or with a scheduler through its scoreboard (bound to the
+    store and hydrated first).  An explicit ``store=False`` keeps a
+    scheduled call out of a store-bound scoreboard's durable log.
     """
     from repro.api.backends import Backend, get_backend
+    from repro.api.problem import qubo_signature
+    from repro.engine.store import record_best_effort, resolve_store
 
+    durable_off = store is False
+    durable = resolve_store(store)
     backends = list(backends)
     if not backends:
         raise ReproError("portfolio needs at least one backend")
@@ -669,6 +503,13 @@ def run_portfolio(
         raise ReproError(
             f"backend_opts for {sorted(unknown)} match no named backend in the portfolio"
         )
+    signature = routing = None
+    if scheduler is not None or durable is not None:
+        signature = signature_key(qubo_signature(problem.to_qubo()))
+    if scheduler is not None:
+        if durable is not None:
+            scheduler.scoreboard.bind_store(durable)
+        backends, routing = scheduler.select_contenders(signature, backends)
 
     contenders = []
     for b in backends:
@@ -679,7 +520,10 @@ def run_portfolio(
     rngs = spawn(ensure_rng(seed), len(contenders))
 
     def _run(idx: int) -> SolveResult:
-        return solve_one(problem, contenders[idx][1], rngs[idx], refine, top_k)
+        plan = compile_plan(
+            [problem], contenders[idx][1], seeds=[rngs[idx]], refine=refine, top_k=top_k
+        )
+        return execute_plan(plan)[0]
 
     if deadline_s is None:
         results = [_run(i) for i in range(len(contenders))]
@@ -693,7 +537,12 @@ def run_portfolio(
         pool = ThreadPoolExecutor(
             max_workers=len(contenders), thread_name_prefix="portfolio"
         )
-        futures = {pool.submit(_run, i): i for i in range(len(contenders))}
+        # Each contender runs in a copy of the caller's context, so its
+        # engine spans nest under the caller's trace.
+        futures = {
+            pool.submit(contextvars.copy_context().run, _run, i): i
+            for i in range(len(contenders))
+        }
         done, pending = wait(futures, timeout=deadline_s)
         if not done:
             done, pending = wait(futures, return_when=FIRST_COMPLETED)
@@ -730,17 +579,13 @@ def run_portfolio(
         "completed": len(completed),
         "raced": deadline_s is not None,
     }
-    from repro.engine.store import record_best_effort, resolve_store
-
-    durable = resolve_store(store)
-    if durable is not None:
-        from repro.api.problem import qubo_signature
-        from repro.engine.plan import signature_key
-
+    if scheduler is not None:
+        scheduler.observe_portfolio(best, signature=signature)
+        scheduler.checkpoint(discard=durable_off)
+        best.info["portfolio_meta"]["scheduler"] = routing
+    elif durable is not None:
         record_best_effort(
-            lambda: durable.scoreboard.record_portfolio(
-                best, signature=signature_key(qubo_signature(problem.to_qubo()))
-            ),
+            lambda: durable.scoreboard.record_portfolio(best, signature=signature),
             "portfolio telemetry record",
         )
     return best

@@ -5,20 +5,22 @@ A :class:`BackendScoreboard` keeps online per-``(backend, QUBO-structure)``
 statistics — observed objective quality, wall latency, cache-hit rate — fed
 by the ``info["engine"]`` and ``info["portfolio"]`` telemetry every engine
 result already carries.  An :class:`AdaptiveScheduler` turns those stats
-into routing decisions:
+into routing decisions for the engine's one execution path:
 
-* :func:`solve_batch_scheduled` — the scheduler behind
-  ``solve_many(..., scheduler=...)``: each shard of a batch is routed to
-  the backend with the best expected quality-under-deadline for its
-  structure, epsilon-greedy so colder backends keep getting sampled;
-* :func:`run_portfolio_scheduled` — the scheduler behind
-  ``solve_portfolio(..., scheduler=...)``: instead of racing *every*
-  backend, the scoreboard ranks them and only the top-k race.
+* :meth:`AdaptiveScheduler.route` — the step ``solve_many(...,
+  scheduler=...)`` adds between plan compile and dispatch: each shard of a
+  batch is routed to the backend with the best expected
+  quality-under-deadline for its structure, epsilon-greedy so colder
+  backends keep getting sampled;
+* :meth:`AdaptiveScheduler.select_contenders` — the step
+  ``solve_portfolio(..., scheduler=...)`` adds before the race: instead of
+  racing *every* backend, the scoreboard ranks them and only the top-k
+  race.
 
 Routing happens **before** dispatch and the scoreboard updates **after**
 the whole batch returns, so a scheduled batch stays deterministic for a
 fixed ``(scheduler seed, scoreboard history)`` across serial / threads /
-processes / async executors — exactly the engine's existing contract.
+processes executors — exactly the engine's existing contract.
 Mid-batch adaptation would tie routing to completion order and silently
 break it, which is why the batch boundary is the observation boundary.
 """
@@ -28,12 +30,11 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.engine.plan import ExecutionPlan, _assign_cache_keys, compile_plan, signature_key
-from repro.engine.runner import execute_plans, run_portfolio
+from repro.engine.plan import ExecutionPlan, _assign_cache_keys
 from repro.exceptions import ReproError
 from repro.obs import trace as obs
 
@@ -186,8 +187,8 @@ class BackendScoreboard:
         """Replay observations made since the last flush into the store.
 
         Returns the number of observations written (0 when no store is
-        bound or nothing is pending).  Called at batch boundaries by the
-        scheduled execution paths; a crash before a flush loses at most
+        bound or nothing is pending).  Called at batch boundaries through
+        :meth:`AdaptiveScheduler.checkpoint`; a crash before a flush loses at most
         that batch's delta, never the store's integrity.  A *failed* write
         (disk full, lock timeout) re-queues the drained observations, so a
         later flush retries them instead of losing the delta.
@@ -371,8 +372,8 @@ class AdaptiveScheduler:
     the routing knowledge durable: the scoreboard hydrates from the store
     on construction — so a fresh scheduler starts warm and, for the same
     stored history, routes exactly like the long-lived instance that wrote
-    it — and the scheduled execution paths flush new observations back at
-    every batch boundary.
+    it — and :meth:`checkpoint` flushes new observations back at every
+    batch boundary.
     """
 
     def __init__(
@@ -461,6 +462,90 @@ class AdaptiveScheduler:
             return RoutingDecision(pick, "explore", signature, names)
         return RoutingDecision(self.rank(signature, names)[0], "exploit", signature, names)
 
+    def route(
+        self, plan: ExecutionPlan, names: Sequence[str], opts_map: dict
+    ) -> "tuple[list[ExecutionPlan], Callable[[list], list]]":
+        """Route every shard of a compiled plan up front (one decision each).
+
+        Returns one sub-plan per chosen backend — run them as *one*
+        dispatch wave, so a cold or exploring batch spread over several
+        backends parallelises as widely as a single-backend batch would —
+        and a ``gather`` function mapping the sub-plans' results back to
+        batch order, stamping ``info["engine"]["scheduler"]``.  Items keep
+        their compiled seeds, so routing never perturbs a result.
+        ``opts_map`` holds per-backend factory options keyed by name.
+        """
+        signatures = plan.meta["shard_signatures"]
+        decisions = []
+        for shard_id in range(plan.num_shards):
+            with obs.span(
+                "scheduler.route", shard=shard_id, signature=signatures[shard_id]
+            ) as route_span:
+                decision = self.choose(signatures[shard_id], names)
+                route_span.set(backend=decision.backend, mode=decision.mode)
+            decisions.append(decision)
+        routed = []
+        for name in names:
+            shard_ids = [i for i, d in enumerate(decisions) if d.backend == name]
+            if shard_ids:
+                subplan, local_to_global = _subplan(plan, shard_ids, name, opts_map.get(name, {}))
+                routed.append((name, subplan, local_to_global))
+
+        def gather(outputs: list) -> list:
+            results: list = [None] * len(plan.items)
+            for (name, _, local_to_global), sub_results in zip(routed, outputs):
+                for local_index, result in enumerate(sub_results):
+                    global_index, global_shard = local_to_global[local_index]
+                    engine = result.info.setdefault("engine", {})
+                    engine["shard"] = global_shard
+                    engine["scheduler"] = {
+                        "backend": name,
+                        "mode": decisions[global_shard].mode,
+                        "candidates": list(names),
+                    }
+                    results[global_index] = result
+            return results
+
+        return [subplan for _, subplan, _ in routed], gather
+
+    def select_contenders(
+        self, signature: "str | None", candidates: Sequence[str]
+    ) -> "tuple[list[str], dict]":
+        """Narrow a portfolio to the scoreboard's top ``race_top_k`` backends.
+
+        An epsilon draw swaps the last raced slot for a random unraced
+        candidate so the scoreboard keeps sampling backends that looked bad
+        early.  Returns the raced names and the routing record the winner
+        carries in ``info["portfolio_meta"]["scheduler"]``.
+        """
+        ranked = self.rank(signature, candidates)
+        k = min(self.race_top_k, len(ranked))
+        raced = list(ranked[:k])
+        explored = False
+        leftover = ranked[k:]
+        if leftover and self.epsilon > 0.0 and self._rng.random() < self.epsilon:
+            raced[-1] = leftover[int(self._rng.integers(len(leftover)))]
+            explored = True
+        return raced, {
+            "signature": signature,
+            "ranked": ranked,
+            "raced": raced,
+            "explored": explored,
+        }
+
+    def checkpoint(self, discard: bool = False) -> None:
+        """Batch boundary: flush new observations to the bound store.
+
+        ``discard=True`` (a call's explicit ``store=False``) drops them
+        from the durable log instead; the live statistics keep them.
+        """
+        if discard:
+            self.scoreboard.discard_pending()
+            return
+        from repro.engine.store import record_best_effort
+
+        record_best_effort(self.scoreboard.flush, "scoreboard flush")
+
     # -- feeding (delegates) ---------------------------------------------------
 
     def observe_batch(self, results: Iterable["SolveResult"]) -> None:
@@ -503,133 +588,6 @@ def _validated_opts_map(backend_opts: "dict | None", names: Sequence[str]) -> di
     return opts_map
 
 
-# -- scheduled batch execution ----------------------------------------------
-
-
-def solve_batch_scheduled(
-    problems,
-    backends: Sequence[str],
-    scheduler: AdaptiveScheduler,
-    seed: "int | None" = None,
-    refine: bool = True,
-    top_k: int = 8,
-    executor: str = "serial",
-    cache=None,
-    max_shard_size: "int | None" = None,
-    backend_opts: "dict | None" = None,
-    store=None,
-    seeds=None,
-    labels=None,
-) -> list:
-    """Route each shard of a batch to a scoreboard-chosen backend.
-
-    The batch is compiled once (seeds split in batch order, shards grouped
-    by structure — identical to the unscheduled path), every shard is routed
-    up front via :meth:`AdaptiveScheduler.choose`, and one sub-plan per
-    chosen backend executes on the requested executor.  Item seeds are the
-    compiled ones regardless of routing, so two runs with equal scheduler
-    state solve every item identically no matter the executor.  When the
-    whole batch has returned, each result is fed back to the scoreboard —
-    including the portfolio-style telemetry stamped into
-    ``info["engine"]["scheduler"]``.
-
-    ``backend_opts`` is portfolio-style: per-backend factory options keyed
-    by registry name, e.g. ``{"sa": {"num_reads": 64}}``.  ``seeds`` passes
-    explicit per-item child seeds to the planner (see
-    :func:`~repro.engine.plan.compile_plan`); ``seed`` is ignored when set.
-    ``labels`` tags items for telemetry exactly as on the unscheduled path.
-
-    With a durable ``store`` (resolved through
-    :func:`~repro.engine.store.resolve_store`, so ``REPRO_STORE`` applies),
-    the scheduler's scoreboard is bound to it (hydrating any pairs it
-    lacks), routed shards' structure signatures are prefetched from the
-    shared cache tier into the in-memory LRU before dispatch, and the
-    batch's observations are flushed back at the batch boundary.  An
-    explicit ``store=False`` suppresses durable recording for this call
-    even when the scheduler's scoreboard is store-bound: the batch's
-    observations still feed the live scoreboard but are discarded instead
-    of flushed.
-    """
-    from repro.engine.store import resolve_store, store_bound_cache
-
-    durable_off = store is False
-    store = resolve_store(store)
-    if store is not None:
-        scheduler.scoreboard.bind_store(store)
-
-    names = _candidate_names(backends)
-    opts_map = _validated_opts_map(backend_opts, names)
-
-    with obs.span("engine.plan_compile") as plan_span:
-        plan = compile_plan(
-            problems,
-            names[0],
-            seed=seed,
-            refine=refine,
-            top_k=top_k,
-            backend_opts=opts_map.get(names[0], {}),
-            max_shard_size=max_shard_size,
-            seeds=seeds,
-            labels=labels,
-        )
-        plan_span.set(items=len(plan.items), shards=plan.num_shards)
-    signatures = plan.meta["shard_signatures"]
-    shards = plan.shards()
-
-    decisions = []
-    for shard_id in range(len(shards)):
-        with obs.span(
-            "scheduler.route", shard=shard_id, signature=signatures[shard_id]
-        ) as route_span:
-            decision = scheduler.choose(signatures[shard_id], names)
-            route_span.set(backend=decision.backend, mode=decision.mode)
-        decisions.append(decision)
-
-    # Build every backend's sub-plan first, then execute them as ONE
-    # dispatch wave: the executor sees all routed shards together, so a
-    # cold or exploring batch spread over several backends parallelises as
-    # widely as a single-backend batch would.
-    routed = []
-    for name in names:
-        shard_ids = [i for i, d in enumerate(decisions) if d.backend == name]
-        if shard_ids:
-            subplan, local_to_global = _subplan(plan, shard_ids, name, opts_map.get(name, {}))
-            routed.append((name, subplan, local_to_global))
-
-    results: list = [None] * len(plan.items)
-    with store_bound_cache(cache, store) as bound:
-        # Scheduler-aware prefetch: the routing step just named the
-        # structures this batch will touch, so any results a sibling
-        # process has already stored for them are warmed into the memory
-        # LRU before dispatch.
-        if bound is not None and bound.store is not None:
-            for signature in dict.fromkeys(signatures):
-                bound.prefetch(signature)
-        all_results = execute_plans(
-            [subplan for _, subplan, _ in routed], executor=executor, cache=bound
-        )
-    for (name, _, local_to_global), sub_results in zip(routed, all_results):
-        for local_index, result in enumerate(sub_results):
-            global_index, global_shard = local_to_global[local_index]
-            engine = result.info.setdefault("engine", {})
-            engine["shard"] = global_shard
-            engine["scheduler"] = {
-                "backend": name,
-                "mode": decisions[global_shard].mode,
-                "candidates": list(names),
-            }
-            results[global_index] = result
-
-    scheduler.observe_batch(results)
-    if durable_off:
-        scheduler.scoreboard.discard_pending()
-    else:
-        from repro.engine.store import record_best_effort
-
-        record_best_effort(scheduler.scoreboard.flush, "scoreboard flush")
-    return results
-
-
 def _subplan(plan: ExecutionPlan, shard_ids: Sequence[int], backend_name: str,
              backend_opts: dict) -> "tuple[ExecutionPlan, list[tuple[int, int]]]":
     """One backend's slice of a routed plan, renumbered to be self-contained.
@@ -666,88 +624,7 @@ def _subplan(plan: ExecutionPlan, shard_ids: Sequence[int], backend_name: str,
             "shard_signatures": [signatures[s] for s in shard_ids],
         },
     )
-    _assign_cache_keys(subplan)
+    if subplan.cacheable:
+        _assign_cache_keys(subplan)
     return subplan, local_to_global
 
-
-# -- scheduled portfolio (route-then-race-top-k) ----------------------------
-
-
-def run_portfolio_scheduled(
-    problem,
-    backends: Sequence[str],
-    scheduler: AdaptiveScheduler,
-    seed: "int | None" = None,
-    refine: bool = True,
-    top_k: int = 8,
-    backend_opts: "dict | None" = None,
-    deadline_s: "float | None" = None,
-    race_top_k: "int | None" = None,
-    store=None,
-):
-    """Race only the scoreboard's top-k backends instead of everyone.
-
-    The scoreboard ranks the candidates for this instance's structure and
-    the best ``race_top_k`` race as a normal portfolio (sharing one child-
-    RNG split, honouring ``deadline_s``).  An epsilon draw swaps the last
-    raced slot for a random unraced candidate so the scoreboard keeps
-    sampling backends that looked bad early.  Every contender's outcome is
-    fed back before returning, and the winner's
-    ``info["portfolio_meta"]["scheduler"]`` records the ranking, the raced
-    subset, and the exploration flag.  A durable ``store`` binds the
-    scoreboard (hydrating it) and flushes the raced outcomes back; an
-    explicit ``store=False`` keeps this call out of a bound scoreboard's
-    durable log (observations feed the live scoreboard only).
-    """
-    from repro.api.problem import qubo_signature
-    from repro.engine.store import resolve_store
-
-    durable_off = store is False
-    store = resolve_store(store)
-    if store is not None:
-        scheduler.scoreboard.bind_store(store)
-
-    names = _candidate_names(backends)
-    opts_map = _validated_opts_map(backend_opts, names)
-    signature = signature_key(qubo_signature(problem.to_qubo()))
-    # scheduler.deadline_s shapes *routing feasibility* only; it is never
-    # silently promoted into race-deadline, because deadline_s=None is the
-    # caller's documented claim to a reproducible (serial) portfolio.
-
-    ranked = scheduler.rank(signature, names)
-    k = min(race_top_k or scheduler.race_top_k, len(ranked))
-    raced = list(ranked[:k])
-    explored = False
-    leftover = [n for n in ranked[k:]]
-    if leftover and scheduler.epsilon > 0.0 and scheduler._rng.random() < scheduler.epsilon:
-        swap_in = leftover[int(scheduler._rng.integers(len(leftover)))]
-        raced[-1] = swap_in
-        explored = True
-
-    result = run_portfolio(
-        problem,
-        raced,
-        seed=seed,
-        refine=refine,
-        top_k=top_k,
-        backend_opts={n: opts_map[n] for n in raced if n in opts_map},
-        deadline_s=deadline_s,
-        # The scheduled path records through the scoreboard flush below;
-        # store=False stops run_portfolio re-resolving REPRO_STORE and
-        # recording every contender a second time.
-        store=False,
-    )
-    scheduler.observe_portfolio(result, signature=signature)
-    if durable_off:
-        scheduler.scoreboard.discard_pending()
-    else:
-        from repro.engine.store import record_best_effort
-
-        record_best_effort(scheduler.scoreboard.flush, "scoreboard flush")
-    result.info.setdefault("portfolio_meta", {})["scheduler"] = {
-        "signature": signature,
-        "ranked": ranked,
-        "raced": raced,
-        "explored": explored,
-    }
-    return result

@@ -2,9 +2,9 @@
 
 :class:`SolverService` owns the long-lived engine state (one
 :class:`~repro.engine.cache.ResultCache`, one
-:class:`~repro.engine.scheduler.BackendScoreboard` — wrapped in an
-:class:`~repro.engine.scheduler.AdaptiveScheduler` when the fleet has more
-than one backend — and optionally one durable
+:class:`~repro.engine.scheduler.BackendScoreboard` — wrapped in the
+:class:`~repro.engine.scheduler.AdaptiveScheduler` every wave routes
+through — and optionally one durable
 :class:`~repro.engine.store.EngineStore`), the job book, the coalescing
 queue, and the dispatcher task that turns queued submissions into
 ``solve_many`` waves.
@@ -85,25 +85,21 @@ class SolverService:
         else:
             raise ReproError("service cache must be true/false or a directory path")
         self.scoreboard = BackendScoreboard(store=self.store)
-        self.scheduler: "AdaptiveScheduler | None" = None
-        if self.config.scheduled:
-            self.scheduler = AdaptiveScheduler(
+        # Every wave routes through a scheduler over the one scoreboard (a
+        # one-name fleet routes trivially), so each solve is observed once
+        # live and flushed once to the store.  Degraded requests run on the
+        # classical tier under their own scheduler: same scoreboard, same
+        # seed discipline.
+        def scheduler() -> AdaptiveScheduler:
+            return AdaptiveScheduler(
                 scoreboard=self.scoreboard,
                 epsilon=self.config.epsilon,
                 seed=self.config.scheduler_seed,
                 deadline_s=self.config.scheduler_deadline_s,
             )
-        # Degraded requests run on the classical tier; a multi-name tier
-        # gets its own scheduler so routing stays inside the scheduled
-        # determinism contract (same scoreboard, same seed discipline).
-        self._degrade_scheduler: "AdaptiveScheduler | None" = None
-        if len(self.config.degrade_backends) > 1:
-            self._degrade_scheduler = AdaptiveScheduler(
-                scoreboard=self.scoreboard,
-                epsilon=self.config.epsilon,
-                seed=self.config.scheduler_seed,
-                deadline_s=self.config.scheduler_deadline_s,
-            )
+
+        self.scheduler = scheduler()
+        self._degrade_scheduler = scheduler()
 
         # -- admission -------------------------------------------------------
         self.admission = AdmissionPolicy(
@@ -683,8 +679,9 @@ class SolverService:
         literally the same solve under the service's determinism contract,
         so only the first is dispatched and the rest share its result
         object (results are treated as immutable once returned).  The
-        survivors go through ``solve_many`` with explicit seeds and
-        single-item shards.
+        survivors go through ``solve_many`` with explicit seeds,
+        single-item shards, and the fleet's scheduler, which records each
+        solve once in the scoreboard and once in the durable store.
         """
         config = self.config
         order: "dict[tuple[str, int], int]" = {}
@@ -706,45 +703,23 @@ class SolverService:
         from repro.api.facade import solve_many
 
         backends = tuple(config.backends) if fleet is None else tuple(fleet)
-        scheduler = self.scheduler if fleet is None else self._degrade_scheduler
-        if len(backends) > 1 and scheduler is not None:
-            results = solve_many(
-                problems,
-                backend=backends,
-                scheduler=scheduler,
-                seeds=seeds,
-                refine=config.refine,
-                top_k=config.top_k,
-                executor=config.executor,
-                cache=self.cache,
-                max_shard_size=1,
-                store=self.store if self.store is not None else False,
-                **{
-                    name: dict(opts)
-                    for name, opts in config.backend_opts.items()
-                    if name in backends
-                },
-            )
-        else:
-            backend = backends[0]
-            results = solve_many(
-                problems,
-                backend=backend,
-                seeds=seeds,
-                refine=config.refine,
-                top_k=config.top_k,
-                executor=config.executor,
-                cache=self.cache,
-                max_shard_size=1,
-                store=self.store if self.store is not None else False,
-                **dict(config.backend_opts.get(backend, {})),
-            )
-            # The scheduled path feeds the scoreboard itself; the fixed-
-            # backend path feeds it here so capacity stats exist either way.
-            for result in results:
-                self.scoreboard.observe_result(result)
-            if self.store is not None:
-                record_best_effort(self.scoreboard.flush, "wave scoreboard flush")
+        results = solve_many(
+            problems,
+            backend=backends,
+            scheduler=self.scheduler if fleet is None else self._degrade_scheduler,
+            seeds=seeds,
+            refine=config.refine,
+            top_k=config.top_k,
+            executor=config.executor,
+            cache=self.cache,
+            max_shard_size=1,
+            store=self.store if self.store is not None else False,
+            **{
+                name: dict(opts)
+                for name, opts in config.backend_opts.items()
+                if name in backends
+            },
+        )
         return [results[slot] for slot in assignment]
 
 

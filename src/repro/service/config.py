@@ -138,9 +138,9 @@ class ServiceConfig:
         max_inflight_waves: Concurrent ``solve_many`` waves; further
             waves queue behind a semaphore while collection continues.
         backends: Backend fleet (registry names).  One name solves every
-            wave on that backend; several enable an
-            :class:`~repro.engine.scheduler.AdaptiveScheduler` that
-            routes each request's structure by scoreboard telemetry.
+            wave on that backend; with several, the service's
+            :class:`~repro.engine.scheduler.AdaptiveScheduler` routes each
+            request's structure by scoreboard telemetry.
         backend_opts: Per-backend factory options keyed by registry name.
         executor: Engine executor for wave dispatch (``threads`` default;
             any :func:`~repro.engine.executors.list_executors` entry).
@@ -216,6 +216,13 @@ class ServiceConfig:
             raise ReproError("max_inflight_waves must be >= 1")
         if not self.backends:
             raise ReproError("the backend fleet needs at least one registry name")
+        from repro.engine.executors import list_executors
+
+        if self.executor not in list_executors():
+            raise ReproError(
+                f"unknown executor {self.executor!r}; available: "
+                f"{', '.join(list_executors())}"
+            )
         unknown = set(self.backend_opts) - set(self.backends)
         if unknown:
             raise ReproError(

@@ -12,8 +12,10 @@ Two seams the service tier stands on:
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.api.backends import get_backend
 from repro.api.facade import solve, solve_many
 from repro.api.result import SolveResult
 from repro.engine import BackendScoreboard, compile_plan
@@ -113,6 +115,31 @@ def test_explicit_seeds_with_unit_shards_match_standalone_solves():
         assert direct.solution == from_batch.solution
     # The explicit seed is stamped into the engine telemetry.
     assert [r.info["engine"]["seed"] for r in batched] == seeds
+    # solve is a one-item plan: a Generator seed is drawn in place (same
+    # stream as its int seed, never cached), on any backend tier ...
+    opts = {"sa": dict(num_reads=4), "tabu": dict(num_restarts=2, max_iterations=60)}
+    for backend, backend_opts in opts.items():
+        by_int = solve(batch[2], backend=backend, seed=7, **backend_opts)
+        by_rng = solve(batch[2], backend=backend, seed=np.random.default_rng(7), **backend_opts)
+        (by_batch,) = solve_many(
+            [batch[2]], backend=backend, seeds=[7], max_shard_size=1, **backend_opts
+        )
+        for other in (by_rng, by_batch):
+            assert other.objective == by_int.objective, backend
+            assert other.solution == by_int.solution, backend
+            assert other.energy == by_int.energy, backend
+        assert by_rng.info["engine"]["seed"] is None
+        assert by_int.info["engine"]["seed"] == by_batch.info["engine"]["seed"] == 7
+    # ... and a caller-supplied instance solves exactly like its registry name.
+    by_name = solve(batch[2], backend="sa", seed=7, num_reads=4)
+    by_instance = solve(batch[2], backend=get_backend("sa", num_reads=4), seed=7)
+    (by_instance_batch,) = solve_many(
+        [batch[2]], backend=get_backend("sa", num_reads=4), seeds=[7]
+    )
+    for other in (by_instance, by_instance_batch):
+        assert other.objective == by_name.objective
+        assert other.solution == by_name.solution
+        assert other.energy == by_name.energy
 
 
 def test_explicit_seeds_are_deterministic_across_executors():

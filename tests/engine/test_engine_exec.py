@@ -1,22 +1,19 @@
 """Executors and determinism: the full executor x backend matrix, racing."""
 
-import asyncio
 import math
-import time
 
 import pytest
 
 import repro
 from repro.api import MQOAdapter, SamplerBackend, get_backend
-from repro.api.backends import SimulatedAnnealingBackend
-from repro.engine import AsyncExecutor, SerialExecutor, get_executor, list_executors
+from repro.engine import SerialExecutor, get_executor, list_executors
 from repro.exceptions import ReproError
 from repro.mqo import generate_mqo_problem
 
 FAST_SA = dict(num_reads=4, num_sweeps=40)
 
 #: Every executor x every sampling-backend tier the matrix pins down.
-ALL_EXECUTORS = ["serial", "threads", "processes", "async"]
+ALL_EXECUTORS = ["serial", "threads", "processes"]
 MATRIX_BACKENDS = {
     "tabu": dict(num_restarts=2, max_iterations=60),
     "sa": FAST_SA,
@@ -34,7 +31,7 @@ def _mixed_batch():
 
 class TestExecutorRegistry:
     def test_listed(self):
-        assert list_executors() == ["async", "processes", "serial", "threads"]
+        assert list_executors() == ["processes", "serial", "threads"]
 
     def test_unknown_rejected(self):
         with pytest.raises(ReproError, match="unknown executor"):
@@ -73,7 +70,7 @@ class TestDeterminismMatrix:
             ], executor
             assert all(r.info["engine"]["executor"] == executor for r in other)
 
-    @pytest.mark.parametrize("executor", ["threads", "processes", "async"])
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
     def test_matches_serial_annealer(self, executor):
         """Stateful shard caches (embeddings) stay deterministic in parallel."""
         problems = _mixed_batch()
@@ -89,90 +86,6 @@ class TestDeterminismMatrix:
         flags = {r.info["engine"]["shard_pos"]: r.info["embedding_cached"] for r in other}
         assert flags[0] is False and flags[1] is True
 
-
-class LatencyBoundSA(SimulatedAnnealingBackend):
-    """A fake hardware client: SA samples behind an awaitable network delay.
-
-    ``run_async`` returns exactly what ``run`` would for the same RNG (the
-    contract the async executor relies on); the asyncio.sleep stands in for
-    a queue round-trip, so overlap across shards is measurable.
-    """
-
-    name = "sa"  # same samples as "sa" => same results tier
-    supports_async = True
-
-    def __init__(self, delay_s: float = 0.05, **opts):
-        super().__init__(**opts)
-        self.delay_s = delay_s
-        self.async_calls = 0
-
-    async def run_async(self, model, rng=None, **opts):
-        self.async_calls += 1
-        await asyncio.sleep(self.delay_s)
-        return self.run(model, rng=rng, **opts)
-
-
-class TestAsyncExecutor:
-    def test_async_backend_runs_on_event_loop_and_matches_serial(self):
-        problems = _mixed_batch()
-        serial = repro.solve_many(
-            problems, backend=LatencyBoundSA(delay_s=0.0, **FAST_SA), seed=11
-        )
-        backend = LatencyBoundSA(delay_s=0.0, **FAST_SA)
-        executor = AsyncExecutor(max_concurrency=4)
-        via_async = repro.solve_many(problems, backend=backend, seed=11, executor=executor)
-        assert [r.objective for r in via_async] == [r.objective for r in serial]
-        assert backend.async_calls == len(problems)
-        # The waits are thread-free; only the CPU segments (formulation,
-        # decode/refine) borrow the bounded pool.
-        assert executor.last_run["worker_threads"] <= executor.max_concurrency
-
-    def test_latency_bound_shards_overlap(self):
-        """Three shards x 60 ms sleeps run concurrently, not back to back."""
-        problems = [
-            MQOAdapter(generate_mqo_problem(3, 2, sharing_density=0.4, rng=r))
-            for r in (1, 5, 9)
-        ]
-        backend = LatencyBoundSA(delay_s=0.06, **FAST_SA)
-        start = time.perf_counter()
-        repro.solve_many(problems, backend=backend, seed=11, executor="async")
-        elapsed = time.perf_counter() - start
-        assert elapsed < 3 * 0.06 + 0.1, f"shards serialized: {elapsed:.3f}s"
-
-    def test_per_backend_semaphore_serializes(self):
-        """per_backend=1 forces one in-flight shard per backend name."""
-        problems = [
-            MQOAdapter(generate_mqo_problem(3, 2, sharing_density=0.4, rng=r))
-            for r in (1, 5, 9)
-        ]
-        serial = repro.solve_many(problems, backend="sa", seed=11, **FAST_SA)
-        gated = repro.solve_many(
-            problems,
-            backend="sa",
-            seed=11,
-            executor=AsyncExecutor(max_concurrency=4, per_backend=1),
-            **FAST_SA,
-        )
-        assert [r.objective for r in gated] == [r.objective for r in serial]
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ReproError, match="max_concurrency"):
-            AsyncExecutor(max_concurrency=0)
-        with pytest.raises(ReproError, match="per_backend"):
-            AsyncExecutor(per_backend=0)
-
-    def test_runs_inside_existing_event_loop(self):
-        """Calling the engine from async application code must not deadlock."""
-        problems = _mixed_batch()[:2]
-
-        async def main():
-            return repro.solve_many(
-                problems, backend="sa", seed=11, executor="async", **FAST_SA
-            )
-
-        results = asyncio.run(main())
-        serial = repro.solve_many(problems, backend="sa", seed=11, **FAST_SA)
-        assert [r.objective for r in results] == [r.objective for r in serial]
 
 class TestEngineMetadata:
     def test_engine_metadata_recorded(self):

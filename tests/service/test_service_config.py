@@ -27,6 +27,8 @@ def test_validation_rejects_bad_values():
         dict(backend_opts={"ghost": {}}),  # opts for a backend not in the fleet
         dict(epsilon=1.5),
         dict(top_k=0),
+        dict(executor="bogus"),
+        dict(executor="async"),  # not an executor name
     ]
     for overrides in bad:
         with pytest.raises(ReproError):
