@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.api.problem import Problem
 from repro.db.cost import CostModel
 from repro.db.dp import dp_optimal_bushy, dp_optimal_leftdeep
-from repro.db.plans import JoinTree, leftdeep_tree_from_order
+from repro.db.plans import JoinTree
 from repro.db.query import JoinGraph
 from repro.joinorder.bushy_qubo import BushyJoinQubo
 from repro.joinorder.leftdeep_qubo import LeftDeepJoinQubo
@@ -34,12 +34,18 @@ class LeftDeepJoinAdapter(Problem):
         return self.builder.decode(self.to_qubo(), bits)
 
     def evaluate(self, solution: list[str]) -> float:
-        return self._cost_model.cost(leftdeep_tree_from_order(solution))
+        return self._cost_model.cost_of_order(solution)
 
     def refine(self, solution: list[str]) -> list[str]:
-        """First-improvement pairwise-swap descent on the exact C_out."""
+        """First-improvement pairwise-swap descent on the exact C_out.
+
+        Each candidate swap is costed by the prefix walk behind
+        :meth:`evaluate`, so the accepted moves are the ones full
+        re-evaluation would take.
+        """
         order = list(solution)
-        cost = self.evaluate(order)
+        cost = self._cost_model.cost_of_order(order)
+        prefix_cost = self._cost_model.prefix_cost
         improved = True
         while improved:
             improved = False
@@ -47,7 +53,7 @@ class LeftDeepJoinAdapter(Problem):
                 for j in range(i + 1, len(order)):
                     candidate = list(order)
                     candidate[i], candidate[j] = candidate[j], candidate[i]
-                    c = self.evaluate(candidate)
+                    c = prefix_cost(candidate)
                     if c < cost - 1e-12:
                         order, cost = candidate, c
                         improved = True

@@ -7,6 +7,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
+#: The kernel's ``wall_time`` split, in the order ``solve_one`` spends it.
+KERNEL_TIMINGS = ("formulate_time", "solve_time", "decode_time", "refine_time", "evaluate_time")
+
+
 def _jsonify(value: Any) -> Any:
     """Coerce a result payload into strict-JSON-safe plain python.
 
@@ -68,8 +72,10 @@ class SolveResult:
             scheduler's scoreboard key), executor name, the item's child
             seed, a truncated QUBO fingerprint, ``cache_hit``, and the
             ``wall_time`` split — ``formulate_time`` (QUBO formulation),
-            ``solve_time`` (backend sampling / direct solve), and
-            ``cache_time`` (cache-probe seconds paid by this dispatch).
+            ``solve_time`` (backend sampling / direct solve),
+            ``decode_time`` / ``refine_time`` / ``evaluate_time`` (summed
+            over the decoded candidates), and ``cache_time`` (cache-probe
+            seconds paid by this dispatch).
             Every kernel result also carries the raw split in
             ``info["timings"]``, and when tracing is active
             ``info["trace"]`` holds the ``{"trace_id", "span_id"}`` of the
@@ -107,7 +113,8 @@ class SolveResult:
 
     @property
     def timings(self) -> dict:
-        """The ``wall_time`` split: formulate / solve (and cache seconds).
+        """The ``wall_time`` split: formulate / solve / decode / refine /
+        evaluate (and cache seconds).
 
         Prefers the engine block (which adds ``cache_time``) and falls
         back to the kernel's raw ``info["timings"]``; empty off-engine
@@ -115,11 +122,7 @@ class SolveResult:
         """
         engine = self.info.get("engine", {})
         if "solve_time" in engine:
-            return {
-                "formulate_time": engine.get("formulate_time", 0.0),
-                "solve_time": engine.get("solve_time", 0.0),
-                "cache_time": engine.get("cache_time", 0.0),
-            }
+            return {key: engine.get(key, 0.0) for key in (*KERNEL_TIMINGS, "cache_time")}
         return dict(self.info.get("timings") or {})
 
     @property

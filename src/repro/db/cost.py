@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from repro.db.plans import JoinTree
+from repro.db.plans import JoinTree, check_join_order
 from repro.db.query import JoinGraph
 from repro.exceptions import ReproError
 
@@ -63,7 +63,26 @@ class CostModel:
         return total
 
     def cost_of_order(self, order: Iterable[str]) -> float:
-        """C_out of the left-deep tree implied by a relation order."""
-        from repro.db.plans import leftdeep_tree_from_order
+        """C_out of the left-deep tree implied by a relation order.
 
-        return self.cost(leftdeep_tree_from_order(list(order)))
+        Bit-identical to ``cost(leftdeep_tree_from_order(order))`` without
+        building the tree; raises the same errors for an empty order or a
+        repeated relation.
+        """
+        order = list(order)
+        check_join_order(order)
+        return self.prefix_cost(order)
+
+    def prefix_cost(self, order: Sequence[str]) -> float:
+        """:meth:`cost_of_order` of an order already known to be valid.
+
+        Sums the cardinalities of the prefixes of length 2..n in turn: the
+        inner nodes of the left-deep tree, in the postorder :meth:`cost`
+        adds them.
+        """
+        total = 0.0
+        prefix = frozenset(order[:1])
+        for rel in order[1:]:
+            prefix = prefix | {rel}
+            total += self.set_cardinality(prefix)
+        return total

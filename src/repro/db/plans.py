@@ -110,12 +110,17 @@ class JoinTree:
         return f"({self.left!r} |X| {self.right!r})"
 
 
-def leftdeep_tree_from_order(order: Sequence[str]) -> JoinTree:
-    """Build the left-deep tree joining relations in the given order."""
+def check_join_order(order: Sequence[str]) -> None:
+    """Reject an empty order or one that names a relation twice."""
     if not order:
         raise ReproError("cannot build a join tree over no relations")
     if len(set(order)) != len(order):
         raise ReproError("duplicate relations in join order")
+
+
+def leftdeep_tree_from_order(order: Sequence[str]) -> JoinTree:
+    """Build the left-deep tree joining relations in the given order."""
+    check_join_order(order)
     tree = JoinTree.leaf(order[0])
     for rel in order[1:]:
         tree = JoinTree.join(tree, JoinTree.leaf(rel))

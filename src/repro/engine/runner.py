@@ -61,38 +61,56 @@ def solve_one(problem: Problem, backend: Backend, rng, refine: bool, top_k: int)
     stay comparable across backends; their ``energy`` is NaN by convention
     (see :class:`~repro.api.result.SolveResult`).
 
-    Every result carries ``info["timings"]`` — ``formulate_time`` (the
+    Every result carries ``info["timings"]``: ``formulate_time`` (the
     ``to_qubo`` call; near zero when the adapter's cached formulation is
-    reused, e.g. after plan compile already formulated) and ``solve_time``
-    (backend sampling / direct solve).  Decode/refine/evaluate is the
-    remainder of ``wall_time``.
+    reused, e.g. after plan compile already formulated), ``solve_time``
+    (backend sampling / direct solve), and ``decode_time`` /
+    ``refine_time`` / ``evaluate_time`` summed over the decoded
+    candidates (``decode_time`` is 0 on the direct-solve path).
     """
     from repro.api.result import SolveResult
 
     start = time.perf_counter()
     model = problem.to_qubo()
     formulate_s = time.perf_counter() - start
+    decode_s = refine_s = evaluate_s = 0.0
     solve_t0 = time.perf_counter()
     if backend.solves_problem_directly:
         solution = backend.solve_problem(problem, rng=rng)
         solve_s = time.perf_counter() - solve_t0
+        t0 = time.perf_counter()
         if refine:
             solution = problem.refine(solution)
+        t1 = time.perf_counter()
         objective = problem.evaluate(solution)
+        refine_s, evaluate_s = t1 - t0, time.perf_counter() - t1
         energy, info = math.nan, {"solver": backend.name}
     else:
         samples = backend.run(model, rng=rng)
         solve_s = time.perf_counter() - solve_t0
         solution, objective = None, math.inf
         for sample in samples.truncate(max(top_k, 1)):
+            t0 = time.perf_counter()
             candidate = problem.decode(sample.bits)
+            t1 = time.perf_counter()
             if refine:
                 candidate = problem.refine(candidate)
+            t2 = time.perf_counter()
             value = problem.evaluate(candidate)
+            t3 = time.perf_counter()
+            decode_s += t1 - t0
+            refine_s += t2 - t1
+            evaluate_s += t3 - t2
             if value < objective:
                 solution, objective = candidate, value
         energy, info = samples.best.energy, dict(samples.info)
-    info["timings"] = {"formulate_time": formulate_s, "solve_time": solve_s}
+    info["timings"] = {
+        "formulate_time": formulate_s,
+        "solve_time": solve_s,
+        "decode_time": decode_s,
+        "refine_time": refine_s,
+        "evaluate_time": evaluate_s,
+    }
     return SolveResult(
         problem=problem.name,
         method=backend.name,
@@ -135,11 +153,13 @@ def _shard_payload(plan: ExecutionPlan, shard_items, executor_name: str) -> dict
 def _engine_info(result, payload: dict, pos: int, seed: "int | None", fingerprint: str) -> None:
     """Attach ``info["engine"]`` including the wall-time split.
 
-    ``formulate_time``/``solve_time`` come from the kernel's
-    ``info["timings"]``; ``cache_time`` (the shard's cache-probe seconds)
-    is stamped by :func:`execute_plans` once the dispatch returns — workers
-    never see the cache.
+    The kernel seconds (:data:`~repro.api.result.KERNEL_TIMINGS`) come
+    from the kernel's ``info["timings"]``; ``cache_time`` (the shard's
+    cache-probe seconds) is stamped by :func:`execute_plans` once the
+    dispatch returns — workers never see the cache.
     """
+    from repro.api.result import KERNEL_TIMINGS
+
     timings = result.info.get("timings") or {}
     engine = {
         "shard": payload["shard"],
@@ -154,8 +174,8 @@ def _engine_info(result, payload: dict, pos: int, seed: "int | None", fingerprin
     labels = payload.get("labels") or []
     if pos < len(labels) and labels[pos] is not None:
         engine["label"] = labels[pos]
-    engine["formulate_time"] = timings.get("formulate_time", 0.0)
-    engine["solve_time"] = timings.get("solve_time", 0.0)
+    for key in KERNEL_TIMINGS:
+        engine[key] = timings.get(key, 0.0)
     engine["cache_time"] = 0.0
     result.info["engine"] = engine
 
@@ -247,6 +267,8 @@ def execute_plans(
     signature, executor, seed, truncated fingerprint, and whether it was
     served from cache.
     """
+    from repro.api.result import KERNEL_TIMINGS
+
     runner = get_executor(executor)
     shared_store = resolve_cache(cache)  # one cache (and stats) per wave
     with obs.span("engine.execute", executor=runner.name, plans=len(plans)) as exec_span:
@@ -299,10 +321,10 @@ def execute_plans(
                             fingerprint=item.fingerprint[:16],
                             cache_hit=True,
                             cache_tier=tiers[pos],
-                            formulate_time=timings.get("formulate_time", 0.0),
-                            solve_time=timings.get("solve_time", 0.0),
-                            cache_time=probe_s,
                         )
+                        for key in KERNEL_TIMINGS:
+                            engine_info[key] = timings.get(key, 0.0)
+                        engine_info["cache_time"] = probe_s
                         if cache_span.span_id is not None:
                             result.info["trace"] = {
                                 "trace_id": cache_span.trace_id,

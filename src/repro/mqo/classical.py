@@ -41,39 +41,79 @@ def greedy_mqo(problem: MQOProblem) -> tuple[dict[str, str], float]:
     return selection, problem.total_cost(selection)
 
 
+def _descend(
+    problem: MQOProblem, selection: dict[str, str], max_moves: "int | None" = None
+) -> tuple[dict[str, str], float]:
+    """First-improvement plan-swap descent; returns (selection, total cost).
+
+    Scans queries in sorted order and each query's plans in insertion
+    order, takes the first swap that lowers :meth:`MQOProblem.total_cost`
+    by more than ``1e-12``, and rescans from the start, stopping at a local
+    optimum or after ``max_moves`` swaps.  A swap is scored from the
+    :meth:`MQOProblem.swap_index` as ``cost(new) - cost(old) + active
+    savings(old) - active savings(new)``, touching only the swapped
+    query's savings.  A delta within the index's rounding slack of the
+    tolerance is re-decided on two full sums, so the descent takes exactly
+    the swaps full re-evaluation would.
+    """
+    problem.validate_selection(selection)
+    queries, plans, costs, neighbours, slack = problem.swap_index()
+    selection = dict(selection)
+    at = [plans[i].index(selection[q]) for i, q in enumerate(queries)]
+    full = None  # total_cost of ``selection`` when known
+    moves = 0
+    improved = True
+    while improved and (max_moves is None or moves < max_moves):
+        improved = False
+        for i, q in enumerate(queries):
+            old, row, plan_costs = at[i], neighbours[i], costs[i]
+            keep = sum(amount for j, b, amount in row[old] if at[j] == b) - plan_costs[old]
+            for a, cost in enumerate(plan_costs):
+                if a == old:
+                    continue
+                delta = cost + keep - sum(amount for j, b, amount in row[a] if at[j] == b)
+                new_full = None
+                if not delta < -1e-12 - slack:  # not clearly improving (or NaN)
+                    if delta > -1e-12 + slack:
+                        continue
+                    if full is None:
+                        full = problem._selection_cost(selection)
+                    candidate = dict(selection)
+                    candidate[q] = plans[i][a]
+                    new_full = problem._selection_cost(candidate)
+                    if not new_full < full - 1e-12:
+                        continue
+                selection[q] = plans[i][a]
+                at[i], full = a, new_full
+                moves += 1
+                improved = True
+                break
+            if improved:
+                break
+    if full is None:
+        full = problem._selection_cost(selection)
+    return selection, full
+
+
 def local_search_from(problem: MQOProblem, selection: dict[str, str]) -> tuple[dict[str, str], float]:
     """First-improvement plan-swap descent from a given selection.
 
     This is the classical half of the hybrid pipeline (Sec. III-C.2 of the
     paper): the quantum sampler proposes a basin, a cheap local search
-    finishes the job.
+    finishes the job.  Returns the same selection and cost as re-evaluating
+    :meth:`MQOProblem.total_cost` for every candidate swap.
     """
-    selection = dict(selection)
-    cost = problem.total_cost(selection)
-    improved = True
-    while improved:
-        improved = False
-        for q in problem.queries:
-            current = selection[q]
-            for p in problem.plans_of(q):
-                if p.plan == current:
-                    continue
-                candidate = dict(selection)
-                candidate[q] = p.plan
-                c = problem.total_cost(candidate)
-                if c < cost - 1e-12:
-                    selection, cost = candidate, c
-                    improved = True
-                    break
-            if improved:
-                break
-    return selection, cost
+    return _descend(problem, selection)
 
 
 def hill_climbing_mqo(
     problem: MQOProblem, restarts: int = 8, max_iterations: int = 200, rng=None
 ) -> tuple[dict[str, str], float]:
-    """First-improvement hill climbing over single-query plan swaps."""
+    """First-improvement hill climbing over single-query plan swaps.
+
+    Each restart descends from a uniformly random selection for at most
+    ``max_iterations`` improving swaps.
+    """
     rng = ensure_rng(rng)
     best_sel = None
     best_cost = float("inf")
@@ -82,25 +122,7 @@ def hill_climbing_mqo(
             q: problem.plans_of(q)[int(rng.integers(0, len(problem.plans_of(q))))].plan
             for q in problem.queries
         }
-        cost = problem.total_cost(selection)
-        for _ in range(max_iterations):
-            improved = False
-            for q in problem.queries:
-                current = selection[q]
-                for p in problem.plans_of(q):
-                    if p.plan == current:
-                        continue
-                    candidate = dict(selection)
-                    candidate[q] = p.plan
-                    c = problem.total_cost(candidate)
-                    if c < cost - 1e-12:
-                        selection, cost = candidate, c
-                        improved = True
-                        break
-                if improved:
-                    break
-            if not improved:
-                break
+        selection, cost = _descend(problem, selection, max_moves=max_iterations)
         if cost < best_cost:
             best_cost = cost
             best_sel = selection

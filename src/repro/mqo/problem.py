@@ -8,8 +8,9 @@ together.  NP-hard; the QUBO mapping is due to Trummer & Koch [20].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+import sys
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 from repro.exceptions import InfeasibleError, ReproError
 
@@ -29,12 +30,32 @@ class PlanChoice:
         return (self.query, self.plan)
 
 
+class SwapIndex(NamedTuple):
+    """Per-query tables for scoring single-query plan swaps incrementally.
+
+    ``plans[i]``, ``costs[i]`` and ``neighbours[i]`` list query
+    ``queries[i]``'s plans in :meth:`MQOProblem.plans_of` order;
+    ``neighbours[i][a]`` holds ``(j, b, amount)`` for every saving between
+    plan ``a`` of query ``i`` and plan ``b`` of query ``j``.  ``slack``
+    bounds the rounding gap between a swap's incremental delta and the
+    difference of two :meth:`MQOProblem.total_cost` sums.
+    """
+
+    queries: list[str]
+    plans: list[list[str]]
+    costs: list[list[float]]
+    neighbours: list[list[list[tuple[int, int, float]]]]
+    slack: float
+
+
 class MQOProblem:
     """Queries, candidate plans and pairwise savings."""
 
     def __init__(self):
         self._plans: dict[str, list[PlanChoice]] = {}
+        self._by_key: dict[PlanKey, PlanChoice] = {}
         self._savings: dict[tuple[PlanKey, PlanKey], float] = {}
+        self._swap_index: "SwapIndex | None" = None
 
     # -- construction -------------------------------------------------------------
 
@@ -42,10 +63,11 @@ class MQOProblem:
         if cost < 0:
             raise ReproError("plan cost must be non-negative")
         choice = PlanChoice(query, plan, float(cost))
-        bucket = self._plans.setdefault(query, [])
-        if any(p.plan == plan for p in bucket):
+        if choice.key in self._by_key:
             raise ReproError(f"duplicate plan {plan!r} for query {query!r}")
-        bucket.append(choice)
+        self._plans.setdefault(query, []).append(choice)
+        self._by_key[choice.key] = choice
+        self._swap_index = None
         return choice
 
     def add_saving(self, a: PlanKey, b: PlanKey, amount: float) -> None:
@@ -58,12 +80,13 @@ class MQOProblem:
         self._plan_or_raise(b)
         key = (min(a, b), max(a, b))
         self._savings[key] = self._savings.get(key, 0.0) + float(amount)
+        self._swap_index = None
 
     def _plan_or_raise(self, key: PlanKey) -> PlanChoice:
-        for p in self._plans.get(key[0], []):
-            if p.plan == key[1]:
-                return p
-        raise ReproError(f"unknown plan {key!r}")
+        try:
+            return self._by_key[(key[0], key[1])]
+        except (KeyError, TypeError):
+            raise ReproError(f"unknown plan {key!r}") from None
 
     # -- accessors ----------------------------------------------------------------
 
@@ -101,11 +124,46 @@ class MQOProblem:
     def total_cost(self, selection: Mapping[str, str]) -> float:
         """Total plan cost minus all savings activated by the selection."""
         self.validate_selection(selection)
-        cost = sum(self._plan_or_raise((q, p)).cost for q, p in selection.items())
+        return self._selection_cost(selection)
+
+    def _selection_cost(self, selection: Mapping[str, str]) -> float:
+        """:meth:`total_cost` of an already validated selection."""
+        by_key = self._by_key
+        cost = sum(by_key[(q, p)].cost for q, p in selection.items())
         for ((qa, pa), (qb, pb)), amount in self._savings.items():
             if selection.get(qa) == pa and selection.get(qb) == pb:
                 cost -= amount
         return cost
+
+    def swap_index(self) -> SwapIndex:
+        """The :class:`SwapIndex`, built on first use after any change.
+
+        Built whole and assigned at once, so threads refining the same
+        problem at worst build it twice.
+        """
+        if self._swap_index is None:
+            queries = self.queries
+            row = {q: i for i, q in enumerate(queries)}
+            col = {p.key: (row[p.query], a) for q in queries for a, p in enumerate(self._plans[q])}
+            neighbours = [[[] for _ in self._plans[q]] for q in queries]
+            for (ka, kb), amount in self._savings.items():
+                (i, a), (j, b) = col[ka], col[kb]
+                neighbours[i][a].append((j, b, amount))
+                neighbours[j][b].append((i, a, amount))
+            # Each of the <= 2 * (queries + savings) + 2 * degree + 6 rounded
+            # operations behind a delta and a total_cost difference errs by
+            # at most half an ulp of ``mass``, which bounds every partial sum.
+            mass = sum(p.cost for p in self._by_key.values()) + sum(self._savings.values())
+            degree = max((len(n) for rows in neighbours for n in rows), default=0)
+            terms = 2 * (len(queries) + len(self._savings)) + 2 * degree + 6
+            self._swap_index = SwapIndex(
+                queries=queries,
+                plans=[[p.plan for p in self._plans[q]] for q in queries],
+                costs=[[p.cost for p in self._plans[q]] for q in queries],
+                neighbours=neighbours,
+                slack=terms * sys.float_info.epsilon * mass,
+            )
+        return self._swap_index
 
     def cost_bounds(self) -> tuple[float, float]:
         """(loose lower bound, upper bound) on achievable total cost."""

@@ -191,6 +191,9 @@ class TestSpanTaxonomy:
         assert all("energy" in r["attrs"] for r in rounds)
 
 
+KERNEL_PARTS = ("formulate_time", "solve_time", "decode_time", "refine_time", "evaluate_time")
+
+
 class TestTimingSplit:
     def test_engine_info_splits_wall_time(self):
         (result,) = repro.solve_many(
@@ -198,14 +201,20 @@ class TestTimingSplit:
             backend="sa", seed=2, num_reads=2, num_sweeps=20,
         )
         engine = result.info["engine"]
-        for key in ("formulate_time", "solve_time", "cache_time"):
+        for key in KERNEL_PARTS + ("cache_time",):
             assert engine[key] >= 0.0
-        # The split partitions the measured wall time (formulation +
-        # sampling happen inside it; the cache probe is paid outside).
+        # The split partitions the measured wall time (formulation,
+        # sampling and the classical half happen inside it; the cache
+        # probe is paid outside).
         assert engine["formulate_time"] + engine["solve_time"] <= result.wall_time * 1.05
+        assert sum(engine[key] for key in KERNEL_PARTS) <= result.wall_time * 1.05
+        assert engine["decode_time"] > 0.0 and engine["evaluate_time"] > 0.0
         assert result.timings == {
             "formulate_time": engine["formulate_time"],
             "solve_time": engine["solve_time"],
+            "decode_time": engine["decode_time"],
+            "refine_time": engine["refine_time"],
+            "evaluate_time": engine["evaluate_time"],
             "cache_time": engine["cache_time"],
         }
         payload = result.to_json_dict()
@@ -213,6 +222,19 @@ class TestTimingSplit:
         assert payload["info"]["timings"]["formulate_time"] == pytest.approx(
             engine["formulate_time"]
         )
+        for key in KERNEL_PARTS:
+            assert payload["info"]["timings"][key] == pytest.approx(engine[key])
+
+    def test_direct_solve_splits_refine_and_evaluate(self):
+        (result,) = repro.solve_many(
+            [MQOAdapter(generate_mqo_problem(3, 2, sharing_density=0.4, rng=4))],
+            backend="classical", seed=2,
+        )
+        timings = result.timings
+        assert set(timings) == set(KERNEL_PARTS) | {"cache_time"}
+        assert timings["decode_time"] == 0.0  # nothing to decode off-QUBO
+        assert timings["refine_time"] > 0.0 and timings["evaluate_time"] > 0.0
+        assert sum(timings[key] for key in KERNEL_PARTS) <= result.wall_time * 1.05
 
     def test_cache_hit_keeps_original_split_but_own_probe_cost(self):
         cache = ResultCache()
