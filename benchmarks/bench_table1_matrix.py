@@ -8,14 +8,15 @@ instance and must land within a small gap of its classical optimum.
 import pytest
 
 from repro import solve
-from repro.api import SchemaMatchingAdapter, TxnScheduleAdapter
+from repro.annealing import AnnealerDevice
+from repro.api import AnnealerBackend, QAOABackend, SchemaMatchingAdapter, TxnScheduleAdapter
 from repro.db.generator import chain_query
 from repro.db.dp import dp_optimal_bushy, dp_optimal_leftdeep
 from repro.integration import generate_schema_pair, hungarian_matching
 from repro.integration.qubo import matching_similarity_total, similarity_matrix
 from repro.joinorder.baselines import solve_bushy_annealing, solve_leftdeep_qaoa
 from repro.joinorder.vqc_agent import VQCJoinOrderAgent
-from repro.mqo import exhaustive_mqo, generate_mqo_problem, solve_with_annealer, solve_with_qaoa
+from repro.mqo import exhaustive_mqo, generate_mqo_problem
 from repro.txn import generate_transactions, grover_find_schedule
 from repro.txn.qubo import assignment_conflicts
 
@@ -24,18 +25,18 @@ def test_row_mqo_annealing_trummer_koch(benchmark):
     """[20]: MQO -> QUBO -> annealing-based machine."""
     problem = generate_mqo_problem(4, 3, sharing_density=0.4, rng=0)
     _, optimum = exhaustive_mqo(problem)
-    result = benchmark.pedantic(lambda: solve_with_annealer(problem, rng=1), rounds=1, iterations=1)
-    assert result.total_cost == pytest.approx(optimum)
+    backend = AnnealerBackend(device=AnnealerDevice(sampler="sa", num_reads=24, num_sweeps=256))
+    result = benchmark.pedantic(lambda: solve(problem, backend, seed=1), rounds=1, iterations=1)
+    assert result.objective == pytest.approx(optimum)
 
 
 def test_row_mqo_qaoa_fankhauser(benchmark):
     """[21], [22]: MQO -> QUBO -> QAOA on a gate-based machine."""
     problem = generate_mqo_problem(3, 2, sharing_density=0.5, rng=2)
     _, optimum = exhaustive_mqo(problem)
-    result = benchmark.pedantic(
-        lambda: solve_with_qaoa(problem, num_layers=3, maxiter=120, rng=3), rounds=1, iterations=1
-    )
-    assert result.total_cost == pytest.approx(optimum)
+    backend = QAOABackend(num_layers=3, maxiter=120, restarts=2, shots=512)
+    result = benchmark.pedantic(lambda: solve(problem, backend, seed=3), rounds=1, iterations=1)
+    assert result.objective == pytest.approx(optimum)
 
 
 def test_row_join_ordering_qaoa_schonberger(benchmark):

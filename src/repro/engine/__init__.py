@@ -4,7 +4,7 @@
 under it, split into three pieces that compose::
 
     compile_plan(problems, backend, seed)        # plan.py      — what to run
-        -> ExecutionPlan (shards, seeds, fingerprints, cache keys)
+        -> ExecutionPlan (items, shards with their backends, seeds, cache keys)
     execute_plan(plan, executor=..., cache=...)  # runner.py    — how to run it
         -> [SolveResult]  via serial / threads / processes executors
         (solve_batch: compile -> route -> execute -> record, the one path
@@ -43,10 +43,9 @@ from repro.engine.executors import (
     get_executor,
     list_executors,
 )
-from repro.engine.plan import ExecutionPlan, PlanItem, compile_plan, signature_key
+from repro.engine.plan import ExecutionPlan, PlanItem, Shard, compile_plan, signature_key
 from repro.engine.runner import (
     execute_plan,
-    execute_plans,
     run_portfolio,
     solve_batch,
     solve_one,
@@ -83,10 +82,10 @@ __all__ = [
     "list_executors",
     "ExecutionPlan",
     "PlanItem",
+    "Shard",
     "compile_plan",
     "signature_key",
     "execute_plan",
-    "execute_plans",
     "solve_batch",
     "solve_one",
     "run_portfolio",

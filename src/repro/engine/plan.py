@@ -31,7 +31,7 @@ caching rather than risk wrong hits.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 import numpy as np
@@ -72,55 +72,55 @@ class PlanItem:
     problem: Problem
     seed: "int | np.random.Generator"  #: child seed (a live Generator is drawn in place)
     shard: int            #: shard id (items of one shard share a backend instance)
-    shard_pos: int        #: position within the shard (0 = shard leader)
     fingerprint: str      #: canonical content hash of the item's QUBO
     cache_key: "str | None" = None   #: None when caching cannot be sound
     label: "str | None" = None       #: caller tag, surfaced in telemetry only
 
 
 @dataclass
-class ExecutionPlan:
-    """A compiled batch: sharded items plus the backend/decode configuration.
+class Shard:
+    """Items of one structure that run in order on one backend instance.
 
-    ``backend_name``/``backend_opts`` describe a by-name backend (each shard
-    builds a fresh instance); ``backend_instance`` carries a caller-supplied
-    instance shared across shards instead.  Exactly one of the two is set.
+    ``backend_name``/``backend_opts`` name the backend each dispatch builds
+    fresh; both are ``None``/``{}`` when the plan carries a shared
+    ``backend_instance`` instead.  The adaptive scheduler rewrites them in
+    place and records why in ``routing``.
+    """
+
+    items: list[PlanItem]  #: in shard order (position 0 is the shard leader)
+    signature: str         #: 16-hex structure key (scoreboard / store index)
+    backend_name: "str | None"
+    backend_opts: dict
+    routing: "dict | None" = None  #: the scheduler's decision; None unless routed
+
+
+@dataclass
+class ExecutionPlan:
+    """A compiled batch: items in batch order, grouped into shards.
+
+    By-name plans give every shard its own backend name and options (each
+    dispatch builds a fresh instance); ``backend_instance`` carries a
+    caller-supplied instance shared across shards instead.
     """
 
     items: list[PlanItem]
-    num_shards: int
-    backend_name: "str | None"
-    backend_opts: dict
+    shards: list[Shard]
     backend_instance: "Backend | None"
     refine: bool
     top_k: int
-    direct: bool           #: backend solves problems directly (no QUBO sampling)
-    meta: dict = field(default_factory=dict)
-
-    def shards(self) -> list[list[PlanItem]]:
-        """Items grouped by shard id, batch order preserved within each."""
-        groups: list[list[PlanItem]] = [[] for _ in range(self.num_shards)]
-        for item in self.items:
-            groups[item.shard].append(item)
-        return groups
-
-    def shard_signature(self, shard: int) -> "str | None":
-        """The 16-hex structure key of one shard (scoreboard / store index)."""
-        signatures = self.meta.get("shard_signatures") or []
-        return signatures[shard] if 0 <= shard < len(signatures) else None
 
     @property
     def cacheable(self) -> bool:
         # A live Generator's position cannot be content-addressed.
-        return self.backend_name is not None and all(
+        return self.backend_instance is None and all(
             isinstance(item.seed, int) for item in self.items
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        backend = self.backend_name or repr(self.backend_instance)
+        backend = self.backend_instance or sorted({s.backend_name for s in self.shards})
         return (
-            f"ExecutionPlan({len(self.items)} items, {self.num_shards} shards, "
-            f"backend={backend})"
+            f"ExecutionPlan({len(self.items)} items, {len(self.shards)} shards, "
+            f"backend={backend!r})"
         )
 
 
@@ -190,10 +190,11 @@ def compile_plan(
                 "deterministically"
             )
         backend_name, backend_instance = None, backend
-        probe = backend
     else:
+        # Built once and dropped: a bad name or bad options fail here, at
+        # compile time, rather than inside a worker.
         backend_name, backend_instance = str(backend), None
-        probe = get_backend(backend_name, **backend_opts)
+        get_backend(backend_name, **backend_opts)
     if max_shard_size is not None and max_shard_size < 1:
         raise ReproError("max_shard_size must be >= 1")
 
@@ -222,68 +223,53 @@ def compile_plan(
 
     # Group by structural signature in first-seen order; optionally split
     # oversized groups so wide batches expose more parallelism.
-    shard_of: dict = {}
-    shard_fill: list[int] = []
-    signature_of_shard: list = []
+    open_shard: dict = {}
+    shards: list[Shard] = []
     items: list[PlanItem] = []
     for index, (problem, child_seed) in enumerate(zip(coerced, child_seeds)):
         model = problem.to_qubo()
         signature = qubo_signature(model)
-        shard = shard_of.get(signature)
-        if shard is None or (max_shard_size is not None and shard_fill[shard] >= max_shard_size):
-            shard = len(shard_fill)
-            shard_of[signature] = shard
-            shard_fill.append(0)
-            signature_of_shard.append(signature)
-        shard_pos = shard_fill[shard]
-        shard_fill[shard] += 1
-        items.append(
-            PlanItem(
-                index=index,
-                problem=problem,
-                seed=child_seed,
-                shard=shard,
-                shard_pos=shard_pos,
-                fingerprint=model.fingerprint(),
-                label=item_labels[index],
-            )
+        shard_id = open_shard.get(signature)
+        if shard_id is None or (
+            max_shard_size is not None and len(shards[shard_id].items) >= max_shard_size
+        ):
+            shard_id = len(shards)
+            open_shard[signature] = shard_id
+            shards.append(Shard([], signature_key(signature), backend_name, dict(backend_opts)))
+        item = PlanItem(
+            index=index,
+            problem=problem,
+            seed=child_seed,
+            shard=shard_id,
+            fingerprint=model.fingerprint(),
+            label=item_labels[index],
         )
+        shards[shard_id].items.append(item)
+        items.append(item)
 
     plan = ExecutionPlan(
         items=items,
-        num_shards=len(shard_fill),
-        backend_name=backend_name,
-        backend_opts=backend_opts,
+        shards=shards,
         backend_instance=backend_instance,
         refine=refine,
         top_k=top_k,
-        direct=probe.solves_problem_directly,
-        meta={
-            "batch_size": len(items),
-            "shard_sizes": list(shard_fill),
-            "max_shard_size": max_shard_size,
-            # Routing key per shard: what the adaptive scheduler's scoreboard
-            # indexes backend stats by (and what result telemetry reports).
-            "shard_signatures": [signature_key(s) for s in signature_of_shard],
-        },
     )
     if plan.cacheable:
-        _assign_cache_keys(plan)
+        for shard in shards:
+            assign_cache_keys(shard, refine, top_k)
     return plan
 
 
-def _assign_cache_keys(plan: ExecutionPlan) -> None:
-    """Attach shard-history-aware cache keys to every item of a by-name plan."""
-    opts_key = _opts_key(plan.backend_opts, plan.refine, plan.top_k)
-    for shard_items in plan.shards():
-        history = hashlib.sha256()
-        for item in shard_items:
-            item.cache_key = make_cache_key(
-                item.fingerprint,
-                plan.backend_name,
-                opts_key + "|" + history.hexdigest(),
-                item.seed,
-            )
-            history.update(item.fingerprint.encode("ascii"))
-            history.update(str(item.seed).encode("ascii"))
-
+def assign_cache_keys(shard: Shard, refine: bool, top_k: int) -> None:
+    """Attach shard-history-aware cache keys to every item of a by-name shard."""
+    opts_key = _opts_key(shard.backend_opts, refine, top_k)
+    history = hashlib.sha256()
+    for item in shard.items:
+        item.cache_key = make_cache_key(
+            item.fingerprint,
+            shard.backend_name,
+            opts_key + "|" + history.hexdigest(),
+            item.seed,
+        )
+        history.update(item.fingerprint.encode("ascii"))
+        history.update(str(item.seed).encode("ascii"))

@@ -5,7 +5,7 @@ This module owns the code that actually runs a compiled
 
 * :func:`solve_one` — the Problem -> QUBO -> Backend -> SolveResult kernel
   (moved here from the facade so every executor shares one definition);
-* :func:`execute_plans` — cache lookup, shard dispatch through a pluggable
+* :func:`execute_plan` — cache lookup, shard dispatch through a pluggable
   executor, cache fill, and per-result engine metadata.  It is the only
   code that produces engine results: everything below reaches the kernel
   through it;
@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.engine.cache import ResultCache, resolve_cache
 from repro.engine.executors import get_executor
-from repro.engine.plan import ExecutionPlan, compile_plan, signature_key
+from repro.engine.plan import ExecutionPlan, Shard, compile_plan, signature_key
 from repro.engine.scheduler import _candidate_names, _validated_opts_map
 from repro.exceptions import ReproError
 from repro.obs import trace as obs
@@ -126,20 +126,10 @@ def solve_one(problem: Problem, backend: Backend, rng, refine: bool, top_k: int)
 # -- shard execution --------------------------------------------------------
 
 
-def _shard_payload(plan: ExecutionPlan, shard_items, executor_name: str) -> dict:
-    signatures = plan.meta.get("shard_signatures") or []
-    shard = shard_items[0].shard
+def _shard_payload(plan: ExecutionPlan, shard_id: int, executor_name: str) -> dict:
     return {
-        "shard": shard,
-        "shard_size": len(shard_items),
-        "signature": signatures[shard] if shard < len(signatures) else None,
-        "indices": [i.index for i in shard_items],
-        "problems": [i.problem for i in shard_items],
-        "seeds": [i.seed for i in shard_items],
-        "fingerprints": [i.fingerprint for i in shard_items],
-        "labels": [i.label for i in shard_items],
-        "backend_name": plan.backend_name,
-        "backend_opts": plan.backend_opts,
+        "shard_id": shard_id,
+        "shard": plan.shards[shard_id],
         "backend_instance": plan.backend_instance,
         "refine": plan.refine,
         "top_k": plan.top_k,
@@ -150,33 +140,37 @@ def _shard_payload(plan: ExecutionPlan, shard_items, executor_name: str) -> dict
     }
 
 
-def _engine_info(result, payload: dict, pos: int, seed: "int | None", fingerprint: str) -> None:
+def _engine_info(result, shard_id: int, shard: Shard, pos: int, executor: str,
+                 cache_time: float, cache_tier: "str | None" = None) -> None:
     """Attach ``info["engine"]`` including the wall-time split.
 
-    The kernel seconds (:data:`~repro.api.result.KERNEL_TIMINGS`) come
-    from the kernel's ``info["timings"]``; ``cache_time`` (the shard's
-    cache-probe seconds) is stamped by :func:`execute_plans` once the
-    dispatch returns — workers never see the cache.
+    One stamp for fresh results and cache hits alike (a hit's stored block
+    is replaced, so it never carries the writer's batch telemetry).  The
+    kernel seconds (:data:`~repro.api.result.KERNEL_TIMINGS`) come from the
+    kernel's ``info["timings"]``; ``cache_time`` is the shard's
+    cache-probe seconds.
     """
     from repro.api.result import KERNEL_TIMINGS
 
+    item = shard.items[pos]
     timings = result.info.get("timings") or {}
     engine = {
-        "shard": payload["shard"],
+        "shard": shard_id,
         "shard_pos": pos,
-        "shard_size": payload["shard_size"],
-        "signature": payload.get("signature"),
-        "executor": payload["executor"],
-        "seed": seed,
-        "fingerprint": fingerprint[:16],
-        "cache_hit": False,
+        "shard_size": len(shard.items),
+        "signature": shard.signature,
+        "executor": executor,
+        "seed": item.seed if isinstance(item.seed, int) else None,
+        "fingerprint": item.fingerprint[:16],
+        "cache_hit": cache_tier is not None,
     }
-    labels = payload.get("labels") or []
-    if pos < len(labels) and labels[pos] is not None:
-        engine["label"] = labels[pos]
+    if cache_tier is not None:
+        engine["cache_tier"] = cache_tier
+    if item.label is not None:
+        engine["label"] = item.label
     for key in KERNEL_TIMINGS:
         engine[key] = timings.get(key, 0.0)
-    engine["cache_time"] = 0.0
+    engine["cache_time"] = cache_time
     result.info["engine"] = engine
 
 
@@ -194,16 +188,18 @@ def _execute_shard(payload: dict) -> dict:
     Items run in shard order on the shared instance, so signature-keyed
     backend caches (embeddings, warm-start angles) amortise across the
     shard.  A live Generator seed (an uncacheable one-item plan) is drawn
-    in place and reported as seed ``None``.
+    in place.
 
-    Returns ``{"items": [(index, result), ...], "spans": [...]}`` — spans
-    collected worker-side when the payload carries a trace context, so the
-    dispatching side can re-emit them regardless of executor.
+    Returns ``{"results": [...], "spans": [...]}`` — results in shard
+    order, spans collected worker-side when the payload carries a trace
+    context, so the dispatching side can re-emit them regardless of
+    executor.
     """
     from repro.api.backends import get_backend
 
-    if payload["backend_name"] is not None:
-        backend = get_backend(payload["backend_name"], **payload["backend_opts"])
+    shard = payload["shard"]
+    if shard.backend_name is not None:
+        backend = get_backend(shard.backend_name, **shard.backend_opts)
     else:
         backend = payload["backend_instance"]
     tracer = obs.collector_for(payload.get("trace"))
@@ -212,150 +208,36 @@ def _execute_shard(payload: dict) -> dict:
         shard_span = tracer.begin(
             "engine.shard",
             parent=payload.get("trace"),
-            shard=payload["shard"],
-            shard_size=payload["shard_size"],
-            signature=payload.get("signature"),
+            shard=payload["shard_id"],
+            shard_size=len(shard.items),
+            signature=shard.signature,
             backend=backend.name,
             executor=payload["executor"],
         )
     out = []
-    for pos, (index, problem, seed, fp) in enumerate(
-        zip(payload["indices"], payload["problems"], payload["seeds"], payload["fingerprints"])
-    ):
-        seed_tag = seed if isinstance(seed, int) else None
+    for item in shard.items:
         if tracer is not None:
             solve_span = tracer.begin(
                 "engine.solve",
                 parent=shard_span,
-                shard=payload["shard"],
-                index=index,
-                seed=seed_tag,
-                fingerprint=fp[:16],
+                shard=payload["shard_id"],
+                index=item.index,
+                seed=item.seed if isinstance(item.seed, int) else None,
+                fingerprint=item.fingerprint[:16],
             )
         result = solve_one(
-            problem, backend, np.random.default_rng(seed), payload["refine"], payload["top_k"]
+            item.problem, backend, np.random.default_rng(item.seed),
+            payload["refine"], payload["top_k"],
         )
         if tracer is not None:
             tracer.end(solve_span)
             result.info["trace"] = {
                 "trace_id": solve_span["trace_id"], "span_id": solve_span["span_id"]
             }
-        _engine_info(result, payload, pos, seed_tag, fp)
-        out.append((index, result))
+        out.append(result)
     if tracer is not None:
         tracer.end(shard_span)
-    return {"items": out, "spans": tracer.drain() if tracer is not None else []}
-
-
-def execute_plans(
-    plans: "list[ExecutionPlan]",
-    executor: str = "serial",
-    cache: "ResultCache | bool | str | None" = None,
-) -> "list[list[SolveResult]]":
-    """Run several compiled plans as **one** dispatch wave; results per plan.
-
-    All plans' uncached shards are handed to the executor together, so a
-    scheduler-routed batch split across several backends parallelises
-    exactly as widely as a single-backend batch would — per-plan sequential
-    execution would serialise the backends and forfeit the wall-clock the
-    executor was chosen for.  Seeds and shard membership are fixed per plan
-    at compile time, so interleaving shards of different plans cannot
-    perturb any result.
-
-    Cache hits are taken shard-atomically (see module docstring); every
-    result's ``info["engine"]`` records shard, position, structure
-    signature, executor, seed, truncated fingerprint, and whether it was
-    served from cache.
-    """
-    from repro.api.result import KERNEL_TIMINGS
-
-    runner = get_executor(executor)
-    shared_store = resolve_cache(cache)  # one cache (and stats) per wave
-    with obs.span("engine.execute", executor=runner.name, plans=len(plans)) as exec_span:
-        prepared = []
-        flat_payloads: list = []
-        payload_owner: list[int] = []
-        payload_probe_s: list[float] = []
-        for plan in plans:
-            store = shared_store
-            if store is not None and not plan.cacheable:
-                store = None  # instance-backed plans carry opaque state; never cache
-            results: list = [None] * len(plan.items)
-            for shard_items in plan.shards():
-                if not shard_items:
-                    continue
-                cached = None
-                tiers: list = []
-                probe_s = 0.0
-                if store is not None:
-                    with obs.span(
-                        "cache.lookup",
-                        shard=shard_items[0].shard,
-                        items=len(shard_items),
-                    ) as cache_span:
-                        probe_t0 = time.perf_counter()
-                        looked = [store.lookup(i.cache_key) for i in shard_items]
-                        probe_s = time.perf_counter() - probe_t0
-                        cached = [value for value, _ in looked]
-                        tiers = [tier for _, tier in looked]
-                        hit = all(value is not None for value in cached)
-                        if not hit:
-                            cached = None
-                        cache_span.set(
-                            hit=hit, tier=_shard_tier(tiers) if hit else None
-                        )
-                if cached is not None:
-                    signatures = plan.meta.get("shard_signatures") or []
-                    for pos, (item, result) in enumerate(zip(shard_items, cached)):
-                        timings = result.info.get("timings") or {}
-                        engine_info = result.info.setdefault("engine", {})
-                        if item.label is not None:
-                            engine_info["label"] = item.label
-                        engine_info.update(
-                            shard=item.shard,
-                            shard_pos=pos,
-                            shard_size=len(shard_items),
-                            signature=signatures[item.shard] if item.shard < len(signatures) else None,
-                            executor=runner.name,
-                            seed=item.seed,
-                            fingerprint=item.fingerprint[:16],
-                            cache_hit=True,
-                            cache_tier=tiers[pos],
-                        )
-                        for key in KERNEL_TIMINGS:
-                            engine_info[key] = timings.get(key, 0.0)
-                        engine_info["cache_time"] = probe_s
-                        if cache_span.span_id is not None:
-                            result.info["trace"] = {
-                                "trace_id": cache_span.trace_id,
-                                "span_id": cache_span.span_id,
-                            }
-                        results[item.index] = result
-                else:
-                    flat_payloads.append(_shard_payload(plan, shard_items, runner.name))
-                    payload_owner.append(len(prepared))
-                    payload_probe_s.append(probe_s)
-            prepared.append((plan, results, store))
-
-        for owner, probe_s, shard_out in zip(
-            payload_owner, payload_probe_s, runner.run(_execute_shard, flat_payloads)
-        ):
-            obs.ingest(shard_out["spans"])
-            results = prepared[owner][1]
-            for index, result in shard_out["items"]:
-                result.info["engine"]["cache_time"] = probe_s
-                results[index] = result
-
-        for plan, results, store in prepared:
-            if store is not None:
-                for item in plan.items:
-                    result = results[item.index]
-                    if not result.info.get("engine", {}).get("cache_hit"):
-                        store.put(
-                            item.cache_key, result, signature=plan.shard_signature(item.shard)
-                        )
-        exec_span.set(shards_dispatched=len(flat_payloads))
-    return [results for _, results, _ in prepared]
+    return {"results": out, "spans": tracer.drain() if tracer is not None else []}
 
 
 def execute_plan(
@@ -363,8 +245,78 @@ def execute_plan(
     executor: str = "serial",
     cache: "ResultCache | bool | str | None" = None,
 ) -> list[SolveResult]:
-    """Run one compiled plan; see :func:`execute_plans` for the semantics."""
-    return execute_plans([plan], executor=executor, cache=cache)[0]
+    """Run a compiled plan as **one** dispatch wave; results in batch order.
+
+    Every uncached shard is handed to the executor together, whichever
+    backend it names, so a scheduler-routed batch spread over several
+    backends parallelises exactly as widely as a single-backend batch.
+    Seeds and shard membership are fixed at compile time, so the executor
+    cannot perturb any result.
+
+    Cache hits are taken shard-atomically (see module docstring); every
+    result's ``info["engine"]`` records shard, position, structure
+    signature, executor, seed, truncated fingerprint, and whether it was
+    served from cache — plus, for a routed shard, the scheduler's decision
+    under ``"scheduler"``.
+    """
+    runner = get_executor(executor)
+    store = resolve_cache(cache)
+    if not plan.cacheable:
+        store = None  # instance-backed plans carry opaque state; never cache
+    with obs.span("engine.execute", executor=runner.name) as exec_span:
+        results: list = [None] * len(plan.items)
+        dispatched: list[tuple[int, float]] = []  # (shard id, cache-probe seconds)
+        payloads: list = []
+        for shard_id, shard in enumerate(plan.shards):
+            looked, probe_s = None, 0.0
+            if store is not None:
+                with obs.span(
+                    "cache.lookup", shard=shard_id, items=len(shard.items)
+                ) as cache_span:
+                    probe_t0 = time.perf_counter()
+                    looked = [store.lookup(item.cache_key) for item in shard.items]
+                    probe_s = time.perf_counter() - probe_t0
+                    if not all(value is not None for value, _ in looked):
+                        looked = None
+                    cache_span.set(
+                        hit=looked is not None,
+                        tier=_shard_tier([t for _, t in looked]) if looked else None,
+                    )
+            if looked is None:
+                dispatched.append((shard_id, probe_s))
+                payloads.append(_shard_payload(plan, shard_id, runner.name))
+                continue
+            for pos, (item, (result, tier)) in enumerate(zip(shard.items, looked)):
+                _engine_info(result, shard_id, shard, pos, runner.name, probe_s, tier)
+                if cache_span.span_id is not None:
+                    result.info["trace"] = {
+                        "trace_id": cache_span.trace_id,
+                        "span_id": cache_span.span_id,
+                    }
+                results[item.index] = result
+
+        for (shard_id, probe_s), shard_out in zip(
+            dispatched, runner.run(_execute_shard, payloads)
+        ):
+            obs.ingest(shard_out["spans"])
+            shard = plan.shards[shard_id]
+            for pos, result in enumerate(shard_out["results"]):
+                _engine_info(result, shard_id, shard, pos, runner.name, probe_s)
+                results[shard.items[pos].index] = result
+
+        if store is not None:
+            for item in plan.items:
+                result = results[item.index]
+                if not result.info["engine"]["cache_hit"]:
+                    store.put(item.cache_key, result, signature=plan.shards[item.shard].signature)
+        # Routing is stamped after the cache fill: a stored entry must not
+        # carry the decision of the batch that happened to write it.
+        for shard in plan.shards:
+            if shard.routing is not None:
+                for item in shard.items:
+                    results[item.index].info["engine"]["scheduler"] = dict(shard.routing)
+        exec_span.set(shards_dispatched=len(payloads))
+    return results
 
 
 def solve_batch(
@@ -390,9 +342,10 @@ def solve_batch(
     a sequence of registry names and ``backend_opts`` is portfolio-style
     (per-backend factory options keyed by name): the batch is compiled
     once, every shard is routed up front
-    (:meth:`~repro.engine.scheduler.AdaptiveScheduler.route`), the routed
-    sub-plans run as one dispatch wave, and when the whole batch has
-    returned every result is fed to the scheduler's scoreboard.  Item seeds
+    (:meth:`~repro.engine.scheduler.AdaptiveScheduler.route` rewrites each
+    shard's backend in place), the plan runs as one dispatch wave, and
+    when the whole batch has returned every result is fed to the
+    scheduler's scoreboard.  Item seeds
     are the compiled ones regardless of routing, so two runs with equal
     scheduler state solve every item identically on any executor.
 
@@ -441,26 +394,23 @@ def solve_batch(
             seeds=seeds,
             labels=labels,
         )
-        plan_span.set(items=len(plan.items), shards=plan.num_shards)
-    plans, gather = [plan], None
+        plan_span.set(items=len(plan.items), shards=len(plan.shards))
     if scheduler is not None:
-        plans, gather = scheduler.route(plan, names, opts_map)
+        scheduler.route(plan, names, opts_map)
     with store_bound_cache(cache, durable) as bound:
-        if gather is not None and bound is not None and bound.store is not None:
+        if scheduler is not None and bound is not None and bound.store is not None:
             # Scheduler-aware prefetch: routing just named the structures
             # this batch will touch, so results a sibling process already
             # stored for them are warmed into the memory LRU first.
-            for signature in dict.fromkeys(plan.meta["shard_signatures"]):
+            for signature in dict.fromkeys(shard.signature for shard in plan.shards):
                 bound.prefetch(signature)
-        outputs = execute_plans(plans, executor=executor, cache=bound)
-    if gather is None:
-        results = outputs[0]
+        results = execute_plan(plan, executor=executor, cache=bound)
+    if scheduler is None:
         if durable is not None:
             record_best_effort(
                 lambda: durable.scoreboard.record_results(results), "batch telemetry record"
             )
         return results
-    results = gather(outputs)
     scheduler.observe_batch(results)
     scheduler.checkpoint(discard=durable_off)
     return results

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.engine.plan import ExecutionPlan, _assign_cache_keys
+from repro.engine.plan import ExecutionPlan, assign_cache_keys
 from repro.exceptions import ReproError
 from repro.obs import trace as obs
 
@@ -119,6 +119,51 @@ class BackendStats:
             "timeouts": self.timeouts,
             "errors": self.errors,
         }
+
+
+def apply_observation(
+    stats_for: "Callable[[str, str | None], BackendStats]", op: tuple, alpha: float
+) -> None:
+    """Apply one observation op to its exact pair and the backend aggregate.
+
+    The single source of the op semantics, shared by the live
+    :class:`BackendScoreboard` and the durable
+    :class:`~repro.engine.store.ScoreboardStore` replay, so the two cannot
+    drift apart.  ``stats_for(backend, signature)`` returns the mutable
+    stats row to update (``signature=None`` is the aggregate).  Ops:
+
+    * ``("observe", backend, signature, objective, wall_time, cache_hit)``
+      — quality + latency (:meth:`BackendStats.observe`);
+    * ``("timeout", backend, signature, deadline_s)`` — a timeout, plus a
+      latency observation at the deadline when one is known;
+    * ``("error", backend, signature)`` — an error and nothing else.
+    """
+    kind, backend, signature = op[0], op[1], op[2]
+    if kind not in ("observe", "timeout", "error"):
+        raise ReproError(f"unknown scoreboard observation kind: {kind!r}")
+    for target in {signature, None}:
+        stats = stats_for(backend, target)
+        if kind == "observe":
+            stats.observe(op[3], op[4], alpha, cache_hit=op[5])
+        elif kind == "timeout":
+            stats.timeouts += 1
+            if op[3] is not None:
+                stats.observe(math.nan, op[3], alpha)
+        else:
+            stats.errors += 1
+
+
+def result_observation(result: "SolveResult") -> tuple:
+    """The ``"observe"`` op of one engine-executed result (its ``info["engine"]``)."""
+    engine = result.info.get("engine", {})
+    return (
+        "observe",
+        result.method,
+        engine.get("signature"),
+        result.objective,
+        result.wall_time,
+        bool(engine.get("cache_hit", False)),
+    )
 
 
 class BackendScoreboard:
@@ -227,59 +272,42 @@ class BackendScoreboard:
 
     # -- feeding ---------------------------------------------------------------
 
+    def _apply(self, op: tuple) -> None:
+        with self._lock:
+            apply_observation(
+                lambda backend, signature: self._stats.setdefault(
+                    (backend, signature), BackendStats()
+                ),
+                op,
+                self.alpha,
+            )
+            if self._store is not None:
+                self._pending.append(op)
+
     def observe(self, backend: str, signature: "str | None", objective: float,
                 wall_time: float, cache_hit: bool = False) -> None:
         """Record one solve outcome (the low-level feed)."""
-        with self._lock:
-            for key in {(backend, signature), (backend, None)}:
-                self._stats.setdefault(key, BackendStats()).observe(
-                    objective, wall_time, self.alpha, cache_hit=cache_hit
-                )
-            if self._store is not None:
-                self._pending.append(
-                    ("observe", backend, signature, objective, wall_time, cache_hit)
-                )
+        self._apply(("observe", backend, signature, objective, wall_time, cache_hit))
 
     def observe_result(self, result: "SolveResult") -> None:
         """Feed one engine-executed result from its ``info["engine"]`` telemetry."""
-        engine = result.info.get("engine", {})
-        self.observe(
-            result.method,
-            engine.get("signature"),
-            result.objective,
-            result.wall_time,
-            cache_hit=bool(engine.get("cache_hit", False)),
-        )
+        self._apply(result_observation(result))
 
     def observe_portfolio(self, result: "SolveResult", signature: "str | None" = None) -> None:
         """Feed every contender of an ``info["portfolio"]`` breakdown.
 
-        The status → observation mapping lives in one place —
-        :func:`~repro.engine.store.portfolio_observations` — shared with
-        the durable :class:`~repro.engine.store.ScoreboardStore`, so live
-        and stored statistics apply identical semantics (completed →
-        quality + latency; deadline-exceeded → timeout with a latency
-        floor at the deadline; error → seen-but-ranked-last).
+        The status → observation mapping lives in
+        :func:`~repro.engine.store.portfolio_observations` and the op
+        semantics in :func:`apply_observation`, both shared with the
+        durable :class:`~repro.engine.store.ScoreboardStore`, so live and
+        stored statistics apply identical semantics (completed → quality +
+        latency; deadline-exceeded → timeout with a latency floor at the
+        deadline; error → seen-but-ranked-last).
         """
         from repro.engine.store import portfolio_observations
 
         for op in portfolio_observations(result, signature=signature):
-            if op[0] == "observe":
-                self.observe(op[1], op[2], op[3], op[4], cache_hit=op[5])
-                continue
-            kind, backend, sig = op[0], op[1], op[2]
-            deadline = op[3] if kind == "timeout" else None
-            with self._lock:
-                for key in {(backend, sig), (backend, None)}:
-                    stats = self._stats.setdefault(key, BackendStats())
-                    if kind == "error":
-                        stats.errors += 1
-                    else:
-                        stats.timeouts += 1
-                        if deadline is not None:
-                            stats.observe(math.nan, deadline, self.alpha)
-                if self._store is not None:
-                    self._pending.append(op)
+            self._apply(op)
 
     # -- reading ---------------------------------------------------------------
 
@@ -462,51 +490,34 @@ class AdaptiveScheduler:
             return RoutingDecision(pick, "explore", signature, names)
         return RoutingDecision(self.rank(signature, names)[0], "exploit", signature, names)
 
-    def route(
-        self, plan: ExecutionPlan, names: Sequence[str], opts_map: dict
-    ) -> "tuple[list[ExecutionPlan], Callable[[list], list]]":
+    def route(self, plan: ExecutionPlan, names: Sequence[str], opts_map: dict) -> None:
         """Route every shard of a compiled plan up front (one decision each).
 
-        Returns one sub-plan per chosen backend — run them as *one*
-        dispatch wave, so a cold or exploring batch spread over several
-        backends parallelises as widely as a single-backend batch would —
-        and a ``gather`` function mapping the sub-plans' results back to
-        batch order, stamping ``info["engine"]["scheduler"]``.  Items keep
-        their compiled seeds, so routing never perturbs a result.
-        ``opts_map`` holds per-backend factory options keyed by name.
+        Each shard's ``backend_name``/``backend_opts`` are rewritten in
+        place, its ``routing`` records the decision (stamped into
+        ``info["engine"]["scheduler"]`` at execution), and its cache keys
+        are re-derived for the chosen backend.  The plan still runs as
+        *one* dispatch wave, so a cold or exploring batch spread over
+        several backends parallelises as widely as a single-backend batch
+        would.  Items keep their compiled seeds, so routing never perturbs
+        a result.  ``opts_map`` holds per-backend factory options keyed by
+        name.
         """
-        signatures = plan.meta["shard_signatures"]
-        decisions = []
-        for shard_id in range(plan.num_shards):
+        for shard_id, shard in enumerate(plan.shards):
             with obs.span(
-                "scheduler.route", shard=shard_id, signature=signatures[shard_id]
+                "scheduler.route", shard=shard_id, signature=shard.signature
             ) as route_span:
-                decision = self.choose(signatures[shard_id], names)
+                decision = self.choose(shard.signature, names)
                 route_span.set(backend=decision.backend, mode=decision.mode)
-            decisions.append(decision)
-        routed = []
-        for name in names:
-            shard_ids = [i for i, d in enumerate(decisions) if d.backend == name]
-            if shard_ids:
-                subplan, local_to_global = _subplan(plan, shard_ids, name, opts_map.get(name, {}))
-                routed.append((name, subplan, local_to_global))
-
-        def gather(outputs: list) -> list:
-            results: list = [None] * len(plan.items)
-            for (name, _, local_to_global), sub_results in zip(routed, outputs):
-                for local_index, result in enumerate(sub_results):
-                    global_index, global_shard = local_to_global[local_index]
-                    engine = result.info.setdefault("engine", {})
-                    engine["shard"] = global_shard
-                    engine["scheduler"] = {
-                        "backend": name,
-                        "mode": decisions[global_shard].mode,
-                        "candidates": list(names),
-                    }
-                    results[global_index] = result
-            return results
-
-        return [subplan for _, subplan, _ in routed], gather
+            shard.backend_name = decision.backend
+            shard.backend_opts = dict(opts_map.get(decision.backend, {}))
+            shard.routing = {
+                "backend": decision.backend,
+                "mode": decision.mode,
+                "candidates": list(names),
+            }
+            if plan.cacheable:
+                assign_cache_keys(shard, plan.refine, plan.top_k)
 
     def select_contenders(
         self, signature: "str | None", candidates: Sequence[str]
@@ -579,52 +590,17 @@ def _candidate_names(candidates: Sequence) -> list[str]:
 
 def _validated_opts_map(backend_opts: "dict | None", names: Sequence[str]) -> dict:
     """Portfolio-style per-backend opts, checked against the candidate list."""
+    from repro.api.backends import get_backend
+
     opts_map = dict(backend_opts or {})
     unknown = set(opts_map) - set(names)
     if unknown:
         raise ReproError(
             f"backend_opts for {sorted(unknown)} match no candidate backend"
         )
+    # Build every candidate once so a bad option fails up front, whichever
+    # backends the scheduler's RNG later routes to.
+    for name in names:
+        get_backend(name, **opts_map.get(name, {}))
     return opts_map
-
-
-def _subplan(plan: ExecutionPlan, shard_ids: Sequence[int], backend_name: str,
-             backend_opts: dict) -> "tuple[ExecutionPlan, list[tuple[int, int]]]":
-    """One backend's slice of a routed plan, renumbered to be self-contained.
-
-    Items keep their compiled seeds and fingerprints; indices and shard ids
-    are renumbered locally (``execute_plan`` addresses results by them) and
-    the returned mapping restores each local index to its
-    ``(batch index, global shard id)``.
-    """
-    from repro.api.backends import get_backend
-
-    probe = get_backend(backend_name, **backend_opts)
-    shards = plan.shards()
-    signatures = plan.meta["shard_signatures"]
-    items = []
-    local_to_global: list[tuple[int, int]] = []
-    for local_shard, shard_id in enumerate(shard_ids):
-        for item in shards[shard_id]:
-            items.append(replace(item, index=len(items), shard=local_shard))
-            local_to_global.append((item.index, shard_id))
-    subplan = ExecutionPlan(
-        items=items,
-        num_shards=len(shard_ids),
-        backend_name=backend_name,
-        backend_opts=dict(backend_opts),
-        backend_instance=None,
-        refine=plan.refine,
-        top_k=plan.top_k,
-        direct=probe.solves_problem_directly,
-        meta={
-            "batch_size": len(items),
-            "shard_sizes": [len(shards[s]) for s in shard_ids],
-            "max_shard_size": plan.meta.get("max_shard_size"),
-            "shard_signatures": [signatures[s] for s in shard_ids],
-        },
-    )
-    if subplan.cacheable:
-        _assign_cache_keys(subplan)
-    return subplan, local_to_global
 

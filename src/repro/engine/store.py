@@ -271,7 +271,7 @@ class ScoreboardStore:
         lock, so two processes flushing at once interleave whole batches
         and every observation lands exactly once.
         """
-        from repro.engine.scheduler import BackendStats
+        from repro.engine.scheduler import BackendStats, apply_observation
 
         observations = list(observations)
         if not observations:
@@ -295,26 +295,7 @@ class ScoreboardStore:
                 return found
 
             for op in observations:
-                kind, backend, signature = op[0], op[1], op[2]
-                targets = {signature, None}
-                if kind == "observe":
-                    objective, wall_time, cache_hit = op[3], op[4], op[5]
-                    for target in targets:
-                        stats_for(backend, target).observe(
-                            objective, wall_time, alpha, cache_hit=cache_hit
-                        )
-                elif kind == "timeout":
-                    deadline = op[3]
-                    for target in targets:
-                        stats = stats_for(backend, target)
-                        stats.timeouts += 1
-                        if deadline is not None:
-                            stats.observe(math.nan, deadline, alpha)
-                elif kind == "error":
-                    for target in targets:
-                        stats_for(backend, target).errors += 1
-                else:
-                    raise ReproError(f"unknown scoreboard observation kind: {kind!r}")
+                apply_observation(stats_for, op, alpha)
 
             conn.executemany(
                 "INSERT OR REPLACE INTO scoreboard "
@@ -339,20 +320,9 @@ class ScoreboardStore:
 
     def record_results(self, results: Sequence["SolveResult"]) -> int:
         """Record engine-executed results from their ``info["engine"]`` blocks."""
-        return self.record(
-            [
-                (
-                    "observe",
-                    r.method,
-                    r.info.get("engine", {}).get("signature"),
-                    r.objective,
-                    r.wall_time,
-                    bool(r.info.get("engine", {}).get("cache_hit", False)),
-                )
-                for r in results
-                if r is not None
-            ]
-        )
+        from repro.engine.scheduler import result_observation
+
+        return self.record([result_observation(r) for r in results if r is not None])
 
     def record_portfolio(self, result: "SolveResult", signature: "str | None" = None) -> int:
         """Record every contender of an ``info["portfolio"]`` breakdown."""

@@ -13,7 +13,6 @@ from repro.mqo.classical import (
 from repro.mqo.generator import generate_mqo_problem
 from repro.mqo.problem import MQOProblem, PlanChoice
 from repro.mqo.qubo import decode_sample, mqo_to_qubo
-from repro.mqo.solve import MQOResult, solve_with_annealer, solve_with_qaoa, solve_with_sampler
 
 __all__ = [
     "exhaustive_mqo",
@@ -24,8 +23,4 @@ __all__ = [
     "PlanChoice",
     "decode_sample",
     "mqo_to_qubo",
-    "MQOResult",
-    "solve_with_annealer",
-    "solve_with_qaoa",
-    "solve_with_sampler",
 ]

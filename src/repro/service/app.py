@@ -511,12 +511,7 @@ class SolverService:
         results: "list | None" = None
         engine_spans: list = []
         try:
-            out = await asyncio.to_thread(self._solve_wave, jobs)
-            # Tolerate a bare results list (test doubles patch _solve_wave).
-            if isinstance(out, tuple) and len(out) == 2:
-                results, engine_spans = out
-            else:
-                results = out
+            results, engine_spans = await asyncio.to_thread(self._solve_wave, jobs)
             if len(results) != len(jobs):
                 raise ReproError(
                     f"wave returned {len(results)} results for {len(jobs)} jobs"

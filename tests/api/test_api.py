@@ -1,4 +1,4 @@
-"""Facade plumbing: registry, seeding, portfolio, batching, dispatch, shims."""
+"""Facade plumbing: registry, seeding, portfolio, batching, dispatch."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from repro.db.generator import chain_query
 from repro.exceptions import ReproError
 from repro.integration import generate_schema_pair
 from repro.mqo import exhaustive_mqo, generate_mqo_problem
-from repro.mqo.solve import solve_with_annealer, solve_with_qaoa, solve_with_sampler
 from repro.qubo.model import QuboModel
 from repro.txn import generate_transactions
 
@@ -149,38 +148,6 @@ class TestAsProblem:
     def test_unknown_object_rejected(self):
         with pytest.raises(ReproError, match="cannot infer"):
             as_problem(object())
-
-
-class TestMQOShims:
-    """The legacy mqo.solve entry points are thin aliases over the facade."""
-
-    def test_sampler_shim_matches_facade(self):
-        from repro.annealing.simulated_annealing import SimulatedAnnealingSolver
-
-        problem = generate_mqo_problem(3, 2, sharing_density=0.4, rng=4)
-        legacy = solve_with_sampler(
-            problem, SimulatedAnnealingSolver(num_reads=8, num_sweeps=100), rng=2
-        )
-        modern = solve(
-            problem,
-            SamplerBackend(SimulatedAnnealingSolver(num_reads=8, num_sweeps=100)),
-            seed=2,
-        )
-        assert legacy.selection == modern.solution
-        assert legacy.total_cost == pytest.approx(modern.objective)
-        assert legacy.energy == modern.energy
-
-    def test_annealer_shim_reports_chain_stats(self):
-        problem = generate_mqo_problem(3, 2, sharing_density=0.4, rng=5)
-        result = solve_with_annealer(problem, rng=1)
-        assert result.method == "annealer[sa]"
-        assert "chain_break_fraction" in result.info
-
-    def test_qaoa_shim_reports_qubits(self):
-        problem = generate_mqo_problem(2, 2, sharing_density=0.5, rng=6)
-        result = solve_with_qaoa(problem, num_layers=1, maxiter=25, restarts=1, rng=1)
-        assert result.method == "qaoa[p=1]"
-        assert result.info["qubits"] == 4
 
 
 class TestSamplerBackend:

@@ -62,10 +62,10 @@ class TestCompilePlan:
         # Two copies of one structure + one distinct structure -> 2 shards.
         problems = [_mqo(1), _mqo(1), _mqo(5)]
         plan = compile_plan(problems, "sa", seed=0)
-        shards = plan.shards()
-        assert plan.num_shards == 2
-        assert [len(s) for s in shards] == [2, 1]
-        assert shards[0][0].fingerprint != shards[1][0].fingerprint
+        shards = plan.shards
+        assert len(plan.shards) == 2
+        assert [len(s.items) for s in shards] == [2, 1]
+        assert shards[0].items[0].fingerprint != shards[1].items[0].fingerprint
 
     def test_seed_assignment_is_batch_order_stable(self):
         problems = [_mqo(1), _mqo(5), _mqo(1)]
@@ -79,14 +79,14 @@ class TestCompilePlan:
     def test_max_shard_size_splits_groups(self):
         problems = [_mqo(1)] * 4
         plan = compile_plan(problems, "sa", seed=0, max_shard_size=2)
-        assert plan.num_shards == 2
-        assert sorted(len(s) for s in plan.shards()) == [2, 2]
+        assert len(plan.shards) == 2
+        assert sorted(len(s.items) for s in plan.shards) == [2, 2]
         with pytest.raises(ReproError, match="max_shard_size"):
             compile_plan(problems, "sa", seed=0, max_shard_size=0)
 
     def test_cache_keys_depend_on_shard_history(self):
         plan = compile_plan([_mqo(1), _mqo(1)], "sa", seed=0)
-        leader, follower = plan.shards()[0]
+        leader, follower = plan.shards[0].items
         assert leader.cache_key != follower.cache_key
         # Same batch recompiled -> identical keys (content-addressed).
         again = compile_plan([_mqo(1), _mqo(1)], "sa", seed=0)
@@ -105,10 +105,6 @@ class TestCompilePlan:
         backend = get_backend("sa", num_reads=4, num_sweeps=40)
         with pytest.raises(ReproError, match="by name"):
             compile_plan([_mqo(1)] * 4, backend, seed=0, max_shard_size=2)
-
-    def test_direct_backend_flag(self):
-        assert compile_plan([_mqo(1)], "classical", seed=0).direct
-        assert not compile_plan([_mqo(1)], "sa", seed=0).direct
 
 
 class TestAsProblems:

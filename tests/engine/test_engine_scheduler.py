@@ -9,16 +9,26 @@ import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.api import register_backend
 from repro.api.backends import Backend
 from repro.api.problem import Problem
 from repro.api.result import SolveResult
-from repro.engine import AdaptiveScheduler, BackendScoreboard, signature_key
+from repro.engine import (
+    AdaptiveScheduler,
+    BackendScoreboard,
+    ResultCache,
+    compile_plan,
+    signature_key,
+)
 from repro.exceptions import ReproError
+from repro.mqo import generate_mqo_problem
 from repro.qubo.model import QuboModel
 from repro.qubo.sampleset import Sample, SampleSet
+from repro.txn import generate_transactions
 
 
 class ToyProblem(Problem):
@@ -332,6 +342,17 @@ class TestScheduledBatch:
                 _toy_batch(), backend=CANDIDATES, scheduler=scheduler, sa={}
             )
 
+    @pytest.mark.parametrize("bad", ["sa", "tabu"])
+    def test_bad_option_raises_whatever_the_routing(self, bad):
+        """Every candidate is built up front, so an option error never hides
+        behind a scheduler RNG that happened to route elsewhere."""
+        for seed in range(6):
+            with pytest.raises(TypeError, match="bogus"):
+                repro.solve_many(
+                    [ToyProblem(4)], backend=("sa", "tabu"), seed=1,
+                    scheduler=AdaptiveScheduler(seed=seed), **{bad: {"bogus": 1}},
+                )
+
     def test_facade_rejects_sequence_without_scheduler(self):
         with pytest.raises(ReproError, match="scheduler"):
             repro.solve_many(_toy_batch(), backend=CANDIDATES, seed=1)
@@ -365,3 +386,64 @@ class TestScheduledPortfolio:
             ToyProblem(4), backends=CANDIDATES, seed=5, scheduler=scheduler
         )
         assert "scheduler" in result.info["portfolio_meta"]
+
+
+# -- property: routing is a per-shard backend choice, nothing more ------------
+
+ROUTED = ("sa", "tabu")
+ROUTED_OPTS = {"sa": {"num_reads": 4, "num_sweeps": 30}, "tabu": {"num_restarts": 1}}
+
+
+def _instance(kind: str, rng: int):
+    if kind == "mqo":
+        return generate_mqo_problem(3, 2, sharing_density=0.4, rng=rng)
+    return generate_transactions(3, num_items=3, rng=rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(st.sampled_from(["mqo", "txn"]), st.integers(0, 2)), min_size=1, max_size=6
+    ),
+    batch_seed=st.integers(0, 2**31),
+    scheduler_seed=st.integers(0, 2**16),
+    epsilon=st.floats(0.0, 1.0),
+    max_shard_size=st.sampled_from([None, 1, 2]),
+    executor=st.sampled_from(["serial", "threads"]),
+)
+def test_routed_items_equal_unscheduled_runs_on_their_backend(
+    specs, batch_seed, scheduler_seed, epsilon, max_shard_size, executor
+):
+    """Every item of a scheduled batch equals the same item of an unscheduled
+    batch on the backend its shard was routed to: solution, objective,
+    seed, shard id, and cache key."""
+    batch = [_instance(kind, rng) for kind, rng in specs]
+    cache = ResultCache()
+    scheduled = repro.solve_many(
+        batch, backend=ROUTED, seed=batch_seed, max_shard_size=max_shard_size,
+        executor=executor, cache=cache,
+        scheduler=AdaptiveScheduler(epsilon=epsilon, seed=scheduler_seed), **ROUTED_OPTS,
+    )
+    plain, keys = {}, {}
+    for name in {r.engine["scheduler"]["backend"] for r in scheduled}:
+        plain[name] = repro.solve_many(
+            batch, backend=name, seed=batch_seed, max_shard_size=max_shard_size,
+            **ROUTED_OPTS[name],
+        )
+        plan = compile_plan(
+            batch, name, seed=batch_seed, max_shard_size=max_shard_size,
+            backend_opts=ROUTED_OPTS[name],
+        )
+        keys[name] = [item.cache_key for item in plan.items]
+    assert len(cache) == len(batch)
+    for index, result in enumerate(scheduled):
+        name = result.engine["scheduler"]["backend"]
+        reference = plain[name][index]
+        assert result.method == reference.method
+        assert result.solution == reference.solution
+        assert result.objective == reference.objective
+        assert result.engine["seed"] == reference.engine["seed"]
+        assert result.engine["shard"] == reference.engine["shard"]
+        stored = cache.get(keys[name][index])
+        assert stored is not None
+        assert stored.solution == result.solution and stored.objective == result.objective

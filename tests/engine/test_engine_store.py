@@ -427,7 +427,7 @@ class TestHydratedRoutingDeterminism:
     def test_cold_process_routes_like_the_writer(self, tmp_path, fork_pool):
         store, long_lived = self._warm(tmp_path / "engine.db")
         plan = repro.compile_plan(_batch(), CANDIDATES[0])
-        signatures = plan.meta["shard_signatures"]
+        signatures = [shard.signature for shard in plan.shards]
         parent = [
             long_lived.choose(sig, list(CANDIDATES)).backend for sig in signatures
         ]

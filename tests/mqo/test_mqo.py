@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.annealing import AnnealerDevice, SimulatedAnnealingSolver
+from repro.api import AnnealerBackend, QAOABackend, SamplerBackend, solve
 from repro.exceptions import InfeasibleError, ReproError
 from repro.mqo.classical import exhaustive_mqo, greedy_mqo, hill_climbing_mqo
 from repro.mqo.generator import generate_mqo_problem
 from repro.mqo.problem import MQOProblem
 from repro.mqo.qubo import decode_sample, mqo_to_qubo, penalty_weight, selection_to_bits
-from repro.mqo.solve import solve_with_annealer, solve_with_qaoa, solve_with_sampler
 from repro.qubo.bruteforce import BruteForceSolver
 
 
@@ -174,38 +174,46 @@ class TestClassicalSolvers:
             exhaustive_mqo(p, max_combinations=10)
 
 
+def _annealer(use_embedding: bool = True) -> AnnealerBackend:
+    device = AnnealerDevice(sampler="sa", num_reads=24, num_sweeps=256)
+    return AnnealerBackend(device=device, use_embedding=use_embedding)
+
+
 class TestQuantumSolvers:
     def test_plain_sampler(self):
         p = generate_mqo_problem(4, 3, sharing_density=0.4, rng=0)
         _, opt = exhaustive_mqo(p)
-        r = solve_with_sampler(p, SimulatedAnnealingSolver(num_reads=16, num_sweeps=200), rng=1)
-        assert r.total_cost == pytest.approx(opt)
+        sampler = SimulatedAnnealingSolver(num_reads=16, num_sweeps=200)
+        r = solve(p, SamplerBackend(sampler), seed=1)
+        assert r.objective == pytest.approx(opt)
 
     def test_annealer_with_embedding(self):
         p = generate_mqo_problem(4, 3, sharing_density=0.4, rng=1)
         _, opt = exhaustive_mqo(p)
-        r = solve_with_annealer(p, rng=2)
-        assert r.total_cost == pytest.approx(opt)
+        r = solve(p, _annealer(), seed=2)
+        assert r.objective == pytest.approx(opt)
         assert "chain_break_fraction" in r.info
         assert r.info["max_chain_length"] >= 1
 
     def test_annealer_unembedded_ablation(self):
         p = generate_mqo_problem(4, 3, sharing_density=0.4, rng=2)
         _, opt = exhaustive_mqo(p)
-        r = solve_with_annealer(p, use_embedding=False, rng=3)
-        assert r.total_cost == pytest.approx(opt)
+        r = solve(p, _annealer(use_embedding=False), seed=3)
+        assert r.objective == pytest.approx(opt)
 
     def test_qaoa_small_instance(self):
         p = generate_mqo_problem(3, 2, sharing_density=0.5, rng=5)
         _, opt = exhaustive_mqo(p)
-        r = solve_with_qaoa(p, num_layers=3, maxiter=120, restarts=2, rng=4)
-        assert r.total_cost == pytest.approx(opt)
+        backend = QAOABackend(num_layers=3, maxiter=120, restarts=2, shots=512)
+        r = solve(p, backend, seed=4)
+        assert r.objective == pytest.approx(opt)
         assert r.info["qubits"] == 6
 
     def test_result_selection_is_feasible(self):
         p = generate_mqo_problem(3, 3, sharing_density=0.3, rng=6)
-        r = solve_with_sampler(p, SimulatedAnnealingSolver(num_reads=8, num_sweeps=100), rng=0)
-        p.validate_selection(r.selection)
+        sampler = SimulatedAnnealingSolver(num_reads=8, num_sweeps=100)
+        r = solve(p, SamplerBackend(sampler), seed=0)
+        p.validate_selection(r.solution)
 
 
 @settings(max_examples=10, deadline=None)

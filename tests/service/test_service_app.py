@@ -283,7 +283,7 @@ def test_short_wave_results_terminalise_every_job():
     async def scenario():
         service = make_service(max_wave=2)
         await service.start()
-        service._solve_wave = lambda jobs: [object()]  # one result, two jobs
+        service._solve_wave = lambda jobs: ([object()], [])  # one result, two jobs
         jobs = [service.submit(MQO_SPEC, seed=s) for s in (0, 1)]
         await asyncio.wait_for(
             asyncio.gather(*[job.future for job in jobs]), timeout=10.0
