@@ -21,7 +21,7 @@ from repro.qnet import EntanglementLink, QuantumNetwork
 from repro.quantum.state import Statevector
 
 
-def test_e15_commit_blocking_vs_divergence(benchmark):
+def test_e15_commit_blocking_vs_divergence():
     def kernel():
         rows = []
         for crash in (0.0, 0.1, 0.25):
@@ -30,7 +30,7 @@ def test_e15_commit_blocking_vs_divergence(benchmark):
             rows.append((crash, tpc.blocking_rate, ghz.blocking_rate, ghz.divergence_rate))
         return rows
 
-    rows = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    rows = kernel()
     for crash, tpc_block, ghz_block, ghz_div in rows:
         assert ghz_block == 0.0  # GHZ termination never blocks
         assert tpc_block == pytest.approx(crash, abs=0.05)  # 2PC blocks on crashes
@@ -38,17 +38,14 @@ def test_e15_commit_blocking_vs_divergence(benchmark):
     assert rows[-1][1] > rows[0][1]
 
 
-def test_e15_availability_gap(benchmark):
-    def kernel():
-        return simulate_availability(0.9, num_replicas=3, trials=10000, rng=3)
-
-    report = benchmark.pedantic(kernel, rounds=1, iterations=1)
+def test_e15_availability_gap():
+    report = simulate_availability(0.9, num_replicas=3, trials=10000, rng=3)
     assert report.classical_availability == pytest.approx(availability_classical(0.9, 3), abs=0.01)
     assert report.quantum_without_recipe == pytest.approx(0.9, abs=0.02)
     assert report.classical_availability > report.quantum_without_recipe
 
 
-def test_e15_store_movement_fidelity(benchmark):
+def test_e15_store_movement_fidelity():
     def kernel():
         fidelities = []
         for hops in (1, 3, 5):
@@ -60,11 +57,11 @@ def test_e15_store_movement_fidelity(benchmark):
             fidelities.append(receipt.payload_fidelity)
         return fidelities
 
-    fidelities = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    fidelities = kernel()
     assert fidelities[0] > fidelities[1] > fidelities[2]
 
 
-def test_e15_purified_movement_beats_plain(benchmark):
+def test_e15_purified_movement_beats_plain():
     def kernel():
         results = []
         for min_f in (None, 0.95):
@@ -75,6 +72,6 @@ def test_e15_purified_movement_beats_plain(benchmark):
             results.append((receipt.payload_fidelity, receipt.pairs_consumed))
         return results
 
-    (plain_f, plain_pairs), (pure_f, pure_pairs) = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    (plain_f, plain_pairs), (pure_f, pure_pairs) = kernel()
     assert pure_f > plain_f  # purification buys fidelity...
     assert pure_pairs > plain_pairs  # ...at entanglement cost

@@ -26,49 +26,43 @@ def _cost(bits) -> float:
     return PROBLEM.total_cost(decode_sample(PROBLEM, MODEL, bits))
 
 
-def test_e2_simulated_annealing(benchmark):
-    samples = benchmark(lambda: SimulatedAnnealingSolver(num_reads=16, num_sweeps=200).solve(MODEL, rng=1))
+def test_e2_simulated_annealing():
+    samples = SimulatedAnnealingSolver(num_reads=16, num_sweeps=200).solve(MODEL, rng=1)
     assert _cost(samples.best.bits) == pytest.approx(OPTIMUM)
 
 
-def test_e2_simulated_quantum_annealing(benchmark):
-    samples = benchmark.pedantic(
-        lambda: SimulatedQuantumAnnealingSolver(num_reads=8, num_sweeps=128).solve(MODEL, rng=2),
-        rounds=1, iterations=1,
-    )
+def test_e2_simulated_quantum_annealing():
+    samples = SimulatedQuantumAnnealingSolver(num_reads=8, num_sweeps=128).solve(MODEL, rng=2)
     assert _cost(samples.best.bits) == pytest.approx(OPTIMUM)
 
 
-def test_e2_tabu(benchmark):
-    samples = benchmark(lambda: TabuSolver().solve(MODEL, rng=3))
+def test_e2_tabu():
+    samples = TabuSolver().solve(MODEL, rng=3)
     assert _cost(samples.best.bits) == pytest.approx(OPTIMUM)
 
 
-def test_e2_embedded_annealer_device(benchmark):
+def test_e2_embedded_annealer_device():
     device = AnnealerDevice(sampler="sa", num_reads=16, num_sweeps=200)
-    samples = benchmark.pedantic(lambda: device.sample(MODEL, rng=4), rounds=1, iterations=1)
+    samples = device.sample(MODEL, rng=4)
     assert _cost(samples.best.bits) == pytest.approx(OPTIMUM)
 
 
-def test_e2_qaoa(benchmark):
+def test_e2_qaoa():
     qaoa = QAOA.from_qubo(MODEL, num_layers=3)
-    result = benchmark.pedantic(lambda: qaoa.run(maxiter=120, restarts=2, rng=5), rounds=1, iterations=1)
+    result = qaoa.run(maxiter=120, restarts=2, rng=5)
     assert _cost(result.best_bits) == pytest.approx(OPTIMUM)
 
 
-def test_e2_vqe(benchmark):
+def test_e2_vqe():
     vqe = VQE.from_qubo(MODEL, num_layers=2)
-    result = benchmark.pedantic(lambda: vqe.run(maxiter=250, restarts=3, rng=6), rounds=1, iterations=1)
+    result = vqe.run(maxiter=250, restarts=3, rng=6)
     assert _cost(result.best_bits) == pytest.approx(OPTIMUM)
 
 
-def test_e2_grover_minimum_finding(benchmark):
+def test_e2_grover_minimum_finding():
     energies = MODEL.energies(BruteForceSolver._all_assignments(MODEL.num_variables))
 
-    def kernel():
-        return durr_hoyer_minimum(energies, rng=7)
-
-    idx, calls = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    idx, calls = durr_hoyer_minimum(energies, rng=7)
     bits = [int(b) for b in np.binary_repr(idx, MODEL.num_variables)]
     assert _cost(bits) == pytest.approx(OPTIMUM)
     assert calls < len(energies)

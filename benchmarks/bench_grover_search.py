@@ -17,7 +17,7 @@ from repro.qdb.setops import classical_intersection_calls, quantum_intersection
 from repro.qdb.table import QuantumTable
 
 
-def test_e7_grover_vs_classical_sweep(benchmark):
+def test_e7_grover_vs_classical_sweep():
     """Oracle calls across N = 2^n, n = 4..10 — the E7 table."""
 
     def kernel():
@@ -35,7 +35,7 @@ def test_e7_grover_vs_classical_sweep(benchmark):
             rows.append((N, result.oracle_calls, float(np.mean(classical_calls)), result.success_probability))
         return rows
 
-    rows = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    rows = kernel()
     for N, q_calls, c_calls, success in rows:
         assert success >= 0.9
         assert q_calls <= math.ceil(math.pi / 4 * math.sqrt(N))
@@ -45,7 +45,7 @@ def test_e7_grover_vs_classical_sweep(benchmark):
     assert last_ratio > first_ratio * 2
 
 
-def test_e7_multi_target_extraction(benchmark):
+def test_e7_multi_target_extraction():
     table = QuantumTable("t", 8, range(256))
 
     def kernel():
@@ -53,32 +53,26 @@ def test_e7_multi_target_extraction(benchmark):
         c = classical_select(QuantumTable("t", 8, range(256)), lambda k: k % 51 == 0, rng=1)
         return q, c
 
-    q, c = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    q, c = kernel()
     assert q.matches == c.matches
     assert q.oracle_calls < c.oracle_calls
 
 
-def test_e16_set_operations(benchmark):
+def test_e16_set_operations():
     a = QuantumTable("a", 7, range(0, 128, 3))
     b = QuantumTable("b", 7, range(0, 128, 7))
 
-    def kernel():
-        return quantum_intersection(a, b, rng=2)
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    result = quantum_intersection(a, b, rng=2)
     assert result.keys == frozenset(set(a.keys) & set(b.keys))
     assert result.oracle_calls > 0
     assert classical_intersection_calls(a, b) == a.cardinality
 
 
-def test_e16_quantum_join(benchmark):
+def test_e16_quantum_join():
     a = QuantumTable("a", 5, [1, 3, 9, 14, 27])
     b = QuantumTable("b", 5, [3, 9, 20, 30])
 
-    def kernel():
-        return quantum_join(a, b, rng=3)
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    result = quantum_join(a, b, rng=3)
     reference = classical_join(a, b)
     assert result.pairs == reference.pairs
     assert reference.oracle_calls == 20  # |A| * |B|

@@ -16,7 +16,7 @@ from repro.joinorder.baselines import solve_random
 from repro.joinorder.vqc_agent import VQCJoinOrderAgent
 
 
-def test_e9_leftdeep_quality_sweep(benchmark):
+def test_e9_leftdeep_quality_sweep():
     """Left-deep QUBO vs exact left-deep DP on three topologies."""
 
     def kernel():
@@ -33,13 +33,13 @@ def test_e9_leftdeep_quality_sweep(benchmark):
             ratios[name] = float(np.mean(per_topology))
         return ratios
 
-    ratios = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    ratios = kernel()
     for name, ratio in ratios.items():
         assert ratio < 2.5, name  # log-surrogate stays near the optimum
     assert min(ratios.values()) < 1.3
 
 
-def test_e9_qubo_beats_random(benchmark):
+def test_e9_qubo_beats_random():
     """Sanity shape: the QUBO route dominates random ordering."""
 
     def kernel():
@@ -50,11 +50,11 @@ def test_e9_qubo_beats_random(benchmark):
             random_total += solve_random(graph, rng=seed).cost
         return random_total / qubo_total
 
-    advantage = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    advantage = kernel()
     assert advantage > 1.0
 
 
-def test_e9_bushy_vs_leftdeep(benchmark):
+def test_e9_bushy_vs_leftdeep():
     """Bushy trees beat left-deep on chains somewhere (the [25] pitch)."""
 
     def kernel():
@@ -71,12 +71,12 @@ def test_e9_bushy_vs_leftdeep(benchmark):
                 valid += 1
         return strict_wins, valid
 
-    strict_wins, valid = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    strict_wins, valid = kernel()
     assert strict_wins >= 1
     assert valid == 6
 
 
-def test_e12_vqc_learning_curve(benchmark):
+def test_e12_vqc_learning_curve():
     """Winker et al. [27]: the quantum policy's cost ratio improves."""
 
     def kernel():
@@ -93,6 +93,6 @@ def test_e12_vqc_learning_curve(benchmark):
         greedy_ratio = CostModel(graph).cost(leftdeep_tree_from_order(order)) / agent.optimal_cost
         return early, late, greedy_ratio
 
-    early, late, greedy_ratio = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    early, late, greedy_ratio = kernel()
     assert late < early  # the learning curve descends
     assert greedy_ratio == pytest.approx(1.0, abs=0.5)  # near-optimal final policy

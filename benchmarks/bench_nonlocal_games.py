@@ -15,37 +15,34 @@ from repro.games.magic_square import magic_square_classical_value, magic_square_
 from repro.games.xor_games import random_xor_game, xor_classical_value, xor_quantum_value
 
 
-def test_e5_chsh_classical_bound(benchmark):
-    value, _, _ = benchmark(lambda: optimal_classical_value(chsh_game()))
+def test_e5_chsh_classical_bound():
+    value, _, _ = optimal_classical_value(chsh_game())
     assert value == pytest.approx(0.75)
 
 
-def test_e5_chsh_quantum_value(benchmark):
-    value = benchmark(lambda: quantum_win_probability(chsh_game(), chsh_quantum_strategy()))
+def test_e5_chsh_quantum_value():
+    value = quantum_win_probability(chsh_game(), chsh_quantum_strategy())
     assert value == pytest.approx(math.cos(math.pi / 8) ** 2)  # ~0.8536
     assert value > 0.75
 
 
-def test_e6_ghz_values(benchmark):
+def test_e6_ghz_values():
     def kernel():
         classical, _ = ghz_classical_value()
         return classical, ghz_game_quantum_value()
 
-    classical, quantum = benchmark(kernel)
+    classical, quantum = kernel()
     assert classical == pytest.approx(0.75)
     assert quantum == pytest.approx(1.0)
 
 
-def test_e6_magic_square_extension(benchmark):
-    def kernel():
-        return magic_square_classical_value(), magic_square_quantum_value(rounds_per_pair=2, rng=0)
-
-    classical, quantum = benchmark.pedantic(kernel, rounds=1, iterations=1)
+def test_e6_magic_square_extension():
+    classical, quantum = magic_square_classical_value(), magic_square_quantum_value(rounds_per_pair=2, rng=0)
     assert classical == pytest.approx(8 / 9)
     assert quantum == pytest.approx(1.0)
 
 
-def test_e5_xor_game_sweep(benchmark):
+def test_e5_xor_game_sweep():
     """Random XOR games: quantum >= classical everywhere (Tsirelson)."""
 
     def kernel():
@@ -55,6 +52,6 @@ def test_e5_xor_game_sweep(benchmark):
             gaps.append(xor_quantum_value(game, restarts=6, rng=seed) - xor_classical_value(game))
         return gaps
 
-    gaps = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    gaps = kernel()
     assert all(g >= -1e-6 for g in gaps)
     assert max(gaps) > 0.01  # some games show a strict quantum advantage

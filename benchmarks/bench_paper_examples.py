@@ -18,20 +18,17 @@ from repro.quantum.simulator import StatevectorSimulator
 from repro.quantum.state import Statevector
 
 
-def test_e3_superposition_measurement(benchmark):
+def test_e3_superposition_measurement():
     """Example II.1: equal superposition measures 50/50."""
     sim = StatevectorSimulator()
     qc = QuantumCircuit(1).h(0)
 
-    def kernel():
-        return sim.sample(qc, 4096, rng=7)
-
-    counts = benchmark(kernel)
+    counts = sim.sample(qc, 4096, rng=7)
     p0 = counts["0"] / 4096
     assert p0 == pytest.approx(0.5, abs=0.03)
 
 
-def test_e4_bell_state_correlations(benchmark):
+def test_e4_bell_state_correlations():
     """Example IV.1: both halves of |Phi+> always agree."""
 
     def kernel():
@@ -39,26 +36,23 @@ def test_e4_bell_state_correlations(benchmark):
         outcomes = [bell_state("phi+").measure(rng=rng)[0] for _ in range(64)]
         return outcomes
 
-    outcomes = benchmark(kernel)
+    outcomes = kernel()
     assert all(a == b for a, b in outcomes)
 
 
-def test_e4_teleportation_exact(benchmark):
+def test_e4_teleportation_exact():
     """Fig. 1(c): teleportation via a perfect pair is exact."""
     gen = np.random.default_rng(0)
     msg = Statevector(gen.normal(size=2) + 1j * gen.normal(size=2))
 
-    result = benchmark.pedantic(lambda: teleport(msg, rng=1), rounds=3, iterations=1)
+    result = teleport(msg, rng=1)
     assert result.fidelity == pytest.approx(1.0)
 
 
-def test_e4_repeater_chain_fidelity_decay(benchmark):
+def test_e4_repeater_chain_fidelity_decay():
     """Fig. 1(c): end-to-end fidelity decays geometrically with hops."""
 
-    def kernel():
-        return [chain_fidelity([0.96] * hops) for hops in range(1, 9)]
-
-    fidelities = benchmark(kernel)
+    fidelities = [chain_fidelity([0.96] * hops) for hops in range(1, 9)]
     assert all(a > b for a, b in zip(fidelities, fidelities[1:]))
     # Werner-parameter geometric decay: log-linear within numerical noise.
     ws = [(4 * f - 1) / 3 for f in fidelities]
@@ -66,25 +60,20 @@ def test_e4_repeater_chain_fidelity_decay(benchmark):
     assert np.std(ratios) < 1e-9
 
 
-def test_e4_network_distribution(benchmark):
+def test_e4_network_distribution():
     """Distribution over a 5-node chain with purification to 0.9."""
     net = QuantumNetwork.chain(5, EntanglementLink(success_prob=0.6, base_fidelity=0.95))
 
-    result = benchmark.pedantic(
-        lambda: net.distribute("n0", "n4", rng=5, min_fidelity=0.9), rounds=3, iterations=1
-    )
+    result = net.distribute("n0", "n4", rng=5, min_fidelity=0.9)
     assert result.fidelity >= 0.9
     assert result.swaps == 3
 
 
-def test_e14_universal_cloner_five_sixths(benchmark):
+def test_e14_universal_cloner_five_sixths():
     """No-cloning: the optimal copier reaches exactly 5/6 per copy."""
     gen = np.random.default_rng(5)
     states = [Statevector(gen.normal(size=2) + 1j * gen.normal(size=2)) for _ in range(16)]
     cloner = UniversalCloner()
 
-    def kernel():
-        return [cloner.copy_fidelity(s) for s in states]
-
-    fidelities = benchmark(kernel)
+    fidelities = [cloner.copy_fidelity(s) for s in states]
     assert np.allclose(fidelities, 5.0 / 6.0)

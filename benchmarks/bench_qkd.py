@@ -10,19 +10,19 @@ import pytest
 from repro.qnet.qkd import run_bb84, run_e91
 
 
-def test_e13_bb84_honest(benchmark):
-    result = benchmark.pedantic(lambda: run_bb84(384, eve=False, rng=0), rounds=1, iterations=1)
+def test_e13_bb84_honest():
+    result = run_bb84(384, eve=False, rng=0)
     assert result.qber < 0.05
     assert not result.aborted
     assert len(result.key) > 50
 
 
-def test_e13_bb84_eavesdropper_detected(benchmark):
+def test_e13_bb84_eavesdropper_detected():
     def kernel():
         qbers = [run_bb84(384, eve=True, rng=seed).qber for seed in range(4)]
         return qbers
 
-    qbers = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    qbers = kernel()
     assert np.mean(qbers) == pytest.approx(0.25, abs=0.07)
     # Intercept-resend pushes QBER to ~25%; finite sampling can graze the
     # abort threshold, so require a clear elevation on every session.
@@ -30,7 +30,7 @@ def test_e13_bb84_eavesdropper_detected(benchmark):
     assert sum(1 for q in qbers if q > 0.12) >= 3  # nearly every session aborts
 
 
-def test_e13_bb84_noise_tolerance(benchmark):
+def test_e13_bb84_noise_tolerance():
     """Moderate channel noise passes; Eve's disturbance does not."""
 
     def kernel():
@@ -38,18 +38,18 @@ def test_e13_bb84_noise_tolerance(benchmark):
         attacked = run_bb84(512, eve=True, channel_flip_prob=0.04, rng=6)
         return noisy, attacked
 
-    noisy, attacked = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    noisy, attacked = kernel()
     assert not noisy.aborted
     assert attacked.aborted
 
 
-def test_e13_e91_chsh_witness(benchmark):
+def test_e13_e91_chsh_witness():
     def kernel():
         honest = run_e91(600, eve=False, rng=7)
         attacked = run_e91(600, eve=True, rng=8)
         return honest, attacked
 
-    honest, attacked = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    honest, attacked = kernel()
     assert honest.chsh_value > 2.0
     assert honest.secure
     assert attacked.chsh_value <= 2.1

@@ -13,7 +13,7 @@ from repro.integration import generate_schema_pair, greedy_matching, hungarian_m
 from repro.integration.qubo import matching_quality, matching_similarity_total, similarity_matrix
 
 
-def test_e10_qubo_matches_hungarian_score(benchmark):
+def test_e10_qubo_matches_hungarian_score():
     def kernel():
         gaps = []
         for seed in range(4):
@@ -27,11 +27,11 @@ def test_e10_qubo_matches_hungarian_score(benchmark):
             gaps.append(qubo_score / max(hungarian_score, 1e-9))
         return gaps
 
-    gaps = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    gaps = kernel()
     assert min(gaps) > 0.97
 
 
-def test_e10_noise_sweep(benchmark):
+def test_e10_noise_sweep():
     def kernel():
         f1_by_noise = []
         for rename_prob in (0.0, 0.4, 0.8):
@@ -46,13 +46,13 @@ def test_e10_noise_sweep(benchmark):
             f1_by_noise.append(float(np.mean(scores)))
         return f1_by_noise
 
-    f1_by_noise = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    f1_by_noise = kernel()
     assert f1_by_noise[0] == pytest.approx(1.0)  # clean schemas: perfect
     assert f1_by_noise[-1] <= f1_by_noise[0]  # noise can only hurt
     assert f1_by_noise[-1] > 0.4  # but lexical signals keep it useful
 
 
-def test_e10_hungarian_vs_greedy(benchmark):
+def test_e10_hungarian_vs_greedy():
     def kernel():
         wins = 0
         for seed in range(6):
@@ -64,5 +64,5 @@ def test_e10_hungarian_vs_greedy(benchmark):
                 wins += 1
         return wins
 
-    wins = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    wins = kernel()
     assert wins == 6

@@ -21,7 +21,7 @@ from repro.txn.classical import exhaustive_schedule
 from repro.txn.qubo import assignment_conflicts, assignment_makespan
 
 
-def test_e11_qubo_schedule_quality(benchmark):
+def test_e11_qubo_schedule_quality():
     def kernel():
         results = []
         for seed in range(4):
@@ -33,13 +33,13 @@ def test_e11_qubo_schedule_quality(benchmark):
             results.append((assignment_conflicts(txns, assignment), report.blocking_time))
         return results
 
-    results = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    results = kernel()
     for conflicts, blocking in results:
         assert conflicts == 0
         assert blocking == 0
 
 
-def test_e11_qubo_makespan_optimal(benchmark):
+def test_e11_qubo_makespan_optimal():
     def kernel():
         txns = generate_transactions(4, num_items=5, rng=7)
         adapter = TxnScheduleAdapter(txns)
@@ -47,12 +47,12 @@ def test_e11_qubo_makespan_optimal(benchmark):
         _, best_makespan, _ = exhaustive_schedule(txns, adapter.num_slots)
         return assignment_makespan(txns, assignment), best_makespan, txns, assignment
 
-    makespan, best_makespan, txns, assignment = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    makespan, best_makespan, txns, assignment = kernel()
     assert assignment_conflicts(txns, assignment) == 0
     assert makespan == best_makespan
 
 
-def test_e11_blocking_vs_conflict_density(benchmark):
+def test_e11_blocking_vs_conflict_density():
     """Naive co-scheduling blocks more as conflicts densify; QUBO stays at 0."""
 
     def kernel():
@@ -66,13 +66,13 @@ def test_e11_blocking_vs_conflict_density(benchmark):
             rows.append((num_items, naive_report.blocking_time, qubo_report.blocking_time))
         return rows
 
-    rows = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    rows = kernel()
     naive_blocking = [r[1] for r in rows]
     assert naive_blocking[-1] >= naive_blocking[0]  # denser conflicts block more
     assert all(r[2] == 0 for r in rows)  # QUBO schedules never block
 
 
-def test_e11_grover_scheduler(benchmark):
+def test_e11_grover_scheduler():
     def kernel():
         txns = generate_transactions(4, num_items=6, rng=5)
         find = grover_find_schedule(txns, 4, rng=6)
@@ -80,7 +80,7 @@ def test_e11_grover_scheduler(benchmark):
         _, optimum, checked = exhaustive_schedule(txns, 4)
         return find, best, optimum, checked
 
-    find, best, optimum, checked = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    find, best, optimum, checked = kernel()
     assert find.found
     assert best.makespan == optimum
     assert find.oracle_calls < checked  # beats full enumeration

@@ -1,21 +1,15 @@
-"""Regenerate the paper-vs-measured tables of EXPERIMENTS.md.
+"""Print the paper-vs-measured tables: each experiment's value as the paper
+states it beside the value this reproduction measures.
 
 Run:  python benchmarks/run_all.py
-
-Pass ``--profile`` to run every experiment under cProfile and append a
-per-phase timing table splitting each experiment's wall time into
-formulation (QUBO builders), solving (samplers/backends), and cache/store
-work — the first place to look when a regeneration gets slow.
 """
 
 import argparse
 import math
-import time
 
 import numpy as np
 
 from repro.algorithms.grover import CountingOracle, GroverSearch, classical_search, optimal_iterations
-from repro.annealing.simulated_annealing import SimulatedAnnealingSolver
 from repro.dqdm import GhzAssistedCommit, TwoPhaseCommit
 from repro.games.chsh import chsh_game, chsh_quantum_strategy
 from repro.games.classical import optimal_classical_value
@@ -134,83 +128,28 @@ def e15_commit() -> None:
         ["crash prob", "2PC blocking", "2PC divergence", "GHZ blocking", "GHZ divergence"], rows))
 
 
-#: experiment phases, in regeneration order.
-PHASES = [
-    ("E3 superposition", e3_superposition),
-    ("E4 teleport", e4_teleport),
-    ("E5/E6 games", e5_e6_games),
-    ("E7 grover", e7_grover),
-    ("E8 mqo", e8_mqo),
-    ("E13 qkd", e13_qkd),
-    ("E14 no-cloning", e14_nocloning),
-    ("E15 commit", e15_commit),
-]
-
-#: profile bucket -> source-path markers (matched against profiled frames).
-PROFILE_BUCKETS = [
-    ("formulate", (
-        "repro/qubo/model.py", "repro/qubo/penalty.py", "repro/mqo/qubo.py",
-        "repro/txn/qubo.py", "repro/integration/qubo.py", "repro/joinorder/",
-    )),
-    ("solve", (
-        "repro/annealing/", "repro/qubo/bruteforce", "repro/qubo/tabu",
-        "repro/api/backends.py", "repro/engine/runner.py", "repro/hardware/",
-        "repro/engine/decompose.py",
-    )),
-    ("cache", ("repro/engine/cache.py", "repro/engine/store.py")),
+#: experiments, in print order.
+EXPERIMENTS = [
+    e3_superposition,
+    e4_teleport,
+    e5_e6_games,
+    e7_grover,
+    e8_mqo,
+    e13_qkd,
+    e14_nocloning,
+    e15_commit,
 ]
 
 
-def _bucket_times(stats) -> dict:
-    """Sum own-time (tottime) per profile bucket over a ``pstats.Stats``."""
-    times = {bucket: 0.0 for bucket, _ in PROFILE_BUCKETS}
-    for (filename, _lineno, _name), (_cc, _nc, tottime, _ct, _callers) in stats.stats.items():
-        path = filename.replace("\\", "/")
-        for bucket, markers in PROFILE_BUCKETS:
-            if any(marker in path for marker in markers):
-                times[bucket] += tottime
-                break
-    return times
-
-
-def _run_profiled() -> None:
-    import cProfile
-    import pstats
-
-    rows = []
-    for name, phase in PHASES:
-        profile = cProfile.Profile()
-        t0 = time.perf_counter()
-        profile.runcall(phase)
-        wall = time.perf_counter() - t0
-        times = _bucket_times(pstats.Stats(profile))
-        other = max(0.0, wall - sum(times.values()))
-        rows.append([
-            name, f"{wall:.3f}",
-            *(f"{times[bucket]:.3f}" for bucket, _ in PROFILE_BUCKETS),
-            f"{other:.3f}",
-        ])
-    print()
-    print(format_table(
-        ["phase", "wall s", "formulate s", "solve s", "cache s", "other s"],
-        rows, title="per-phase profile (cProfile own-time by subsystem):"))
-
-
-def main(profile: bool = False) -> None:
-    if profile:
-        _run_profiled()
-    else:
-        for _name, phase in PHASES:
-            phase()
+def main() -> None:
+    for experiment in EXPERIMENTS:
+        experiment()
     print("\n(remaining experiments run inside pytest benchmarks/: E1 table1 matrix,")
     print(" E2 fig2 roadmap, E9/E12 join ordering, E10 schema matching, E11 txn scheduling, E16 qdb ops)")
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Regenerate the EXPERIMENTS.md tables.")
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run each experiment under cProfile and print per-phase "
-             "formulate/solve/cache timings",
-    )
-    main(profile=parser.parse_args().profile)
+    argparse.ArgumentParser(
+        description="Print the paper-vs-measured tables of the experiments."
+    ).parse_args()
+    main()

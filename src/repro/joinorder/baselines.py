@@ -1,22 +1,18 @@
-"""Uniform-result wrappers over classical and quantum join-ordering solvers.
+"""Uniform-result wrappers over the classical join-ordering solvers.
 
-The benchmark harness compares many methods; this module gives them all the
-same ``JoinOrderOutcome`` shape.
+The benchmark harness compares many methods; this module gives the classical
+references the same ``JoinOrderOutcome`` shape.  The QUBO methods run
+through :func:`repro.solve` with ``LeftDeepJoinAdapter`` /
+``BushyJoinAdapter``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.algorithms.qaoa import QAOA
-from repro.annealing.simulated_annealing import SimulatedAnnealingSolver
-from repro.db.cost import CostModel
 from repro.db.dp import dp_optimal_bushy, dp_optimal_leftdeep, greedy_operator_ordering, random_order
-from repro.db.plans import JoinTree, leftdeep_tree_from_order
+from repro.db.plans import JoinTree
 from repro.db.query import JoinGraph
-from repro.joinorder.bushy_qubo import BushyJoinQubo
-from repro.joinorder.leftdeep_qubo import LeftDeepJoinQubo
-from repro.utils.rngtools import ensure_rng
 
 
 @dataclass
@@ -26,7 +22,6 @@ class JoinOrderOutcome:
     method: str
     tree: JoinTree
     cost: float
-    info: dict = field(default_factory=dict)
 
     def ratio_to(self, reference_cost: float) -> float:
         """Cost ratio vs a reference optimum (1.0 = optimal)."""
@@ -51,68 +46,3 @@ def solve_greedy(graph: JoinGraph) -> JoinOrderOutcome:
 def solve_random(graph: JoinGraph, rng=None) -> JoinOrderOutcome:
     tree, cost = random_order(graph, rng=rng)
     return JoinOrderOutcome("random", tree, cost)
-
-
-def solve_leftdeep_annealing(
-    graph: JoinGraph,
-    num_reads: int = 24,
-    num_sweeps: int = 384,
-    rng=None,
-) -> JoinOrderOutcome:
-    """Left-deep permutation QUBO solved with simulated annealing."""
-    rng = ensure_rng(rng)
-    builder = LeftDeepJoinQubo(graph)
-    model = builder.build()
-    samples = SimulatedAnnealingSolver(num_reads=num_reads, num_sweeps=num_sweeps).solve(model, rng=rng)
-    order = builder.decode(model, samples.best.bits)
-    tree = leftdeep_tree_from_order(order)
-    return JoinOrderOutcome(
-        "qubo_leftdeep_sa",
-        tree,
-        CostModel(graph).cost(tree),
-        info={"energy": samples.best.energy, "qubo_vars": model.num_variables},
-    )
-
-
-def solve_leftdeep_qaoa(
-    graph: JoinGraph,
-    num_layers: int = 2,
-    maxiter: int = 120,
-    restarts: int = 2,
-    shots: int = 512,
-    rng=None,
-) -> JoinOrderOutcome:
-    """Left-deep QUBO through QAOA (small queries only: n^2 qubits)."""
-    rng = ensure_rng(rng)
-    builder = LeftDeepJoinQubo(graph)
-    model = builder.build()
-    qaoa = QAOA.from_qubo(model, num_layers=num_layers)
-    result = qaoa.run(maxiter=maxiter, restarts=restarts, shots=shots, rng=rng)
-    order = builder.decode(model, result.best_bits)
-    tree = leftdeep_tree_from_order(order)
-    return JoinOrderOutcome(
-        "qubo_leftdeep_qaoa",
-        tree,
-        CostModel(graph).cost(tree),
-        info={"qubits": qaoa.num_qubits, "expectation": result.expectation},
-    )
-
-
-def solve_bushy_annealing(
-    graph: JoinGraph,
-    num_reads: int = 24,
-    num_sweeps: int = 384,
-    rng=None,
-) -> JoinOrderOutcome:
-    """Bushy edge-sequence QUBO solved with simulated annealing."""
-    rng = ensure_rng(rng)
-    builder = BushyJoinQubo(graph)
-    model = builder.build()
-    samples = SimulatedAnnealingSolver(num_reads=num_reads, num_sweeps=num_sweeps).solve(model, rng=rng)
-    tree = builder.decode(model, samples.best.bits)
-    return JoinOrderOutcome(
-        "qubo_bushy_sa",
-        tree,
-        builder.true_cost(tree),
-        info={"energy": samples.best.energy, "qubo_vars": model.num_variables},
-    )

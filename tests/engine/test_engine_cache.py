@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import obs
 from repro.api import MQOAdapter
 from repro.engine import ResultCache, default_cache, resolve_cache
 from repro.exceptions import ReproError
@@ -198,6 +199,52 @@ class TestBatchCaching:
         cache = ResultCache()
         repro.solve_many([_mqo(1)], backend=backend, seed=3, cache=cache)
         assert len(cache) == 0 and cache.stats["misses"] == 0
+
+
+def _dispatch_counts(run):
+    """``run()``'s results, its ``engine.execute`` ``shards_dispatched`` and
+    its ``engine.solve`` span count — the counters the benchmarks read."""
+    collector = obs.SpanCollector()
+    with obs.activate(collector):
+        results = run()
+    spans = collector.drain()
+    (execute,) = [s for s in spans if s["name"] == "engine.execute"]
+    solves = sum(s["name"] == "engine.solve" for s in spans)
+    return results, execute["attrs"]["shards_dispatched"], solves
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+class TestDispatchCounters:
+    def test_cold_dispatches_every_shard_warm_dispatches_none(self, executor):
+        problems = [_mqo(r) for r in (1, 5, 1, 9)]  # three structure shards
+        cache = ResultCache()
+
+        def run():
+            return repro.solve_many(problems, backend="sa", seed=11, cache=cache,
+                                    executor=executor, **FAST_SA)
+
+        cold, shards, solves = _dispatch_counts(run)
+        assert (shards, solves) == (3, len(problems))
+        warm, shards, solves = _dispatch_counts(run)
+        assert (shards, solves) == (0, 0)
+        assert all(r.cache_hit for r in warm)
+        assert [r.objective for r in warm] == [r.objective for r in cold]
+
+    def test_one_miss_dispatches_its_whole_shard(self, executor):
+        """Shard-atomic hits: a shard with one uncached item re-runs whole,
+        while a fully cached shard beside it is not dispatched."""
+        cache = ResultCache()
+
+        def run(problems):
+            return lambda: repro.solve_many(problems, backend="sa", seed=11, cache=cache,
+                                            executor=executor, **FAST_SA)
+
+        _dispatch_counts(run([_mqo(1), _mqo(5)]))
+        # Positions 0 and 1 keep their seeds, so both items' keys are cached;
+        # the new third item joins position 0's shard.
+        results, shards, solves = _dispatch_counts(run([_mqo(1), _mqo(5), _mqo(1)]))
+        assert [r.cache_hit for r in results] == [False, True, False]
+        assert (shards, solves) == (1, 2)
 
 
 class TestSingleSolveCaching:

@@ -5,23 +5,19 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.annealing.simulated_annealing import SimulatedAnnealingSolver
-from repro.db.cost import CostModel
+from repro import solve
+from repro.api import BushyJoinAdapter, LeftDeepJoinAdapter
 from repro.db.dp import dp_optimal_bushy, dp_optimal_leftdeep
 from repro.db.generator import chain_query, cycle_query, star_query
 from repro.db.plans import leftdeep_tree_from_order
 from repro.exceptions import InfeasibleError
 from repro.joinorder.bushy_qubo import BushyJoinQubo
 from repro.joinorder.leftdeep_qubo import LeftDeepJoinQubo
-from repro.joinorder.baselines import (
-    solve_bushy_annealing,
-    solve_dp_bushy,
-    solve_dp_leftdeep,
-    solve_greedy,
-    solve_leftdeep_annealing,
-    solve_leftdeep_qaoa,
-)
+from repro.joinorder.baselines import solve_dp_bushy, solve_dp_leftdeep, solve_greedy
 from repro.qubo.bruteforce import BruteForceSolver
+
+#: Plain formulate -> sample -> decode: the best SA sample, no classical polish.
+SA_OPTS = dict(backend="sa", num_reads=24, num_sweeps=384, refine=False, top_k=1)
 
 
 class TestLeftDeepQubo:
@@ -69,16 +65,19 @@ class TestLeftDeepQubo:
         # Reference: exact left-deep DP including cross products, since the
         # QUBO search space includes cross-product orders.
         _, ref = dp_optimal_leftdeep(jg, avoid_cross=False)
-        outcome = solve_leftdeep_annealing(jg, rng=0)
-        assert outcome.cost >= ref - 1e-6
-        assert outcome.ratio_to(ref) < 3.0  # log-surrogate may misrank mildly
+        result = solve(LeftDeepJoinAdapter(jg), seed=0, **SA_OPTS)
+        assert result.objective >= ref - 1e-6
+        assert result.objective / ref < 3.0  # log-surrogate may misrank mildly
 
     def test_qaoa_tiny_instance(self):
         jg = chain_query(3, rng=5)
         _, ref = dp_optimal_leftdeep(jg, avoid_cross=False)
-        outcome = solve_leftdeep_qaoa(jg, num_layers=2, maxiter=80, rng=1)
-        assert outcome.tree.num_relations() == 3
-        assert outcome.cost >= ref - 1e-6
+        result = solve(
+            LeftDeepJoinAdapter(jg), backend="qaoa", seed=1, num_layers=2, maxiter=80,
+            restarts=2, shots=512, refine=False, top_k=1,
+        )
+        assert leftdeep_tree_from_order(result.solution).num_relations() == 3
+        assert result.objective >= ref - 1e-6
 
 
 class TestBushyQubo:
@@ -117,10 +116,10 @@ class TestBushyQubo:
         for seed in range(3):
             jg = chain_query(5, rng=seed + 20)
             opt = solve_dp_bushy(jg)
-            outcome = solve_bushy_annealing(jg, rng=seed)
-            assert outcome.tree.relations() == frozenset(jg.relations)
-            assert outcome.ratio_to(opt.cost) < 25.0
-            ratios.append(outcome.ratio_to(opt.cost))
+            result = solve(BushyJoinAdapter(jg), seed=seed, **SA_OPTS)
+            assert result.solution.relations() == frozenset(jg.relations)
+            assert result.objective / opt.cost < 25.0
+            ratios.append(result.objective / opt.cost)
         assert sum(ratios) / len(ratios) < 8.0
 
     def test_cycle_graph_uses_at_most_one(self):
@@ -129,8 +128,8 @@ class TestBushyQubo:
         model = builder.build()
         # 4 edges x 3 steps.
         assert model.num_variables == 12
-        outcome = solve_bushy_annealing(jg, rng=0)
-        assert outcome.tree.relations() == frozenset(jg.relations)
+        result = solve(BushyJoinAdapter(jg), seed=0, **SA_OPTS)
+        assert result.solution.relations() == frozenset(jg.relations)
 
     def test_bushy_beats_leftdeep_somewhere(self):
         """On chains, bushy DP is at least as good as left-deep DP; the QUBO
