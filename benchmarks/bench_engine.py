@@ -216,7 +216,7 @@ def test_store_restart_warm_routing_beats_cold(tmp_path):
             )
         return solve_many(
             problems, backend=candidates, scheduler=scheduler, seed=11,
-            cache=ResultCache(store=store), store=store, **opts,
+            cache=ResultCache(), store=store, **opts,
         )
 
     def warm_run():
@@ -226,7 +226,7 @@ def test_store_restart_warm_routing_beats_cold(tmp_path):
         return solve_many(
             problems, backend=candidates, seed=11,
             scheduler=AdaptiveScheduler(epsilon=0.0, seed=0, store=store),
-            cache=ResultCache(store=store), store=store, **opts,
+            cache=ResultCache(), store=store, **opts,
         )
 
     cold, cold_solves, _ = engine_counts(cold_run)

@@ -85,18 +85,20 @@ def solve(
             (the hybrid loop of Sec. III-C.2).
         top_k: Decode this many lowest-energy samples, keep the best.
         cache: ``None``/``False`` (off), ``True`` (process-global
-            :class:`~repro.engine.cache.ResultCache`), a directory path, or
-            a ``ResultCache``.  Only consulted when the backend is selected
+            :class:`~repro.engine.cache.ResultCache`), or a
+            ``ResultCache``; a path is an error (durable results are
+            ``store=<path>``).  Only consulted when the backend is selected
             by name *and* ``seed`` is an integer (otherwise the result is
             not content-addressable); hits are byte-equivalent to a re-run
             and are flagged in ``info["engine"]["cache_hit"]``.
         store: ``None`` (consult the ``REPRO_STORE`` environment variable),
             ``False`` (off), a path, or an
             :class:`~repro.engine.store.EngineStore` — the durable SQLite
-            tier of ``docs/engine.md``.  Adds a cross-process shared cache
-            layer under ``cache`` (enabling caching if it was off) and
-            records the solve's outcome into the durable scoreboard so
-            routing knowledge survives restarts.
+            tier of ``docs/engine.md``.  For this call, ``cache`` reads and
+            writes through to the store's cross-process result tier (a
+            fresh cache stands in if ``cache`` is off), and the solve's
+            outcome is recorded into the durable scoreboard so routing
+            knowledge survives restarts.
         decompose: Large-instance handling (``docs/engine.md``,
             "Decomposition").  ``None``/``False``: off.  ``True``: if the
             problem's QUBO exceeds the backend's declared
@@ -267,11 +269,10 @@ def solve_many(
             ``**backend_opts`` is portfolio-style — per-backend factory
             dicts keyed by name, e.g. ``sa={"num_reads": 64}``.
         store: Durable store spelling (see :func:`solve`).  Results flow
-            through the store's cross-process cache tier, the batch's
-            telemetry is recorded into the durable scoreboard at the batch
-            boundary, and in scheduled mode the routed shards' structure
-            signatures are prefetched from the store before dispatch (see
-            the "Durable store" section of ``docs/engine.md``).
+            through the store's cross-process cache tier, read per key on
+            a memory miss, and the batch's telemetry is recorded into the
+            durable scoreboard at the batch boundary (see the "Durable
+            store" section of ``docs/engine.md``).
         seeds: Explicit per-item child seeds (one integer per problem),
             overriding the batch split from ``seed``.  Combined with
             ``max_shard_size=1``, each item becomes its own shard leader

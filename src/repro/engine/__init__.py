@@ -63,7 +63,6 @@ from repro.engine.store import (
     SharedCacheTier,
     engine_store,
     resolve_store,
-    store_bound_cache,
 )
 
 __all__ = [
@@ -99,5 +98,4 @@ __all__ = [
     "SharedCacheTier",
     "engine_store",
     "resolve_store",
-    "store_bound_cache",
 ]

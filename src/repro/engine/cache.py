@@ -7,18 +7,15 @@ fingerprint is a canonical content hash (see
 stream, a hit is byte-equivalent to re-running the solve — which is what
 lets the engine skip dispatch entirely on repeated workloads.
 
-Three storage tiers:
-
-* an in-memory LRU of pickled blobs (pickling on ``put`` / unpickling on
-  ``get`` gives every caller an independent copy, so mutating a returned
-  result can never corrupt the cache);
-* an optional on-disk store (one file per key under ``directory``) so
-  worker *processes* and later sessions share hits;
-* an optional durable shared tier (a
-  :class:`~repro.engine.store.SharedCacheTier` via ``store=``) — a
-  SQLite-backed cross-process layer with LRU-by-last-access eviction
-  under a byte budget and a structure-signature index that
-  :meth:`ResultCache.prefetch` warms the memory LRU from.
+The cache itself is one in-memory LRU of pickled blobs (pickling on
+``put`` / unpickling on ``get`` gives every caller an independent copy, so
+mutating a returned result can never corrupt the cache).  Results shared
+across processes and sessions live in one durable tier below it: an
+:class:`~repro.engine.store.EngineStore`'s SQLite
+:class:`~repro.engine.store.SharedCacheTier`, passed per call as
+``tier=`` and never attached to the cache, so a shared cache (e.g. the
+process-global ``cache=True``) cannot keep writing to a store a caller
+stopped passing.
 
 Cache hits must not perturb the RNG stream of neighbouring batch items.
 The engine guarantees this structurally: per-item child seeds are derived
@@ -31,13 +28,14 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 import threading
 from collections import OrderedDict
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.exceptions import ReproError
-from repro.obs import trace as obs
+
+if TYPE_CHECKING:  # pragma: no cover - type-only
+    from repro.engine.store import SharedCacheTier
 
 
 def make_cache_key(fingerprint: str, backend_key: str, opts_key: str, seed: int) -> str:
@@ -47,186 +45,93 @@ def make_cache_key(fingerprint: str, backend_key: str, opts_key: str, seed: int)
 
 
 class ResultCache:
-    """LRU result store, optionally backed by an on-disk directory.
+    """In-memory LRU result store over an optional per-call durable tier.
 
     Args:
         maxsize: In-memory entry cap; least-recently-used entries are
-            evicted first.  Disk entries are never evicted by this cap.
-        directory: Optional path for the cross-process tier.  Created on
-            first ``put``.  Safe for concurrent writers: files are written
-            to a temp name then atomically renamed.
-        store: Optional durable shared tier — a
-            :class:`~repro.engine.store.SharedCacheTier` or the
-            :class:`~repro.engine.store.EngineStore` that owns one.
-            Consulted after memory and directory miss; every ``put``
-            writes through with the entry's structure signature so
-            :meth:`prefetch` can warm by shard.
+            evicted first.  The durable tier has its own byte budget.
     """
 
-    def __init__(
-        self,
-        maxsize: int = 1024,
-        directory: "str | os.PathLike | None" = None,
-        store=None,
-    ):
+    def __init__(self, maxsize: int = 1024):
         if maxsize < 1:
             raise ReproError("ResultCache maxsize must be >= 1")
         self.maxsize = maxsize
-        self.directory = Path(directory) if directory is not None else None
-        if isinstance(store, (str, os.PathLike)):
-            from repro.engine.store import engine_store  # circular at module level
-
-            store = engine_store(store)
-        # Accept an EngineStore for convenience; hold its cache facet.
-        self.store = getattr(store, "cache", store)
-        if self.store is not None and not hasattr(self.store, "get"):
-            raise ReproError(
-                "ResultCache store must be an EngineStore, a SharedCacheTier, or a "
-                f"path; got {type(store).__name__}"
-            )
         self._entries: "OrderedDict[str, bytes]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.store_hits = 0
-        self._store_borrows = 0  # managed by repro.engine.store.store_bound_cache
 
     # -- core protocol ---------------------------------------------------------
 
-    def get(self, key: str):
+    def get(self, key: str, tier: "SharedCacheTier | None" = None):
         """Return a fresh copy of the cached result, or ``None`` on a miss."""
-        return self.lookup(key)[0]
+        return self.lookup(key, tier)[0]
 
-    def lookup(self, key: str) -> "tuple[object | None, str | None]":
+    def lookup(
+        self, key: str, tier: "SharedCacheTier | None" = None
+    ) -> "tuple[object | None, str | None]":
         """Like :meth:`get`, but also report which tier served the hit.
 
-        Returns ``(value, tier)`` with ``tier`` one of ``"memory"``,
-        ``"disk"``, ``"store"``, or ``None`` on a miss — the feed for
+        Reads memory, then ``tier`` (a
+        :class:`~repro.engine.store.SharedCacheTier`); a tier hit is
+        promoted into memory.  Returns ``(value, label)`` with ``label`` one
+        of ``"memory"``, ``"store"``, or ``None`` on a miss — the feed for
         ``cache.lookup`` trace spans and tiered cache telemetry.
 
-        A lower-tier entry that fails to unpickle (torn by a crash
-        mid-write of a pre-atomic cache version, truncated by a full disk,
-        or corrupted externally) is treated as a miss and evicted from
-        every tier — a damaged entry must never surface as a result, and
-        dropping it lets the next ``put`` heal the cache.
+        A blob that fails to unpickle (truncated by a full disk or corrupted
+        externally) is treated as a miss and evicted from memory and the
+        tier — a damaged entry must never surface as a result, and dropping
+        it lets the next ``put`` heal the cache.
         """
-        tier = None
+        label = None
         with self._lock:
             blob = self._entries.get(key)
             if blob is not None:
                 self._entries.move_to_end(key)
-                tier = "memory"
-        if blob is None and self.directory is not None:
-            path = self._path(key)
-            try:
-                blob = path.read_bytes()
-            except OSError:
-                blob = None
+                label = "memory"
+        if blob is None and tier is not None:
+            blob = tier.get(key)
             if blob is not None:
-                tier = "disk"
-        if blob is None and self.store is not None:
-            blob = self.store.get(key)
-            if blob is not None:
-                tier = "store"
+                label = "store"
         if blob is not None:
             try:
                 value = pickle.loads(blob)
             except Exception:
-                self._evict_corrupt(key)
-                blob = None
-                tier = None
-        if blob is not None and tier in ("disk", "store"):
-            with self._lock:
-                self._store_memory(key, blob)
+                with self._lock:
+                    self._entries.pop(key, None)
+                if tier is not None:
+                    tier.evict(key)
+                blob = label = None
         with self._lock:
             if blob is None:
                 self.misses += 1
                 return None, None
             self.hits += 1
-            if tier == "store":
+            if label == "store":
                 self.store_hits += 1
-        return value, tier
+                self._store_memory(key, blob)
+        return value, label
 
-    def put(self, key: str, result, signature: "str | None" = None) -> None:
-        """Store ``result`` under ``key`` (overwrites an existing entry).
-
-        The disk tier is written crash- and race-safely: the blob goes to a
-        uniquely named temp file in the same directory (``mkstemp``, so
-        concurrent writers — even threads sharing one PID — never collide),
-        is flushed and fsynced, and only then atomically renamed over the
-        final path.  Readers therefore see either the old complete entry or
-        the new complete entry, never a torn one; a crash mid-write leaves
-        at most a stray ``*.tmp`` file that no reader ever looks at.
-
-        ``signature`` (the producing shard's structure signature) is
-        recorded by the durable shared tier so :meth:`prefetch` can warm
-        the memory LRU by structure; the other tiers ignore it.
-        """
+    def put(self, key: str, result, tier: "SharedCacheTier | None" = None) -> None:
+        """Store ``result`` under ``key`` (overwrites an existing entry),
+        writing through to ``tier`` when given."""
         blob = pickle.dumps(result)
         with self._lock:
             self._store_memory(key, blob)
-        if self.store is not None:
-            self.store.put(key, blob, signature=signature)
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            path = self._path(key)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.directory, prefix=f".{key[:16]}-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_name, path)
-            except BaseException:
-                # Never leave a visible half-written entry: the final path is
-                # untouched until os.replace, so only the temp needs cleanup.
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-
-    def prefetch(self, signature: str) -> int:
-        """Warm the memory LRU with every stored entry for one structure.
-
-        The scheduler calls this the moment it routes a shard: any result
-        a sibling process already solved for this structure signature is
-        pulled out of the durable tier *before* dispatch, so the batch's
-        cache lookups hit memory instead of SQLite.  Returns the number of
-        entries warmed; a no-op (0) without a durable tier.  Prefetched
-        entries do not touch the hit/miss counters — they are staging, not
-        lookups.
-        """
-        if self.store is None or signature is None:
-            return 0
-        with obs.span("store.prefetch", signature=signature) as prefetch_span:
-            entries = self.store.entries_for(signature)
-            with self._lock:
-                for key, blob in entries:
-                    self._store_memory(key, blob)
-            prefetch_span.set(warmed=len(entries))
-        return len(entries)
+        if tier is not None:
+            tier.put(key, blob)
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            if key in self._entries:
-                return True
-        if self.directory is not None and self._path(key).exists():
-            return True
-        return self.store is not None and key in self.store
+            return key in self._entries
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every in-memory entry and reset hit/miss counters.
-
-        Disk entries are left in place (they may be shared with other
-        processes); delete the directory to purge them.
-        """
+        """Drop every in-memory entry and reset hit/miss counters."""
         with self._lock:
             self._entries.clear()
             self.hits = 0
@@ -256,24 +161,8 @@ class ResultCache:
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
 
-    def _evict_corrupt(self, key: str) -> None:
-        """Drop a damaged entry from every tier (best-effort off-memory)."""
-        with self._lock:
-            self._entries.pop(key, None)
-        if self.directory is not None:
-            try:
-                os.unlink(self._path(key))
-            except OSError:
-                pass
-        if self.store is not None:
-            self.store.evict(key)
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.pkl"
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        tier = f", dir={str(self.directory)!r}" if self.directory else ""
-        return f"ResultCache({len(self)} entries, hits={self.hits}, misses={self.misses}{tier})"
+        return f"ResultCache({len(self)} entries, hits={self.hits}, misses={self.misses})"
 
 
 #: Process-wide cache used when callers pass ``cache=True``.
@@ -294,8 +183,9 @@ def resolve_cache(spec) -> "ResultCache | None":
     """Normalise every accepted ``cache=`` spelling to a cache (or ``None``).
 
     ``None`` / ``False`` disable caching, ``True`` selects the process-global
-    default, a path string / ``PathLike`` builds a disk-backed cache there,
-    and a ready :class:`ResultCache` passes through.
+    default, and a ready :class:`ResultCache` passes through.  A path is an
+    error: durable results live in an
+    :class:`~repro.engine.store.EngineStore`, spelled ``store=<path>``.
     """
     if spec is None or spec is False:
         return None
@@ -304,7 +194,10 @@ def resolve_cache(spec) -> "ResultCache | None":
     if isinstance(spec, ResultCache):
         return spec
     if isinstance(spec, (str, os.PathLike)):
-        return ResultCache(directory=spec)
+        raise ReproError(
+            f"cache={str(spec)!r}: a path is not a cache spelling; durable results "
+            "live in an EngineStore, pass store=<path> (with cache=True or False)"
+        )
     raise ReproError(
-        f"cache must be None/False, True, a path, or a ResultCache; got {type(spec).__name__}"
+        f"cache must be None/False, True, or a ResultCache; got {type(spec).__name__}"
     )

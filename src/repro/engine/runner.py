@@ -49,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.api.problem import Problem
     from repro.api.result import SolveResult
     from repro.engine.scheduler import AdaptiveScheduler
+    from repro.engine.store import SharedCacheTier
 
 
 def solve_one(problem: Problem, backend: Backend, rng, refine: bool, top_k: int) -> SolveResult:
@@ -175,8 +176,8 @@ def _engine_info(result, shard_id: int, shard: Shard, pos: int, executor: str,
 
 
 def _shard_tier(tiers: list) -> "str | None":
-    """The slowest tier a shard-atomic hit touched (store > disk > memory)."""
-    for tier in ("store", "disk", "memory"):
+    """The slowest tier a shard-atomic hit touched (store > memory)."""
+    for tier in ("store", "memory"):
         if tier in tiers:
             return tier
     return None
@@ -243,7 +244,8 @@ def _execute_shard(payload: dict) -> dict:
 def execute_plan(
     plan: ExecutionPlan,
     executor: str = "serial",
-    cache: "ResultCache | bool | str | None" = None,
+    cache: "ResultCache | bool | None" = None,
+    tier: "SharedCacheTier | None" = None,
 ) -> list[SolveResult]:
     """Run a compiled plan as **one** dispatch wave; results in batch order.
 
@@ -257,24 +259,26 @@ def execute_plan(
     result's ``info["engine"]`` records shard, position, structure
     signature, executor, seed, truncated fingerprint, and whether it was
     served from cache — plus, for a routed shard, the scheduler's decision
-    under ``"scheduler"``.
+    under ``"scheduler"``.  ``tier`` (an
+    :class:`~repro.engine.store.SharedCacheTier`) is the durable tier the
+    cache reads through and writes to for this call only.
     """
     runner = get_executor(executor)
-    store = resolve_cache(cache)
+    cache = resolve_cache(cache)
     if not plan.cacheable:
-        store = None  # instance-backed plans carry opaque state; never cache
+        cache = None  # instance-backed plans carry opaque state; never cache
     with obs.span("engine.execute", executor=runner.name) as exec_span:
         results: list = [None] * len(plan.items)
         dispatched: list[tuple[int, float]] = []  # (shard id, cache-probe seconds)
         payloads: list = []
         for shard_id, shard in enumerate(plan.shards):
             looked, probe_s = None, 0.0
-            if store is not None:
+            if cache is not None:
                 with obs.span(
                     "cache.lookup", shard=shard_id, items=len(shard.items)
                 ) as cache_span:
                     probe_t0 = time.perf_counter()
-                    looked = [store.lookup(item.cache_key) for item in shard.items]
+                    looked = [cache.lookup(item.cache_key, tier) for item in shard.items]
                     probe_s = time.perf_counter() - probe_t0
                     if not all(value is not None for value, _ in looked):
                         looked = None
@@ -286,8 +290,8 @@ def execute_plan(
                 dispatched.append((shard_id, probe_s))
                 payloads.append(_shard_payload(plan, shard_id, runner.name))
                 continue
-            for pos, (item, (result, tier)) in enumerate(zip(shard.items, looked)):
-                _engine_info(result, shard_id, shard, pos, runner.name, probe_s, tier)
+            for pos, (item, (result, label)) in enumerate(zip(shard.items, looked)):
+                _engine_info(result, shard_id, shard, pos, runner.name, probe_s, label)
                 if cache_span.span_id is not None:
                     result.info["trace"] = {
                         "trace_id": cache_span.trace_id,
@@ -304,11 +308,11 @@ def execute_plan(
                 _engine_info(result, shard_id, shard, pos, runner.name, probe_s)
                 results[shard.items[pos].index] = result
 
-        if store is not None:
+        if cache is not None:
             for item in plan.items:
                 result = results[item.index]
                 if not result.info["engine"]["cache_hit"]:
-                    store.put(item.cache_key, result, signature=plan.shards[item.shard].signature)
+                    cache.put(item.cache_key, result, tier)
         # Routing is stamped after the cache fill: a stored entry must not
         # carry the decision of the batch that happened to write it.
         for shard in plan.shards:
@@ -326,7 +330,7 @@ def solve_batch(
     refine: bool = True,
     top_k: int = 8,
     executor: str = "serial",
-    cache: "ResultCache | bool | str | None" = None,
+    cache: "ResultCache | bool | None" = None,
     max_shard_size: "int | None" = None,
     backend_opts: "dict | None" = None,
     store=None,
@@ -351,13 +355,13 @@ def solve_batch(
 
     With a durable ``store`` (a path, an
     :class:`~repro.engine.store.EngineStore`, or ``None`` + ``REPRO_STORE``),
-    results flow through the store's shared cache tier and the batch's
-    telemetry is recorded into the durable scoreboard at the batch
-    boundary, exactly once: directly when unscheduled (so even plain
-    batches feed the routing knowledge a later scheduler hydrates), else
-    through the scheduler's scoreboard, which is bound to the store
-    (hydrating any pairs it lacks) and whose routed structures are
-    prefetched from the shared tier before dispatch.  An explicit
+    results flow through the store's shared cache tier (under a fresh
+    memory cache when ``cache`` is off: a store is an explicit request for
+    result reuse) and the batch's telemetry is recorded into the durable
+    scoreboard at the batch boundary, exactly once: directly when
+    unscheduled (so even plain batches feed the routing knowledge a later
+    scheduler hydrates), else through the scheduler's scoreboard, which is
+    bound to the store (hydrating any pairs it lacks).  An explicit
     ``store=False`` keeps a scheduled call out of a store-bound
     scoreboard's durable log (the live statistics still learn).
 
@@ -367,7 +371,7 @@ def solve_batch(
     without affecting sharding, seeding, or cache keys.
     """
     from repro.api.backends import Backend
-    from repro.engine.store import record_best_effort, resolve_store, store_bound_cache
+    from repro.engine.store import record_best_effort, resolve_store
 
     durable_off = store is False
     durable = resolve_store(store)
@@ -397,14 +401,12 @@ def solve_batch(
         plan_span.set(items=len(plan.items), shards=len(plan.shards))
     if scheduler is not None:
         scheduler.route(plan, names, opts_map)
-    with store_bound_cache(cache, durable) as bound:
-        if scheduler is not None and bound is not None and bound.store is not None:
-            # Scheduler-aware prefetch: routing just named the structures
-            # this batch will touch, so results a sibling process already
-            # stored for them are warmed into the memory LRU first.
-            for signature in dict.fromkeys(shard.signature for shard in plan.shards):
-                bound.prefetch(signature)
-        results = execute_plan(plan, executor=executor, cache=bound)
+    cache = resolve_cache(cache)
+    tier = None
+    if durable is not None:
+        tier = durable.cache
+        cache = cache if cache is not None else ResultCache()
+    results = execute_plan(plan, executor=executor, cache=cache, tier=tier)
     if scheduler is None:
         if durable is not None:
             record_best_effort(

@@ -41,6 +41,11 @@ from repro.obs import trace as obs
 if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.api.result import SolveResult
 
+#: EWMA smoothing of scoreboard statistics: the default of both the live
+#: :class:`BackendScoreboard` and direct durable-store recording, so the two
+#: produce the same arithmetic.
+DEFAULT_ALPHA = 0.25
+
 
 def expected_service_time(
     snapshot: "dict[str, dict]",
@@ -184,7 +189,7 @@ class BackendScoreboard:
     instance that produced it.
     """
 
-    def __init__(self, alpha: float = 0.25, store=None):
+    def __init__(self, alpha: float = DEFAULT_ALPHA, store=None):
         if not 0.0 < alpha <= 1.0:
             raise ReproError("scoreboard alpha must be in (0, 1]")
         self.alpha = alpha
@@ -411,7 +416,7 @@ class AdaptiveScheduler:
         seed: int = 0,
         deadline_s: "float | None" = None,
         race_top_k: int = 2,
-        alpha: float = 0.25,
+        alpha: float = DEFAULT_ALPHA,
         quality_tol: float = 1e-9,
         store=None,
     ):

@@ -23,11 +23,10 @@ module makes that knowledge durable:
   to the interleaved history.
 * :class:`SharedCacheTier` — a cross-process result tier that slots under
   :class:`~repro.engine.cache.ResultCache` with the same
-  ``(fingerprint, backend, opts, seed, shard-prefix)`` keying.  Upserts
-  are atomic (one ``INSERT OR REPLACE`` per entry), eviction is
-  LRU-by-last-access under a byte budget, and entries are indexed by
-  structure signature so the scheduler can prefetch a shard's stored
-  results into the in-memory LRU the moment it routes the shard.
+  ``(fingerprint, backend, opts, seed, shard-prefix)`` keying, read
+  through per key on a memory miss.  Upserts are atomic (one ``INSERT OR
+  REPLACE`` per entry) and eviction is LRU-by-last-access under a byte
+  budget.
 
 ``resolve_store`` accepts the same spelling family as ``resolve_cache``:
 ``None`` consults the ``REPRO_STORE`` environment variable, ``False``
@@ -46,17 +45,16 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.engine.cache import ResultCache, resolve_cache
+from repro.engine.scheduler import (
+    DEFAULT_ALPHA,
+    BackendStats,
+    apply_observation,
+    result_observation,
+)
 from repro.exceptions import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.api.result import SolveResult
-    from repro.engine.scheduler import BackendStats
-
-#: EWMA smoothing used when recording observations without a scoreboard
-#: (mirrors the ``BackendScoreboard`` default so direct and scheduled
-#: recording produce the same arithmetic).
-DEFAULT_ALPHA = 0.25
 
 #: Default byte budget for the shared cache tier (LRU-by-last-access).
 DEFAULT_CACHE_BUDGET = 256 * 1024 * 1024
@@ -84,11 +82,9 @@ CREATE TABLE IF NOT EXISTS scoreboard (
 CREATE TABLE IF NOT EXISTS results (
     key        TEXT    PRIMARY KEY,
     blob       BLOB    NOT NULL,
-    signature  TEXT,
     nbytes     INTEGER NOT NULL,
     access_seq INTEGER NOT NULL
 );
-CREATE INDEX IF NOT EXISTS results_by_signature ON results(signature);
 CREATE INDEX IF NOT EXISTS results_by_access ON results(access_seq);
 """
 
@@ -164,24 +160,15 @@ class EngineStore:
     Args:
         path: The database file; parent directories are created.
         cache_budget_bytes: LRU eviction threshold for the result tier.
-        alpha: EWMA smoothing for observations recorded without a
-            scoreboard (scoreboard-driven recording uses the scoreboard's
-            own alpha).
     """
 
     def __init__(
-        self,
-        path: "str | os.PathLike",
-        cache_budget_bytes: int = DEFAULT_CACHE_BUDGET,
-        alpha: float = DEFAULT_ALPHA,
+        self, path: "str | os.PathLike", cache_budget_bytes: int = DEFAULT_CACHE_BUDGET
     ):
         if cache_budget_bytes < 1:
             raise ReproError("EngineStore cache_budget_bytes must be >= 1")
-        if not 0.0 < alpha <= 1.0:
-            raise ReproError("EngineStore alpha must be in (0, 1]")
         self.path = Path(path)
         self.cache_budget_bytes = int(cache_budget_bytes)
-        self.alpha = alpha
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self._connection() as conn:
             conn.executescript(_SCHEMA)
@@ -264,19 +251,16 @@ class ScoreboardStore:
 
     # -- writing ---------------------------------------------------------------
 
-    def record(self, observations: Iterable[tuple], alpha: "float | None" = None) -> int:
+    def record(self, observations: Iterable[tuple], alpha: float = DEFAULT_ALPHA) -> int:
         """Replay ``observations`` into the stored rows; returns the count.
 
         One transaction: concurrent recorders serialise on the SQLite write
         lock, so two processes flushing at once interleave whole batches
         and every observation lands exactly once.
         """
-        from repro.engine.scheduler import BackendStats, apply_observation
-
         observations = list(observations)
         if not observations:
             return 0
-        alpha = self._store.alpha if alpha is None else alpha
         with self._store._connection() as conn:
             conn.execute("BEGIN IMMEDIATE")
             loaded: "dict[tuple[str, str], BackendStats]" = {}
@@ -320,8 +304,6 @@ class ScoreboardStore:
 
     def record_results(self, results: Sequence["SolveResult"]) -> int:
         """Record engine-executed results from their ``info["engine"]`` blocks."""
-        from repro.engine.scheduler import result_observation
-
         return self.record([result_observation(r) for r in results if r is not None])
 
     def record_portfolio(self, result: "SolveResult", signature: "str | None" = None) -> int:
@@ -351,8 +333,6 @@ class ScoreboardStore:
 
 
 def _row_to_stats(row) -> "BackendStats":
-    from repro.engine.scheduler import BackendStats
-
     count, quality, latency, best, cache_hits, timeouts, errors = row
     return BackendStats(
         count=count,
@@ -371,9 +351,9 @@ def _row_to_stats(row) -> "BackendStats":
 class SharedCacheTier:
     """Cross-process content-addressed result blobs under a byte budget.
 
-    Slots beneath :class:`~repro.engine.cache.ResultCache` (its ``store=``
-    argument): the cache consults this tier after its memory and directory
-    tiers miss, and writes every ``put`` through.  Keys are the cache's own
+    Slots beneath :class:`~repro.engine.cache.ResultCache`, passed per call
+    as its ``tier=`` argument: the cache consults this tier after its memory
+    LRU misses, and writes every ``put`` through.  Keys are the cache's own
     ``(fingerprint, backend, opts, seed, shard-prefix)`` digests, so an
     entry written by any process is a sound hit for every other.
 
@@ -383,9 +363,6 @@ class SharedCacheTier:
       increasing access sequence; when the tier exceeds the store's byte
       budget the stalest entries are deleted first (never the one just
       written, so a single oversized entry cannot thrash the tier empty).
-    * **signature index** — entries remember the structure signature of the
-      shard that produced them, which is what scheduler-aware prefetch
-      (:meth:`ResultCache.prefetch`) queries by.
     """
 
     def __init__(self, store: EngineStore):
@@ -409,14 +386,14 @@ class SharedCacheTier:
             )
             return row[0]
 
-    def put(self, key: str, blob: bytes, signature: "str | None" = None) -> None:
+    def put(self, key: str, blob: bytes) -> None:
         """Atomically upsert one entry, then evict LRU past the byte budget."""
         with self._store._connection() as conn:
             conn.execute("BEGIN IMMEDIATE")
             conn.execute(
-                "INSERT OR REPLACE INTO results (key, blob, signature, nbytes, access_seq) "
-                "VALUES (?, ?, ?, ?, ?)",
-                (key, blob, signature, len(blob), self._next_seq(conn)),
+                "INSERT OR REPLACE INTO results (key, blob, nbytes, access_seq) "
+                "VALUES (?, ?, ?, ?)",
+                (key, blob, len(blob), self._next_seq(conn)),
             )
             self._evict_over_budget(conn, keep=key)
 
@@ -424,27 +401,6 @@ class SharedCacheTier:
         """Drop one entry (e.g. a blob that failed to unpickle)."""
         with self._store._connection() as conn:
             conn.execute("DELETE FROM results WHERE key=?", (key,))
-
-    def entries_for(self, signature: str) -> "list[tuple[str, bytes]]":
-        """All ``(key, blob)`` pairs stored for one structure signature.
-
-        A prefetch counts as an access: the whole signature group gets one
-        fresh LRU stamp (a single-statement write; nothing on an empty
-        group), so entries a scheduler keeps routing to are never the
-        eviction victims.
-        """
-        with self._store._connection() as conn:
-            rows = conn.execute(
-                "SELECT key, blob FROM results WHERE signature=? ORDER BY key", (signature,)
-            ).fetchall()
-            if rows:
-                conn.execute(
-                    "UPDATE results SET access_seq="
-                    "(SELECT COALESCE(MAX(access_seq), 0) + 1 FROM results) "
-                    "WHERE signature=?",
-                    (signature,),
-                )
-        return [(row[0], row[1]) for row in rows]
 
     def __contains__(self, key: str) -> bool:
         with self._store._connection() as conn:
@@ -493,13 +449,13 @@ _OPEN_STORES: "dict[Path, EngineStore]" = {}
 _OPEN_LOCK = threading.Lock()
 
 
-def engine_store(path: "str | os.PathLike", **kwargs) -> EngineStore:
+def engine_store(path: "str | os.PathLike") -> EngineStore:
     """The memoised :class:`EngineStore` for ``path`` (created on first use)."""
     resolved = Path(path).expanduser().resolve()
     with _OPEN_LOCK:
         found = _OPEN_STORES.get(resolved)
         if found is None:
-            found = EngineStore(resolved, **kwargs)
+            found = EngineStore(resolved)
             _OPEN_STORES[resolved] = found
         return found
 
@@ -526,52 +482,3 @@ def resolve_store(spec) -> "EngineStore | None":
     raise ReproError(
         f"store must be None/False, a path, or an EngineStore; got {type(spec).__name__}"
     )
-
-
-@contextlib.contextmanager
-def store_bound_cache(cache, store: "EngineStore | None"):
-    """Resolve ``cache=`` with the store's shared tier attached *for the call*.
-
-    With no store this is plain :func:`~repro.engine.cache.resolve_cache`.
-    With a store, a disabled cache becomes a fresh store-backed
-    :class:`ResultCache` (a durable store is an explicit request for result
-    reuse); an enabled cache without a tier borrows the store's tier for
-    the duration of the block and is detached on exit — a caller's (or the
-    process-global) cache must not keep writing to a store the caller
-    stopped passing.  Entries promoted into the cache's memory tier during
-    the block stay (they are sound content-addressed results).  A cache
-    *constructed* around a different store is an error — silently rebinding
-    would serve one store's entries under the other's budget and stats.
-    """
-    resolved = resolve_cache(cache)
-    if store is None:
-        yield resolved
-        return
-    if resolved is None:
-        yield ResultCache(store=store.cache)
-        return
-    # Borrows are reference-counted under the cache's own lock: concurrent
-    # calls sharing one cache (e.g. the process-global ``cache=True``) and
-    # the same store each hold the tier until the *last* borrower exits —
-    # the first finisher must not detach it out from under the others.
-    with resolved._lock:
-        if resolved.store is not None:
-            if resolved.store._store.path.resolve() != store.path.resolve():
-                raise ReproError("cache is already bound to a different EngineStore")
-            borrowed = resolved._store_borrows > 0
-            if borrowed:
-                resolved._store_borrows += 1
-        else:
-            resolved.store = store.cache
-            resolved._store_borrows = 1
-            borrowed = True
-    if not borrowed:  # permanently bound at construction: nothing to manage
-        yield resolved
-        return
-    try:
-        yield resolved
-    finally:
-        with resolved._lock:
-            resolved._store_borrows -= 1
-            if resolved._store_borrows == 0:
-                resolved.store = None

@@ -314,7 +314,7 @@ def request_slice(spans: "list[dict]", span_id: "str | None") -> list[dict]:
     * spans under the same root that are scoped to the *same shard*
       (``engine.shard`` ancestry or a matching ``shard`` attribute:
       cache lookups, route decisions);
-    * unsharded same-root spans (plan compile, store prefetch/checkpoint)
+    * unsharded same-root spans (plan compile, store checkpoint)
       — shared work every request in the call paid for.
 
     Spans of sibling requests' shards are excluded.  Returns ``[]`` when

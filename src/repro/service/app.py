@@ -75,15 +75,7 @@ class SolverService:
         # -- long-lived engine state ----------------------------------------
         store_spec = False if self.config.store == "" else self.config.store
         self.store = resolve_store(store_spec)
-        cache_spec = self.config.cache
-        if cache_spec is True:
-            self.cache = ResultCache()
-        elif cache_spec in (False, None):
-            self.cache = None
-        elif isinstance(cache_spec, str):
-            self.cache = ResultCache(directory=cache_spec)
-        else:
-            raise ReproError("service cache must be true/false or a directory path")
+        self.cache = ResultCache() if self.config.cache else None
         self.scoreboard = BackendScoreboard(store=self.store)
         # Every wave routes through a scheduler over the one scoreboard (a
         # one-name fleet routes trivially), so each solve is observed once

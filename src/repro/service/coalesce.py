@@ -1,9 +1,9 @@
 """The coalescing request queue: single submits -> ``solve_many`` waves.
 
 The engine's amortisation — sharded dispatch, content-addressed caching,
-scoreboard routing, store prefetch — only pays when work arrives in
-batches, but interactive clients submit one problem at a time.  This queue
-is the adapter between the two: concurrent submissions accumulate, and the
+scoreboard routing — only pays when work arrives in batches, but
+interactive clients submit one problem at a time.  This queue is the
+adapter between the two: concurrent submissions accumulate, and the
 dispatcher collects them into **waves** under a two-trigger policy:
 
 * **window** — the first pending submission opens a window of

@@ -28,7 +28,7 @@ TOML layout (every table and key optional)::
     executor = "threads"
     refine = true
     top_k = 8
-    cache = true                        # true | false | "/path/to/dir"
+    cache = true                        # in-memory result cache (durable: store)
     store = "/var/lib/repro/engine.db"  # omit to consult REPRO_STORE
     epsilon = 0.1
     scheduler_seed = 0
@@ -60,7 +60,7 @@ try:
 except ImportError:  # pragma: no cover - Python 3.10: env/kwargs config only
     tomllib = None
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Mapping
 
 from repro.exceptions import ReproError
 from repro.service.admission import DEFAULT_LANE_WEIGHTS, PRIORITIES, TenantBudget
@@ -144,8 +144,9 @@ class ServiceConfig:
         backend_opts: Per-backend factory options keyed by registry name.
         executor: Engine executor for wave dispatch (``threads`` default;
             any :func:`~repro.engine.executors.list_executors` entry).
-        cache: ``True`` (service-owned in-memory cache), ``False``, or a
-            directory path for the disk tier.
+        cache: ``True`` (service-owned in-memory cache) or ``False``.
+            Results shared across restarts and processes live in
+            ``store``.
         store: Durable :class:`~repro.engine.store.EngineStore` path.
             ``None`` consults ``REPRO_STORE`` (the engine convention);
             ``""`` forces the store off.
@@ -186,7 +187,7 @@ class ServiceConfig:
     executor: str = "threads"
     refine: bool = True
     top_k: int = 8
-    cache: Any = True
+    cache: bool = True
     store: "str | None" = None
     epsilon: float = 0.1
     scheduler_seed: int = 0
@@ -232,6 +233,11 @@ class ServiceConfig:
             raise ReproError("epsilon must be in [0, 1]")
         if self.top_k < 1:
             raise ReproError("top_k must be >= 1")
+        if not isinstance(self.cache, bool):
+            raise ReproError(
+                f"engine cache must be true or false, got {self.cache!r}; durable "
+                "results live in the store (set store = \"/path/to/engine.db\")"
+            )
         if not isinstance(self.tenants, Mapping):
             raise ReproError("tenants must map tenant name -> budget table")
         for name, budget in self.tenants.items():

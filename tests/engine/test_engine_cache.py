@@ -1,18 +1,22 @@
-"""ResultCache: LRU/disk tiers, hit semantics, RNG non-perturbation."""
+"""ResultCache: memory LRU over the store tier, hit semantics, RNG non-perturbation."""
 
-import os
 import pickle
-import threading
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import obs
 from repro.api import MQOAdapter
-from repro.engine import ResultCache, default_cache, resolve_cache
+from repro.api.adapters import RawQuboProblem
+from repro.engine import EngineStore, ResultCache, default_cache, resolve_cache
 from repro.exceptions import ReproError
 from repro.mqo import generate_mqo_problem
+from repro.qubo.model import QuboModel
 
 FAST_SA = dict(num_reads=4, num_sweeps=40)
 
@@ -36,27 +40,16 @@ class TestResultCacheStore:
         first["nested"].append(3)
         assert cache.get("k") == {"nested": [1, 2]}
 
-    def test_disk_tier_shared_across_instances(self, tmp_path):
-        a = ResultCache(directory=tmp_path / "store")
-        a.put("k", 42)
-        b = ResultCache(directory=tmp_path / "store")
-        assert b.get("k") == 42  # read through from disk
-        assert b.stats["hits"] == 1
-
-    def test_clear_keeps_disk(self, tmp_path):
-        cache = ResultCache(directory=tmp_path / "store")
-        cache.put("k", 1)
-        cache.clear()
-        assert cache.stats == {"hits": 0, "misses": 0, "store_hits": 0, "entries": 0}
-        assert cache.get("k") == 1  # reloaded from the disk tier
-
     def test_resolve_cache_spellings(self, tmp_path):
         assert resolve_cache(None) is None and resolve_cache(False) is None
         assert resolve_cache(True) is default_cache()
         cache = ResultCache()
         assert resolve_cache(cache) is cache
-        disk = resolve_cache(tmp_path / "c")
-        assert isinstance(disk, ResultCache) and disk.directory is not None
+        # A path is not a cache: durable results are an EngineStore's.
+        for path in (tmp_path / "c", str(tmp_path / "c"), ""):
+            with pytest.raises(ReproError, match="store="):
+                resolve_cache(path)
+        assert not (tmp_path / "c").exists()
         with pytest.raises(ReproError, match="cache must be"):
             resolve_cache(123)
         with pytest.raises(ReproError, match="maxsize"):
@@ -64,22 +57,7 @@ class TestResultCacheStore:
 
 
 class TestDiskTierCrashSafety:
-    """The disk tier must never serve a torn entry, and a crash mid-write
-    must never make one visible."""
-
-    def test_torn_disk_entry_is_a_miss_and_heals(self, tmp_path):
-        writer = ResultCache(directory=tmp_path / "store")
-        writer.put("k", {"payload": list(range(100))})
-        path = writer.directory / "k.pkl"
-        # Simulate a torn write (crash halfway / truncated by a full disk).
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        reader = ResultCache(directory=tmp_path / "store")  # cold memory tier
-        assert reader.get("k") is None            # miss, not an exception
-        assert reader.stats["misses"] == 1
-        assert not path.exists()                  # damaged entry evicted
-        reader.put("k", "fresh")                  # and the slot heals
-        assert reader.get("k") == "fresh"
+    """A damaged blob must never surface as a result."""
 
     def test_torn_memory_blob_is_evicted(self):
         cache = ResultCache()
@@ -88,60 +66,6 @@ class TestDiskTierCrashSafety:
             cache._entries["k"] = cache._entries["k"][:3]  # corrupt in place
         assert cache.get("k") is None
         assert len(cache) == 0
-
-    def test_crash_mid_write_leaves_no_visible_entry(self, tmp_path, monkeypatch):
-        """Kill the writer between temp-write and rename: the final path must
-        not exist, and the old entry (if any) must survive untouched."""
-        cache = ResultCache(directory=tmp_path / "store")
-        cache.put("k", "old")
-
-        def crash(src, dst):
-            raise KeyboardInterrupt("simulated crash before rename")
-
-        monkeypatch.setattr(os, "replace", crash)
-        with pytest.raises(KeyboardInterrupt):
-            cache.put("k", "new")
-        monkeypatch.undo()
-        # No temp litter became the visible entry; disk still has "old".
-        survivor = ResultCache(directory=tmp_path / "store")
-        assert survivor.get("k") == "old"
-        assert [p.name for p in (tmp_path / "store").glob("*.pkl")] == ["k.pkl"]
-
-    def test_interrupted_write_cleans_its_temp_file(self, tmp_path, monkeypatch):
-        cache = ResultCache(directory=tmp_path / "store")
-
-        def crash(src, dst):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(os, "replace", crash)
-        with pytest.raises(RuntimeError):
-            cache.put("k", "value")
-        monkeypatch.undo()
-        assert list((tmp_path / "store").glob("*.tmp")) == []
-
-    def test_concurrent_same_key_writers_never_tear(self, tmp_path):
-        """Threads share a PID — the old pid-suffix temp naming collided and
-        could publish a half-written file; mkstemp naming must not."""
-        cache = ResultCache(directory=tmp_path / "store")
-        payload = {"blob": bytes(50_000)}
-        errors = []
-
-        def hammer():
-            try:
-                for _ in range(20):
-                    cache.put("k", payload)
-                    loaded = pickle.loads((cache.directory / "k.pkl").read_bytes())
-                    assert loaded == payload
-            except Exception as exc:  # pragma: no cover - only on regression
-                errors.append(exc)
-
-        workers = [threading.Thread(target=hammer) for _ in range(4)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        assert errors == []
-        assert cache.get("k") == payload
 
 
 class TestBatchCaching:
@@ -277,3 +201,55 @@ class TestSingleSolveCaching:
         hit = repro.solve(_mqo(1), backend="sa", seed=leader_seed, cache=cache, **FAST_SA)
         assert hit.cache_hit
         assert hit.objective == batch[0].objective
+
+
+# -- the oracle: a cache hit equals a rerun ----------------------------------
+
+
+def _raw_qubo(rng: int) -> RawQuboProblem:
+    gen = np.random.default_rng(rng)
+    n = int(gen.integers(2, 6))
+    model = QuboModel(num_variables=n)
+    for i in range(n):
+        model.add_linear(i, float(gen.integers(-3, 4)))
+        for j in range(i + 1, n):
+            model.add_quadratic(i, j, float(gen.integers(-3, 4)))
+    return RawQuboProblem(model)
+
+
+def _oracle_bytes(result) -> bytes:
+    return pickle.dumps(
+        (result.solution, result.objective, result.energy, result.num_variables)
+    )
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(st.sampled_from(["mqo", "qubo"]), st.integers(0, 3)), min_size=1, max_size=4
+    ),
+    seed=st.integers(0, 2**31),
+)
+def test_every_cache_tier_serves_what_a_rerun_computes(specs, seed):
+    """Cold solve, memory-tier hit, store-tier hit (a fresh cache over the
+    same store file) and an uncached rerun agree byte for byte."""
+    batch = [_mqo(rng) if kind == "mqo" else _raw_qubo(rng) for kind, rng in specs]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "engine.db"
+        cache = ResultCache()
+
+        def run(cache, store):
+            return repro.solve_many(batch, backend="sa", seed=seed, cache=cache,
+                                    store=store, **FAST_SA)
+
+        runs = {
+            None: run(cache, EngineStore(path)),
+            "memory": run(cache, EngineStore(path)),
+            "store": run(ResultCache(), EngineStore(path)),
+        }
+        rerun = run(False, False)
+    for tier, results in runs.items():
+        assert [r.info["engine"].get("cache_tier") for r in results] == [tier] * len(batch)
+        assert [_oracle_bytes(r) for r in results] == [_oracle_bytes(r) for r in rerun]
+    assert all(r.info["engine"].get("cache_tier") is None for r in rerun)
+

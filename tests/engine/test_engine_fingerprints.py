@@ -1,8 +1,8 @@
 """Golden QUBO fingerprints: one pinned canonical instance per Table I domain.
 
 `QuboModel.fingerprint()` content-addresses the `ResultCache`: every cached
-result is keyed on it, and the disk tier persists those keys across
-sessions.  A change to canonical serialization (`to_stable_bytes`), to
+result is keyed on it, and the durable store's result tier persists those
+keys across sessions.  A change to canonical serialization (`to_stable_bytes`), to
 variable-label `repr`s, or to any domain's QUBO formulation therefore
 silently invalidates every existing cache entry — these goldens turn that
 silent invalidation into a loud test failure.

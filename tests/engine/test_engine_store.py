@@ -21,7 +21,6 @@ from repro.engine import (
     ResultCache,
     engine_store,
     resolve_store,
-    store_bound_cache,
 )
 from repro.engine.store import STORE_ENV_VAR
 from repro.exceptions import ReproError
@@ -65,7 +64,7 @@ def _hammer_store(args):
         store.scoreboard.record(
             [("observe", "sa", "sig-shared", float(i % 3), 0.01, False)]
         )
-        store.cache.put(f"key-{worker_id}-{i}", b"x" * 64, signature="sig-shared")
+        store.cache.put(f"key-{worker_id}-{i}", b"x" * 64)
     return worker_id
 
 
@@ -157,8 +156,6 @@ class TestScoreboardStore:
     def test_validation(self, tmp_path):
         with pytest.raises(ReproError, match="cache_budget_bytes"):
             EngineStore(tmp_path / "x.db", cache_budget_bytes=0)
-        with pytest.raises(ReproError, match="alpha"):
-            EngineStore(tmp_path / "x.db", alpha=1.5)
 
 
 # -- shared cache tier -------------------------------------------------------
@@ -167,8 +164,8 @@ class TestScoreboardStore:
 class TestSharedCacheTier:
     def test_upsert_get_touch_and_contains(self, tmp_path):
         store = EngineStore(tmp_path / "engine.db")
-        store.cache.put("k", b"one", signature="sig")
-        store.cache.put("k", b"two", signature="sig")  # atomic overwrite
+        store.cache.put("k", b"one")
+        store.cache.put("k", b"two")  # atomic overwrite
         assert store.cache.get("k") == b"two"
         assert "k" in store.cache and "missing" not in store.cache
         assert len(store.cache) == 1
@@ -190,46 +187,29 @@ class TestSharedCacheTier:
         assert store.cache.get("big") == b"z" * 64
 
     def test_corrupt_blob_is_a_miss_and_heals(self, tmp_path):
-        """The crash-mid-write bar of the disk tier, restated for SQLite:
-        a damaged blob must read as a miss, be evicted, and the slot heal."""
+        """A damaged blob (truncated, or corrupted in place) must read as a
+        miss, be evicted from the durable tier, and the slot heal."""
         store = EngineStore(tmp_path / "engine.db")
-        cache = ResultCache(store=store)
-        cache.put("k", {"payload": list(range(100))}, signature="sig")
+        cache = ResultCache()
+        cache.put("k", {"payload": list(range(100))}, store.cache)
         with store._connection() as conn:  # corrupt the blob in place
             blob = conn.execute("SELECT blob FROM results WHERE key='k'").fetchone()[0]
             conn.execute("UPDATE results SET blob=? WHERE key='k'", (blob[: len(blob) // 2],))
-        reader = ResultCache(store=EngineStore(tmp_path / "engine.db"))
-        assert reader.get("k") is None
+        reader, tier = ResultCache(), EngineStore(tmp_path / "engine.db").cache
+        assert reader.get("k", tier) is None
         assert "k" not in store.cache  # evicted from the durable tier
-        reader.put("k", "fresh")
-        assert reader.get("k") == "fresh"
+        reader.put("k", "fresh", tier)
+        assert reader.get("k", tier) == "fresh"
 
     def test_result_cache_reads_through_and_promotes(self, tmp_path):
-        writer = ResultCache(store=EngineStore(tmp_path / "engine.db"))
-        writer.put("k", 42, signature="sig")
-        reader = ResultCache(store=EngineStore(tmp_path / "engine.db"))
-        assert reader.get("k") == 42
+        ResultCache().put("k", 42, EngineStore(tmp_path / "engine.db").cache)
+        reader, tier = ResultCache(), EngineStore(tmp_path / "engine.db").cache
+        assert reader.get("k", tier) == 42
         assert reader.stats["store_hits"] == 1
         # Promoted into memory: a second get does not need the store.
-        reader.store.evict("k")
+        tier.evict("k")
         assert reader.get("k") == 42
         assert reader.stats == {"hits": 2, "misses": 0, "store_hits": 1, "entries": 1}
-
-    def test_prefetch_warms_memory_by_signature(self, tmp_path):
-        store = EngineStore(tmp_path / "engine.db")
-        writer = ResultCache(store=store)
-        writer.put("k1", "one", signature="sig-a")
-        writer.put("k2", "two", signature="sig-a")
-        writer.put("k3", "three", signature="sig-b")
-        fresh = ResultCache(store=store)
-        assert fresh.prefetch("sig-a") == 2
-        assert fresh.prefetch("sig-missing") == 0
-        assert ResultCache().prefetch("sig-a") == 0  # no tier: no-op
-        # Warmed entries serve from memory even after the tier loses them.
-        store.cache.evict("k1"), store.cache.evict("k2")
-        assert fresh.get("k1") == "one" and fresh.get("k2") == "two"
-        # Staging never counted as hits/misses; the two gets did.
-        assert fresh.stats["hits"] == 2 and fresh.stats["store_hits"] == 0
 
 
 # -- resolution & facade wiring ----------------------------------------------
@@ -260,26 +240,6 @@ class TestResolution:
         assert resolved.scoreboard.load()[("sa", None)].count == 1
         again = repro.solve(_mqo(1), backend="sa", seed=9, **FAST_SA)
         assert again.cache_hit and again.objective == result.objective
-
-    def test_store_bound_cache_attaches_only_for_the_call(self, tmp_path):
-        store = EngineStore(tmp_path / "engine.db")
-        with store_bound_cache(None, None) as none:
-            assert none is None
-        with store_bound_cache(None, store) as built:
-            assert isinstance(built, ResultCache) and built.store is store.cache
-        mine = ResultCache()
-        with store_bound_cache(mine, store) as bound:
-            assert bound is mine and mine.store is store.cache
-        assert mine.store is None  # detached: later calls cannot leak writes
-        # ... so the same cache can serve a different store next call.
-        other = EngineStore(tmp_path / "other.db")
-        with store_bound_cache(mine, other) as bound:
-            assert bound.store is other.cache
-        # A cache *constructed* around a store is permanently bound.
-        owned = ResultCache(store=store)
-        with pytest.raises(ReproError, match="different EngineStore"):
-            with store_bound_cache(owned, other):
-                pass  # pragma: no cover - the bind itself raises
 
     def test_solve_with_store_never_leaks_into_later_calls(self, tmp_path):
         """A store= call must not leave the process-global cache writing to
@@ -436,18 +396,19 @@ class TestHydratedRoutingDeterminism:
         )[0]
         assert child == parent
 
-    def test_warm_batch_prefetches_and_hits_the_shared_tier(self, tmp_path):
+    def test_warm_batch_hits_the_shared_tier(self, tmp_path):
         store, _ = self._warm(tmp_path / "engine.db")
-        cache = ResultCache(store=store)
+        cache = ResultCache()
         fresh = AdaptiveScheduler(epsilon=0.0, seed=0, store=store)
         warm = repro.solve_many(
             _batch(), backend=CANDIDATES, scheduler=fresh, seed=11, store=store,
             cache=cache, **CANDIDATE_OPTS,
         )
         assert all(r.cache_hit for r in warm)
-        # The hits were staged by prefetch, not read one-by-one from SQLite.
+        assert all(r.engine["cache_tier"] == "store" for r in warm)
+        # A cold memory cache: every hit is read through from SQLite.
         assert cache.stats["hits"] == len(_batch())
-        assert cache.stats["store_hits"] == 0
+        assert cache.stats["store_hits"] == len(_batch())
 
 
 class TestConcurrentWriters:

@@ -146,7 +146,7 @@ class TestSpanTaxonomy:
         warm_ids = {s["span_id"] for s in warm}
         assert all(r.info["trace"]["span_id"] in warm_ids for r in second)
 
-    def test_scheduled_path_emits_route_prefetch_and_checkpoint_spans(self, tmp_path):
+    def test_scheduled_path_emits_route_and_checkpoint_spans(self, tmp_path):
         scheduler = AdaptiveScheduler(epsilon=0.0, seed=0,
                                       store=tmp_path / "engine.db")
         collector = obs.SpanCollector()
@@ -161,7 +161,7 @@ class TestSpanTaxonomy:
         spans = collector.drain()
         names = {s["name"] for s in spans}
         assert {"engine.plan_compile", "scheduler.route",
-                "store.prefetch", "store.checkpoint"} <= names
+                "store.checkpoint"} <= names
         routes = [s for s in spans if s["name"] == "scheduler.route"]
         assert len(routes) == 2  # one decision per structure shard
         for route in routes:

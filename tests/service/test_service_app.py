@@ -226,6 +226,32 @@ def test_fixed_backend_wave_records_each_solve_once_in_the_store(tmp_path):
     assert durable == live
 
 
+def test_restarted_service_serves_repeats_from_the_store_tier(tmp_path):
+    """Service A's results outlive it: service B on the same store file,
+    with a cold memory cache, serves the same (spec, seed) requests as
+    store-tier hits equal to A's solves."""
+    path = str(tmp_path / "engine.db")
+    specs = [(MQO_SPEC, 1), ({**MQO_SPEC, "instance_seed": 8}, 2)]
+
+    async def run_service():
+        service = make_service(max_wave=2, store=path)
+        await service.start()
+        jobs = [service.submit(spec, seed=seed) for spec, seed in specs]
+        await asyncio.gather(*[job.future for job in jobs])
+        await service.shutdown()
+        return service, jobs
+
+    _, first = asyncio.run(run_service())
+    restarted, second = asyncio.run(run_service())
+    assert not any(job.result.cache_hit for job in first)
+    for before, after in zip(first, second):
+        assert after.result.cache_hit
+        assert after.result.engine["cache_tier"] == "store"
+        assert after.result.objective == before.result.objective
+        assert after.result.solution == before.result.solution
+    assert 'repro_engine_cache{event="store_hits"} 2' in restarted.render_metrics()
+
+
 def test_metrics_render_exposition_format():
     async def scenario():
         service = make_service(max_wave=2)

@@ -110,6 +110,16 @@ def test_toml_unknown_keys_are_errors(tmp_path):
         load_config(bad_key, env={})
 
 
+def test_cache_is_a_bool_and_a_path_points_to_store(tmp_path):
+    with pytest.raises(ReproError, match="store"):
+        ServiceConfig(cache="/var/cache/repro").validate()
+    pytest.importorskip("tomllib")
+    path = tmp_path / "service.toml"
+    path.write_text('[engine]\ncache = "/var/cache/repro"\n')
+    with pytest.raises(ReproError, match="store"):
+        load_config(path, env={})
+
+
 # -- [admission] -------------------------------------------------------------
 
 
