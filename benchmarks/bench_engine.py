@@ -206,13 +206,11 @@ def test_store_restart_warm_routing_beats_cold(tmp_path):
     def cold_run():
         # Learn + solve, everything flowing into the store.
         store = EngineStore(store_path)
-        scheduler = AdaptiveScheduler(
-            epsilon=0.0, seed=0, race_top_k=len(candidates), store=store
-        )
+        scheduler = AdaptiveScheduler(epsilon=0.0, seed=0, race_top_k=len(candidates))
         for representative in representatives:
             solve_portfolio(
                 representative, backends=candidates, seed=11, backend_opts=opts,
-                scheduler=scheduler,
+                scheduler=scheduler, store=store,
             )
         return solve_many(
             problems, backend=candidates, scheduler=scheduler, seed=11,
@@ -225,7 +223,7 @@ def test_store_restart_warm_routing_beats_cold(tmp_path):
         store = EngineStore(store_path)
         return solve_many(
             problems, backend=candidates, seed=11,
-            scheduler=AdaptiveScheduler(epsilon=0.0, seed=0, store=store),
+            scheduler=AdaptiveScheduler(epsilon=0.0, seed=0),
             cache=ResultCache(), store=store, **opts,
         )
 

@@ -13,7 +13,8 @@ under it, split into three pieces that compose::
     AdaptiveScheduler / BackendScoreboard        # scheduler.py — where to run it
         (telemetry-driven shard routing + route-then-race-top-k portfolios)
     EngineStore                                  # store.py     — what survives
-        (durable SQLite tier: scoreboard checkpoints + shared result cache)
+        (durable SQLite tier, passed per call: scoreboard statistics + shared
+        result cache)
 
 The design invariants, relied on throughout:
 

@@ -39,7 +39,14 @@ import numpy as np
 from repro.engine.cache import ResultCache, resolve_cache
 from repro.engine.executors import get_executor
 from repro.engine.plan import ExecutionPlan, Shard, compile_plan, signature_key
-from repro.engine.scheduler import _candidate_names, _validated_opts_map
+from repro.engine.scheduler import (
+    DEFAULT_ALPHA,
+    _candidate_names,
+    _validated_opts_map,
+    portfolio_observations,
+    result_observation,
+)
+from repro.engine.store import record_best_effort, resolve_store
 from repro.exceptions import ReproError
 from repro.obs import trace as obs
 from repro.utils.rngtools import ensure_rng, spawn
@@ -49,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.api.problem import Problem
     from repro.api.result import SolveResult
     from repro.engine.scheduler import AdaptiveScheduler
-    from repro.engine.store import SharedCacheTier
+    from repro.engine.store import EngineStore, SharedCacheTier
 
 
 def solve_one(problem: Problem, backend: Backend, rng, refine: bool, top_k: int) -> SolveResult:
@@ -323,6 +330,33 @@ def execute_plan(
     return results
 
 
+def _record_observations(
+    ops: "list[tuple]",
+    scheduler: "AdaptiveScheduler | None",
+    durable: "EngineStore | None",
+) -> None:
+    """Feed one call's observation ops to every scoreboard it touches, once.
+
+    The scheduler's live scoreboard (when there is one) applies them; the
+    call's durable store (when it named one) replays them under the
+    ``store.checkpoint`` span, with the live scoreboard's alpha so stored
+    and live statistics run the same arithmetic.  A failed durable write
+    warns instead of raising — the results already exist — and its ops stay
+    on the store handle for its next record to replay.
+    """
+    if scheduler is not None:
+        scheduler.scoreboard.apply(ops)
+    if durable is None or not ops:
+        return
+    alpha = scheduler.scoreboard.alpha if scheduler is not None else DEFAULT_ALPHA
+
+    def write() -> None:
+        with obs.span("store.checkpoint", observations=len(ops)):
+            durable.scoreboard.record(ops, alpha=alpha)
+
+    record_best_effort(write, "scoreboard record")
+
+
 def solve_batch(
     problems,
     backend: "str | Backend | Sequence[str]" = "sa",
@@ -355,15 +389,14 @@ def solve_batch(
 
     With a durable ``store`` (a path, an
     :class:`~repro.engine.store.EngineStore`, or ``None`` + ``REPRO_STORE``),
+    this call — and only this call — uses it: a scheduler's scoreboard
+    hydrates from it before routing (pairs it already holds are kept),
     results flow through the store's shared cache tier (under a fresh
     memory cache when ``cache`` is off: a store is an explicit request for
-    result reuse) and the batch's telemetry is recorded into the durable
-    scoreboard at the batch boundary, exactly once: directly when
-    unscheduled (so even plain batches feed the routing knowledge a later
-    scheduler hydrates), else through the scheduler's scoreboard, which is
-    bound to the store (hydrating any pairs it lacks).  An explicit
-    ``store=False`` keeps a scheduled call out of a store-bound
-    scoreboard's durable log (the live statistics still learn).
+    result reuse), and at the batch boundary every result is recorded into
+    the durable scoreboard exactly once (see :func:`_record_observations`),
+    scheduled or not.  ``store=False`` records nothing durable; the live
+    scoreboard still learns.
 
     ``seeds`` passes explicit per-item child seeds to the planner (see
     :func:`~repro.engine.plan.compile_plan`); ``seed`` is ignored when set.
@@ -371,16 +404,14 @@ def solve_batch(
     without affecting sharding, seeding, or cache keys.
     """
     from repro.api.backends import Backend
-    from repro.engine.store import record_best_effort, resolve_store
 
-    durable_off = store is False
     durable = resolve_store(store)
     if scheduler is not None:
         names = _candidate_names([backend] if isinstance(backend, (str, Backend)) else backend)
         opts_map = _validated_opts_map(backend_opts, names)
         backend, backend_opts = names[0], opts_map.get(names[0], {})
         if durable is not None:
-            scheduler.scoreboard.bind_store(durable)
+            scheduler.scoreboard.hydrate(durable)
     elif not isinstance(backend, (str, Backend)):
         raise ReproError(
             "a sequence of candidate backends requires scheduler=; pass an "
@@ -407,14 +438,7 @@ def solve_batch(
         tier = durable.cache
         cache = cache if cache is not None else ResultCache()
     results = execute_plan(plan, executor=executor, cache=cache, tier=tier)
-    if scheduler is None:
-        if durable is not None:
-            record_best_effort(
-                lambda: durable.scoreboard.record_results(results), "batch telemetry record"
-            )
-        return results
-    scheduler.observe_batch(results)
-    scheduler.checkpoint(discard=durable_off)
+    _record_observations([result_observation(r) for r in results], scheduler, durable)
     return results
 
 
@@ -456,16 +480,14 @@ def run_portfolio(
     ``deadline_s`` shapes routing feasibility only; it is never promoted
     into a race deadline.
 
-    A durable ``store`` records every raced contender's outcome once:
-    directly, or with a scheduler through its scoreboard (bound to the
-    store and hydrated first).  An explicit ``store=False`` keeps a
-    scheduled call out of a store-bound scoreboard's durable log.
+    A durable ``store`` is used by this call only, as in
+    :func:`solve_batch`: a scheduler's scoreboard hydrates from it before
+    contenders are selected, and every raced contender's outcome is
+    recorded into it once.  ``store=False`` records nothing durable.
     """
     from repro.api.backends import Backend, get_backend
     from repro.api.problem import qubo_signature
-    from repro.engine.store import record_best_effort, resolve_store
 
-    durable_off = store is False
     durable = resolve_store(store)
     backends = list(backends)
     if not backends:
@@ -482,7 +504,7 @@ def run_portfolio(
         signature = signature_key(qubo_signature(problem.to_qubo()))
     if scheduler is not None:
         if durable is not None:
-            scheduler.scoreboard.bind_store(durable)
+            scheduler.scoreboard.hydrate(durable)
         backends, routing = scheduler.select_contenders(signature, backends)
 
     contenders = []
@@ -553,13 +575,7 @@ def run_portfolio(
         "completed": len(completed),
         "raced": deadline_s is not None,
     }
+    _record_observations(portfolio_observations(best, signature=signature), scheduler, durable)
     if scheduler is not None:
-        scheduler.observe_portfolio(best, signature=signature)
-        scheduler.checkpoint(discard=durable_off)
         best.info["portfolio_meta"]["scheduler"] = routing
-    elif durable is not None:
-        record_best_effort(
-            lambda: durable.scoreboard.record_portfolio(best, signature=signature),
-            "portfolio telemetry record",
-        )
     return best

@@ -39,6 +39,8 @@ from repro.exceptions import ReproError
 from repro.obs import trace as obs
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
+    from pathlib import Path
+
     from repro.api.result import SolveResult
 
 #: EWMA smoothing of scoreboard statistics: the default of both the live
@@ -171,6 +173,36 @@ def result_observation(result: "SolveResult") -> tuple:
     )
 
 
+def portfolio_observations(result: "SolveResult", signature: "str | None" = None) -> list[tuple]:
+    """The ops of every contender in an ``info["portfolio"]`` breakdown.
+
+    Completed contenders observe quality + latency; ``deadline_exceeded``
+    counts a timeout with a latency observation at the deadline itself
+    (the pessimism floor deadline routing needs); ``error`` counts an
+    error and nothing else, which leaves the backend "seen" but ranked
+    behind everyone that ever produced a result.
+    """
+    entries = result.info.get("portfolio")
+    if not entries:
+        return []
+    deadline = (result.info.get("portfolio_meta") or {}).get("deadline_s")
+    observations = []
+    for entry in entries:
+        if entry is None:
+            continue
+        status = entry.get("status")
+        if status == "completed":
+            observations.append(
+                ("observe", entry["method"], signature, entry["objective"],
+                 entry["wall_time"], False)
+            )
+        elif status == "deadline_exceeded":
+            observations.append(("timeout", entry["method"], signature, deadline))
+        elif status == "error":
+            observations.append(("error", entry["method"], signature))
+    return observations
+
+
 class BackendScoreboard:
     """Per-``(backend, structure-signature)`` stats from engine telemetry.
 
@@ -180,139 +212,59 @@ class BackendScoreboard:
     updates a backend-global aggregate (signature ``None``) so routing has
     a fallback for structures the exact pair has never seen.
 
-    With a durable store bound (``store=`` or :meth:`bind_store`), the
-    scoreboard hydrates its statistics from the store on binding and keeps
-    the raw observations it makes afterwards; :meth:`flush` replays them
-    into the store — the same EWMA arithmetic in the same order, so for a
-    single writer the stored statistics are byte-identical to the live
-    ones and a freshly hydrated scoreboard routes exactly like the
-    instance that produced it.
+    The scoreboard is in-memory only.  :meth:`hydrate` merges in the
+    statistics a durable :class:`~repro.engine.store.EngineStore` holds;
+    writing them back is the caller's job — the engine records each call's
+    observation ops into the store that call names, replaying the same
+    EWMA arithmetic in the same order, so for a single writer the stored
+    statistics are byte-identical to the live ones and a freshly hydrated
+    scoreboard routes exactly like the instance that produced them.
     """
 
-    def __init__(self, alpha: float = DEFAULT_ALPHA, store=None):
+    def __init__(self, alpha: float = DEFAULT_ALPHA):
         if not 0.0 < alpha <= 1.0:
             raise ReproError("scoreboard alpha must be in (0, 1]")
         self.alpha = alpha
         self._stats: "dict[tuple[str, str | None], BackendStats]" = {}
         self._lock = threading.Lock()
-        self._store = None
-        self._pending: list[tuple] = []
-        if store is not None:
-            self.bind_store(store)
+        self._hydrated: "set[Path]" = set()
 
-    # -- durability ------------------------------------------------------------
+    def hydrate(self, store) -> None:
+        """Merge in a durable store's statistics the scoreboard lacks.
 
-    @property
-    def store(self):
-        """The bound :class:`~repro.engine.store.EngineStore`, if any."""
-        return self._store
-
-    def bind_store(self, store, hydrate: bool = True) -> None:
-        """Bind a durable store, hydrating stats the scoreboard lacks.
-
-        Hydration never overwrites a pair already observed in memory (live
-        statistics are fresher than the checkpoint they were hydrated
-        from).  Re-binding the same store is a no-op; binding a different
-        one is an error — the pending observations would be replayed into
-        a store that never saw the baseline they extend.
+        ``store`` is any ``store=`` spelling.  Hydration never overwrites a
+        pair already observed in memory (live statistics are fresher than
+        the store they were hydrated from), and each store file is read
+        once per scoreboard, so a long-lived caller pays one table read.
         """
         from repro.engine.store import resolve_store
 
         resolved = resolve_store(store)
         if resolved is None:
             return
+        path = resolved.path.resolve()
         with self._lock:
-            if self._store is not None:
-                # Two handles on one file are the same store; keep the bound
-                # handle (its pending observations extend its baseline).
-                if self._store.path.resolve() == resolved.path.resolve():
-                    return
-                raise ReproError("scoreboard is already bound to a different EngineStore")
-            self._store = resolved
-            if hydrate:
-                for key, stats in resolved.scoreboard.load().items():
-                    self._stats.setdefault(key, stats)
-
-    def flush(self) -> int:
-        """Replay observations made since the last flush into the store.
-
-        Returns the number of observations written (0 when no store is
-        bound or nothing is pending).  Called at batch boundaries through
-        :meth:`AdaptiveScheduler.checkpoint`; a crash before a flush loses at most
-        that batch's delta, never the store's integrity.  A *failed* write
-        (disk full, lock timeout) re-queues the drained observations, so a
-        later flush retries them instead of losing the delta.
-        """
-        with self._lock:
-            store, pending = self._store, self._pending
-            self._pending = []
-        if store is None or not pending:
-            return 0
-        try:
-            with obs.span("store.checkpoint", observations=len(pending)):
-                return store.scoreboard.record(pending, alpha=self.alpha)
-        except BaseException:
-            with self._lock:
-                self._pending = pending + self._pending
-            raise
-
-    def discard_pending(self) -> int:
-        """Drop unflushed observations (the ``store=False`` opt-out).
-
-        The live statistics keep them — only the durable replay log is
-        emptied, so the next :meth:`flush` writes nothing for the
-        discarded batch.  Returns how many observations were dropped.
-
-        The log is shared, so this drops *everything* unflushed.  That is
-        exact under the scheduler's contract — a scheduler is driven by
-        one call at a time (concurrent scheduled calls would already race
-        its routing RNG and break determinism), and every scheduled call
-        flushes at its batch boundary, so the pending log only ever holds
-        the current call's delta.
-        """
-        with self._lock:
-            dropped = len(self._pending)
-            self._pending = []
-        return dropped
+            if path in self._hydrated:
+                return
+            for key, stats in resolved.scoreboard.load().items():
+                self._stats.setdefault(key, stats)
+            self._hydrated.add(path)
 
     # -- feeding ---------------------------------------------------------------
 
-    def _apply(self, op: tuple) -> None:
+    def apply(self, ops: Iterable[tuple]) -> None:
+        """Apply observation ops (see :func:`apply_observation`) in order."""
+        def stats_for(backend: str, signature: "str | None") -> BackendStats:
+            return self._stats.setdefault((backend, signature), BackendStats())
+
         with self._lock:
-            apply_observation(
-                lambda backend, signature: self._stats.setdefault(
-                    (backend, signature), BackendStats()
-                ),
-                op,
-                self.alpha,
-            )
-            if self._store is not None:
-                self._pending.append(op)
+            for op in ops:
+                apply_observation(stats_for, op, self.alpha)
 
     def observe(self, backend: str, signature: "str | None", objective: float,
                 wall_time: float, cache_hit: bool = False) -> None:
         """Record one solve outcome (the low-level feed)."""
-        self._apply(("observe", backend, signature, objective, wall_time, cache_hit))
-
-    def observe_result(self, result: "SolveResult") -> None:
-        """Feed one engine-executed result from its ``info["engine"]`` telemetry."""
-        self._apply(result_observation(result))
-
-    def observe_portfolio(self, result: "SolveResult", signature: "str | None" = None) -> None:
-        """Feed every contender of an ``info["portfolio"]`` breakdown.
-
-        The status → observation mapping lives in
-        :func:`~repro.engine.store.portfolio_observations` and the op
-        semantics in :func:`apply_observation`, both shared with the
-        durable :class:`~repro.engine.store.ScoreboardStore`, so live and
-        stored statistics apply identical semantics (completed → quality +
-        latency; deadline-exceeded → timeout with a latency floor at the
-        deadline; error → seen-but-ranked-last).
-        """
-        from repro.engine.store import portfolio_observations
-
-        for op in portfolio_observations(result, signature=signature):
-            self._apply(op)
+        self.apply([("observe", backend, signature, objective, wall_time, cache_hit)])
 
     # -- reading ---------------------------------------------------------------
 
@@ -401,12 +353,12 @@ class AdaptiveScheduler:
     history its routing is deterministic — which keeps scheduled batches
     reproducible across executors.
 
-    ``store=`` (a path or :class:`~repro.engine.store.EngineStore`) makes
-    the routing knowledge durable: the scoreboard hydrates from the store
-    on construction — so a fresh scheduler starts warm and, for the same
-    stored history, routes exactly like the long-lived instance that wrote
-    it — and :meth:`checkpoint` flushes new observations back at every
-    batch boundary.
+    Routing knowledge is made durable per call, not here: a scheduled
+    ``solve_many`` / ``solve_portfolio`` with ``store=`` hydrates the
+    scoreboard from that store before routing — so a fresh scheduler
+    starts warm and, for the same stored history, routes exactly like the
+    long-lived instance that wrote it — and records the call's
+    observations into it afterwards.
     """
 
     def __init__(
@@ -418,17 +370,12 @@ class AdaptiveScheduler:
         race_top_k: int = 2,
         alpha: float = DEFAULT_ALPHA,
         quality_tol: float = 1e-9,
-        store=None,
     ):
         if not 0.0 <= epsilon <= 1.0:
             raise ReproError("epsilon must be in [0, 1]")
         if race_top_k < 1:
             raise ReproError("race_top_k must be >= 1")
-        if scoreboard is not None and store is not None:
-            scoreboard.bind_store(store)
-        self.scoreboard = (
-            scoreboard if scoreboard is not None else BackendScoreboard(alpha=alpha, store=store)
-        )
+        self.scoreboard = scoreboard if scoreboard is not None else BackendScoreboard(alpha=alpha)
         self.epsilon = epsilon
         self.deadline_s = deadline_s
         self.race_top_k = race_top_k
@@ -548,28 +495,6 @@ class AdaptiveScheduler:
             "raced": raced,
             "explored": explored,
         }
-
-    def checkpoint(self, discard: bool = False) -> None:
-        """Batch boundary: flush new observations to the bound store.
-
-        ``discard=True`` (a call's explicit ``store=False``) drops them
-        from the durable log instead; the live statistics keep them.
-        """
-        if discard:
-            self.scoreboard.discard_pending()
-            return
-        from repro.engine.store import record_best_effort
-
-        record_best_effort(self.scoreboard.flush, "scoreboard flush")
-
-    # -- feeding (delegates) ---------------------------------------------------
-
-    def observe_batch(self, results: Iterable["SolveResult"]) -> None:
-        for result in results:
-            self.scoreboard.observe_result(result)
-
-    def observe_portfolio(self, result: "SolveResult", signature: "str | None" = None) -> None:
-        self.scoreboard.observe_portfolio(result, signature=signature)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

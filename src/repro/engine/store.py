@@ -12,21 +12,27 @@ module makes that knowledge durable:
   processes) holding both facets; every operation opens a short-lived
   connection and runs in one transaction, so readers never see a torn
   write and a crash mid-batch loses at most that batch's delta.
-* :class:`ScoreboardStore` — checkpoints/restores scoreboard statistics.
-  Writers record their *observations* (not their merged stats) and the
-  store replays them into the stored rows with the same EWMA arithmetic
-  the in-memory scoreboard uses.  A single writer therefore round-trips
+* :class:`ScoreboardStore` — replays observation ops into stored
+  scoreboard statistics and loads them back.  Writers hand over the ops
+  (built by :mod:`repro.engine.scheduler`, not their merged stats) and the
+  store applies them to the stored rows with the same EWMA arithmetic the
+  in-memory scoreboard uses.  A single writer therefore round-trips
   **exactly** — a fresh scoreboard hydrated from the store carries the
   byte-identical statistics of the long-lived instance that produced it —
   while concurrent writers merge by observation count: every process's
   observations land, counts and tallies add, and the EWMA fields converge
-  to the interleaved history.
+  to the interleaved history.  A failed write keeps its ops on the
+  handle for the next write to replay.
 * :class:`SharedCacheTier` — a cross-process result tier that slots under
   :class:`~repro.engine.cache.ResultCache` with the same
   ``(fingerprint, backend, opts, seed, shard-prefix)`` keying, read
   through per key on a memory miss.  Upserts are atomic (one ``INSERT OR
   REPLACE`` per entry) and eviction is LRU-by-last-access under a byte
   budget.
+
+Both facets are passed per call: an engine call with ``store=`` hydrates
+routing from the store, reads and writes results through its cache tier,
+and records its own observations once; nothing stays attached afterwards.
 
 ``resolve_store`` accepts the same spelling family as ``resolve_cache``:
 ``None`` consults the ``REPRO_STORE`` environment variable, ``False``
@@ -43,18 +49,10 @@ import sqlite3
 import threading
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable
 
-from repro.engine.scheduler import (
-    DEFAULT_ALPHA,
-    BackendStats,
-    apply_observation,
-    result_observation,
-)
+from repro.engine.scheduler import DEFAULT_ALPHA, BackendStats, apply_observation
 from repro.exceptions import ReproError
-
-if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
-    from repro.api.result import SolveResult
 
 #: Default byte budget for the shared cache tier (LRU-by-last-access).
 DEFAULT_CACHE_BUDGET = 256 * 1024 * 1024
@@ -100,7 +98,7 @@ def record_best_effort(action, description: str) -> None:
     Every caller sits *after* a batch's results exist.  Losing a
     scoreboard delta is recoverable (the routing knowledge is simply
     relearned); destroying an entire computed batch because a telemetry
-    checkpoint hit a full disk or a lock timeout is not — so the write is
+    record hit a full disk or a lock timeout is not — so the write is
     attempted, and failure warns instead of raising.
     """
     try:
@@ -111,40 +109,6 @@ def record_best_effort(action, description: str) -> None:
             RuntimeWarning,
             stacklevel=3,
         )
-
-
-def portfolio_observations(result, signature: "str | None" = None) -> list[tuple]:
-    """Translate an ``info["portfolio"]`` breakdown into observation ops.
-
-    The single source of the status → observation mapping: both the live
-    :meth:`~repro.engine.scheduler.BackendScoreboard.observe_portfolio`
-    and the durable :meth:`ScoreboardStore.record_portfolio` feed from it,
-    so live and stored statistics cannot drift apart when a status or its
-    semantics change.  Completed contenders observe quality + latency;
-    ``deadline_exceeded`` counts a timeout with a latency observation at
-    the deadline itself (the pessimism floor deadline routing needs);
-    ``error`` counts an error and nothing else, which leaves the backend
-    "seen" but ranked behind everyone that ever produced a result.
-    """
-    entries = result.info.get("portfolio")
-    if not entries:
-        return []
-    deadline = (result.info.get("portfolio_meta") or {}).get("deadline_s")
-    observations = []
-    for entry in entries:
-        if entry is None:
-            continue
-        status = entry.get("status")
-        if status == "completed":
-            observations.append(
-                ("observe", entry["method"], signature, entry["objective"],
-                 entry["wall_time"], False)
-            )
-        elif status == "deadline_exceeded":
-            observations.append(("timeout", entry["method"], signature, deadline))
-        elif status == "error":
-            observations.append(("error", entry["method"], signature))
-    return observations
 
 
 class EngineStore:
@@ -232,8 +196,8 @@ class ScoreboardStore:
     :meth:`~repro.engine.scheduler.BackendStats.observe` — the same
     arithmetic, in the same order, the in-memory scoreboard ran.  Replay is
     what makes the round-trip exact for a single writer and a well-defined
-    count-weighted interleave for concurrent ones; checkpointing *merged*
-    statistics instead would double-count every re-flush.
+    count-weighted interleave for concurrent ones; writing *merged*
+    statistics instead would double-count every observation already stored.
 
     Observation tuples (see :meth:`record`):
 
@@ -248,6 +212,10 @@ class ScoreboardStore:
 
     def __init__(self, store: EngineStore):
         self._store = store
+        self._lock = threading.Lock()
+        #: ``(op, alpha)`` pairs whose transaction failed; the next
+        #: :meth:`record` on this handle replays them first.
+        self._retained: "list[tuple[tuple, float]]" = []
 
     # -- writing ---------------------------------------------------------------
 
@@ -255,12 +223,28 @@ class ScoreboardStore:
         """Replay ``observations`` into the stored rows; returns the count.
 
         One transaction: concurrent recorders serialise on the SQLite write
-        lock, so two processes flushing at once interleave whole batches
-        and every observation lands exactly once.
+        lock, so two processes recording at once interleave whole batches
+        and every observation lands exactly once.  A failed transaction
+        (disk full, lock timeout) raises, but its observations stay on this
+        handle and the next ``record`` replays them ahead of its own, each
+        with the alpha it was recorded under — so a transient failure
+        delays a delta instead of losing it.  ``record(())`` only retries
+        what is retained.  A malformed op raises without being retained.
         """
-        observations = list(observations)
-        if not observations:
+        with self._lock:
+            pending = self._retained + [(op, alpha) for op in observations]
+            self._retained = []
+        if not pending:
             return 0
+        try:
+            self._replay(pending)
+        except sqlite3.Error:
+            with self._lock:
+                self._retained = pending + self._retained
+            raise
+        return len(pending)
+
+    def _replay(self, pending: "list[tuple[tuple, float]]") -> None:
         with self._store._connection() as conn:
             conn.execute("BEGIN IMMEDIATE")
             loaded: "dict[tuple[str, str], BackendStats]" = {}
@@ -278,7 +262,7 @@ class ScoreboardStore:
                     loaded[(backend, column)] = found
                 return found
 
-            for op in observations:
+            for op, alpha in pending:
                 apply_observation(stats_for, op, alpha)
 
             conn.executemany(
@@ -300,15 +284,6 @@ class ScoreboardStore:
                     for (backend, column), stats in loaded.items()
                 ],
             )
-        return len(observations)
-
-    def record_results(self, results: Sequence["SolveResult"]) -> int:
-        """Record engine-executed results from their ``info["engine"]`` blocks."""
-        return self.record([result_observation(r) for r in results if r is not None])
-
-    def record_portfolio(self, result: "SolveResult", signature: "str | None" = None) -> int:
-        """Record every contender of an ``info["portfolio"]`` breakdown."""
-        return self.record(portfolio_observations(result, signature=signature))
 
     # -- reading ---------------------------------------------------------------
 

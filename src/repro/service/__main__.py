@@ -3,8 +3,9 @@
 Prints one line once bound (``repro.service listening on http://host:port``,
 flushed, with the *real* port so ``--port 0`` smoke tests can parse it),
 then serves until SIGTERM/SIGINT, at which point it drains gracefully:
-new submissions are rejected with 503, every accepted job finishes, the
-scoreboard delta is flushed to the durable store, and the process exits 0.
+new submissions are rejected with 503, every accepted job finishes (each
+wave has recorded its own observations into the durable store), and the
+process exits 0.
 
 Operational output goes through :mod:`repro.obs.log` (``--log-level`` /
 ``--log-format``, or the ``REPRO_SERVICE_LOG_*`` environment spellings);

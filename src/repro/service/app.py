@@ -76,10 +76,12 @@ class SolverService:
         store_spec = False if self.config.store == "" else self.config.store
         self.store = resolve_store(store_spec)
         self.cache = ResultCache() if self.config.cache else None
-        self.scoreboard = BackendScoreboard(store=self.store)
+        self.scoreboard = BackendScoreboard()
+        if self.store is not None:
+            self.scoreboard.hydrate(self.store)  # /readyz and admission start warm
         # Every wave routes through a scheduler over the one scoreboard (a
         # one-name fleet routes trivially), so each solve is observed once
-        # live and flushed once to the store.  Degraded requests run on the
+        # live and recorded once in the store.  Degraded requests run on the
         # classical tier under their own scheduler: same scoreboard, same
         # seed discipline.
         def scheduler() -> AdaptiveScheduler:
@@ -266,12 +268,12 @@ class SolverService:
         self._accepting = True
 
     async def shutdown(self) -> None:
-        """Graceful stop: reject new work, drain every accepted job, flush.
+        """Graceful stop: reject new work, drain every accepted job.
 
         Idempotent.  Pending submissions are dispatched (the queue releases
-        them in waves once closed), in-flight waves are awaited, and any
-        unflushed scoreboard observations are pushed into the durable store
-        so the next boot starts warm.
+        them in waves once closed), in-flight waves are awaited, and
+        scoreboard observations a wave failed to write are retried into the
+        durable store so the next boot starts warm.
         """
         if self._stopped:
             return
@@ -283,7 +285,7 @@ class SolverService:
         if self._wave_tasks:
             await asyncio.gather(*self._wave_tasks)
         if self.store is not None:
-            record_best_effort(self.scoreboard.flush, "service shutdown flush")
+            record_best_effort(lambda: self.store.scoreboard.record(()), "service shutdown record")
         self._draining = False
         self._stopped = True
 

@@ -19,6 +19,7 @@ from repro.api.backends import get_backend
 from repro.api.facade import solve, solve_many
 from repro.api.result import SolveResult
 from repro.engine import BackendScoreboard, compile_plan
+from repro.engine.scheduler import portfolio_observations, result_observation
 from repro.exceptions import ReproError
 from repro.mqo import generate_mqo_problem
 
@@ -51,7 +52,7 @@ def test_capacity_snapshot_aggregates_per_backend():
             "portfolio_meta": {"deadline_s": 2.0},
         },
     )
-    board.observe_portfolio(raced, signature="sig-a")
+    board.apply(portfolio_observations(raced, signature="sig-a"))
 
     snapshot = board.capacity_snapshot()
     assert set(snapshot) == {"sa", "tabu"}
@@ -75,8 +76,7 @@ def test_capacity_snapshot_aggregates_per_backend():
 def test_capacity_snapshot_tracks_real_batch():
     board = BackendScoreboard()
     results = solve_many(problems(3), backend="sa", seed=0, num_reads=4)
-    for result in results:
-        board.observe_result(result)
+    board.apply(result_observation(result) for result in results)
     snapshot = board.capacity_snapshot()
     assert snapshot["sa"]["count"] == 3
     assert snapshot["sa"]["structures"] >= 1

@@ -24,6 +24,7 @@ from repro.engine import (
     compile_plan,
     signature_key,
 )
+from repro.engine.scheduler import portfolio_observations
 from repro.exceptions import ReproError
 from repro.mqo import generate_mqo_problem
 from repro.qubo.model import QuboModel
@@ -144,7 +145,7 @@ class TestBackendScoreboard:
              "status": "deadline_exceeded"},
         ]
         result.info["portfolio_meta"] = {"deadline_s": 0.5}
-        board.observe_portfolio(result, signature="sig")
+        board.apply(portfolio_observations(result, signature="sig"))
         assert board.stats("sa", "sig").quality == pytest.approx(1.0)
         slow = board.stats("qaoa", "sig")
         assert slow.timeouts == 1
@@ -161,7 +162,7 @@ class TestBackendScoreboard:
             {"method": "flaky", "objective": math.nan, "wall_time": math.nan,
              "status": "error"},
         ]
-        board.observe_portfolio(result, signature="sig")
+        board.apply(portfolio_observations(result, signature="sig"))
         assert board.seen("flaky")
         assert board.stats("flaky", "sig").errors == 1
         scheduler = AdaptiveScheduler(epsilon=0.0, scoreboard=board)

@@ -6,11 +6,21 @@ that produced it — across serial / threads / processes / async executors —
 and two processes hammering one store file must never corrupt it.
 """
 
+import contextlib
 import math
 import multiprocessing
+import os
 import shutil
+import sqlite3
+import sys
+import tempfile
+import threading
+from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.api import MQOAdapter
@@ -22,6 +32,7 @@ from repro.engine import (
     engine_store,
     resolve_store,
 )
+from repro.engine.scheduler import portfolio_observations
 from repro.engine.store import STORE_ENV_VAR
 from repro.exceptions import ReproError
 from repro.mqo import generate_mqo_problem
@@ -38,6 +49,36 @@ def _mqo(rng):
 def _batch():
     """Four items over three structure groups (rng 1 appears twice)."""
     return [_mqo(r) for r in (1, 2, 1, 3)]
+
+
+def fail_next_scoreboard_write(monkeypatch, store):
+    """Make the next scoreboard transaction on ``store`` fail (disk full)."""
+    real, armed = store._connection, [True]
+
+    class Connection:
+        def __init__(self, conn):
+            self._conn = conn
+
+        def __getattr__(self, name):
+            return getattr(self._conn, name)
+
+        def executemany(self, sql, rows):
+            if armed[0] and "INTO scoreboard" in sql:
+                armed[0] = False
+                raise sqlite3.OperationalError("database or disk is full")
+            return self._conn.executemany(sql, rows)
+
+    @contextlib.contextmanager
+    def connection():
+        with real() as conn:
+            yield Connection(conn)
+
+    monkeypatch.setattr(store, "_connection", connection)
+
+
+def aggregate_counts(stats: dict) -> dict:
+    """``{backend: count}`` of the backend-global rows of a stats mapping."""
+    return {b: s.count for (b, sig), s in stats.items() if sig is None}
 
 
 def assert_stats_equal(a: dict, b: dict):
@@ -71,7 +112,8 @@ def _hammer_store(args):
 def _cold_process_decisions(args):
     """A cold process: hydrate a fresh scheduler from the store and route."""
     path, candidates, signatures = args
-    scheduler = AdaptiveScheduler(epsilon=0.0, seed=0, store=path)
+    scheduler = AdaptiveScheduler(epsilon=0.0, seed=0)
+    scheduler.scoreboard.hydrate(path)
     return [scheduler.choose(sig, list(candidates)).backend for sig in signatures]
 
 
@@ -92,11 +134,13 @@ class TestScoreboardStore:
         """Replay-based recording: the stored statistics are byte-identical
         to the live scoreboard's, including NaN/inf edge fields."""
         store = EngineStore(tmp_path / "engine.db")
-        board = BackendScoreboard(alpha=0.5, store=store)
-        board.observe("sa", "sig-a", 4.0, 0.2)
-        board.observe("sa", "sig-a", 2.0, 0.1)
-        board.observe("sa", "sig-a", 2.0, 0.0, cache_hit=True)  # latency untouched
-        board.observe("tabu", None, 1.0, 0.05)
+        board = BackendScoreboard(alpha=0.5)
+        ops = [
+            ("observe", "sa", "sig-a", 4.0, 0.2, False),
+            ("observe", "sa", "sig-a", 2.0, 0.1, False),
+            ("observe", "sa", "sig-a", 2.0, 0.0, True),  # cache hit: latency untouched
+            ("observe", "tabu", None, 1.0, 0.05, False),
+        ]
         # Timeout with a deadline floor and an error, via the portfolio feed.
         from repro.api.result import SolveResult
 
@@ -114,39 +158,104 @@ class TestScoreboardStore:
                 "portfolio_meta": {"deadline_s": 0.5},
             },
         )
-        board.observe_portfolio(result, signature="sig-a")
-        assert board.flush() > 0
+        ops += portfolio_observations(result, signature="sig-a")
+        board.apply(ops)
+        assert store.scoreboard.record(ops, alpha=0.5) > 0
 
-        hydrated = BackendScoreboard(alpha=0.5, store=EngineStore(tmp_path / "engine.db"))
+        hydrated = BackendScoreboard(alpha=0.5)
+        hydrated.hydrate(EngineStore(tmp_path / "engine.db"))
         assert_stats_equal(hydrated._stats, board._stats)
         # The error contender is durable knowledge too: not cold, ranked last.
         assert hydrated.seen("flaky")
         assert hydrated.stats("qaoa", "sig-a").timeouts == 1
         assert hydrated.stats("qaoa", "sig-a").latency == pytest.approx(0.5)
 
-    def test_flush_is_idempotent_and_unbound_is_a_noop(self, tmp_path):
-        store = EngineStore(tmp_path / "engine.db")
-        board = BackendScoreboard(store=store)
-        board.observe("sa", "sig", 1.0, 0.1)
-        assert board.flush() == 1
-        assert board.flush() == 0  # pending drained; nothing double-counts
-        assert store.scoreboard.load()[("sa", "sig")].count == 1
-        assert BackendScoreboard().flush() == 0  # no store bound
-
-    def test_rebinding_a_different_store_is_rejected(self, tmp_path):
-        board = BackendScoreboard(store=EngineStore(tmp_path / "a.db"))
-        board.bind_store(EngineStore(tmp_path / "a.db").path)  # same path: no-op
-        with pytest.raises(ReproError, match="different EngineStore"):
-            board.bind_store(EngineStore(tmp_path / "b.db"))
-
     def test_hydration_never_overwrites_live_stats(self, tmp_path):
         store = EngineStore(tmp_path / "engine.db")
         store.scoreboard.record([("observe", "sa", "sig", 9.0, 9.0, False)])
         board = BackendScoreboard()
         board.observe("sa", "sig", 1.0, 0.1)
-        board.bind_store(store)
+        board.hydrate(store)
         assert board.stats("sa", "sig").quality == pytest.approx(1.0)  # live wins
         assert board.stats("tabu", "sig") is None
+
+    @pytest.mark.parametrize("call", ["many", "portfolio"])
+    @pytest.mark.parametrize("scheduled", [False, True], ids=["unscheduled", "scheduled"])
+    def test_failed_write_is_retried_by_the_next_record(
+        self, tmp_path, monkeypatch, call, scheduled
+    ):
+        """A failed durable write warns, loses no result and no live
+        statistic, and its delta lands with the next call's on the same
+        handle — on every path, scheduled or not."""
+        store = EngineStore(tmp_path / "engine.db")
+        scheduler = (
+            AdaptiveScheduler(epsilon=0.0, seed=0, race_top_k=len(CANDIDATES))
+            if scheduled else None
+        )
+
+        def run():
+            if call == "many":
+                backend = CANDIDATES if scheduled else "sa"
+                opts = CANDIDATE_OPTS if scheduled else FAST_SA
+                results = repro.solve_many(
+                    _batch(), backend=backend, scheduler=scheduler, seed=11,
+                    store=store, **opts,
+                )
+                assert len(results) == len(_batch())
+                assert all(r is not None for r in results)
+                return Counter(r.method for r in results)
+            best = repro.solve_portfolio(
+                _mqo(1), backends=CANDIDATES, seed=5, backend_opts=CANDIDATE_OPTS,
+                scheduler=scheduler, store=store,
+            )
+            assert [e["status"] for e in best.info["portfolio"]] == ["completed"] * 3
+            return Counter(e["method"] for e in best.info["portfolio"])
+
+        fail_next_scoreboard_write(monkeypatch, store)
+        with pytest.warns(RuntimeWarning, match="durable store"):
+            first = run()
+        assert store.scoreboard.load() == {}  # the transaction rolled back
+        if scheduled:
+            assert aggregate_counts(scheduler.scoreboard._stats) == dict(first)
+        second = run()
+        assert aggregate_counts(store.scoreboard.load()) == dict(first + second)
+        if scheduled:
+            assert_stats_equal(store.scoreboard.load(), scheduler.scoreboard._stats)
+
+    def test_concurrent_failed_records_lose_nothing(self, tmp_path, monkeypatch):
+        """Threads sharing one handle while every transaction fails: each
+        failure retains its ops alongside the others', none lost or
+        doubled, so once writes work again one drain stores every op once."""
+        store = EngineStore(tmp_path / "engine.db")
+        real = store._connection
+
+        @contextlib.contextmanager
+        def failing():
+            with real():
+                raise sqlite3.OperationalError("database is locked")
+            yield  # pragma: no cover - never reached
+
+        def writer():
+            for i in range(10):
+                with pytest.raises(sqlite3.OperationalError):
+                    store.scoreboard.record([("observe", "sa", "sig", float(i), 0.01, False)])
+
+        monkeypatch.setattr(store, "_connection", failing)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(store, "_connection", real)
+        assert store.scoreboard.record(()) == 80
+        loaded = store.scoreboard.load()
+        assert loaded[("sa", "sig")].count == loaded[("sa", None)].count == 80
 
     def test_unknown_observation_kind_rejected(self, tmp_path):
         store = EngineStore(tmp_path / "engine.db")
@@ -284,20 +393,19 @@ class TestFacadeIntegration:
 
     def test_scheduled_portfolio_hydrates_and_flushes(self, tmp_path):
         store = EngineStore(tmp_path / "engine.db")
-        scheduler = AdaptiveScheduler(
-            epsilon=0.0, seed=3, race_top_k=len(CANDIDATES), store=store
-        )
+        scheduler = AdaptiveScheduler(epsilon=0.0, seed=3, race_top_k=len(CANDIDATES))
         repro.solve_portfolio(
             _mqo(1), backends=CANDIDATES, seed=5, backend_opts=CANDIDATE_OPTS,
-            scheduler=scheduler,
+            scheduler=scheduler, store=store,
         )
-        fresh = AdaptiveScheduler(epsilon=0.0, seed=3, store=store)
+        fresh = AdaptiveScheduler(epsilon=0.0, seed=3)
+        fresh.scoreboard.hydrate(store)
         assert_stats_equal(fresh.scoreboard._stats, scheduler.scoreboard._stats)
 
     def test_scheduled_portfolio_records_each_contender_once(self, tmp_path, monkeypatch):
-        """With REPRO_STORE set, the scheduled path must not record through
-        both run_portfolio and the scoreboard flush (the double-count would
-        break the exact round-trip)."""
+        """With REPRO_STORE set, the scheduled path records each contender
+        into the env store once (a double-count would break the exact
+        round-trip)."""
         monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "env.db"))
         scheduler = AdaptiveScheduler(epsilon=0.0, seed=3, race_top_k=len(CANDIDATES))
         repro.solve_portfolio(
@@ -310,9 +418,9 @@ class TestFacadeIntegration:
 
     def test_store_false_keeps_a_bound_scheduler_off_the_record(self, tmp_path):
         """store=False is 'off for this call' even after an earlier call
-        bound the scheduler's scoreboard to a store."""
+        recorded the scheduler's observations into a store."""
         store = EngineStore(tmp_path / "engine.db")
-        scheduler = AdaptiveScheduler(epsilon=0.0, seed=0, store=store)
+        scheduler = AdaptiveScheduler(epsilon=0.0, seed=0)
         repro.solve_many(
             _batch(), backend=CANDIDATES, scheduler=scheduler, seed=11, store=store,
             **CANDIDATE_OPTS,
@@ -324,13 +432,68 @@ class TestFacadeIntegration:
         )
         assert all(r is not None for r in off)
         assert_stats_equal(store.scoreboard.load(), recorded)  # nothing flushed
-        # ... and the discarded delta does not resurface on the next flush.
+        # ... and the unrecorded delta does not resurface on the next record.
         repro.solve_many(
             _batch(), backend=CANDIDATES, scheduler=scheduler, seed=11, store=store,
             **CANDIDATE_OPTS,
         )
         total = sum(s.count for (b, sig), s in store.scoreboard.load().items() if sig is None)
         assert total == 2 * len(_batch())
+
+
+# -- oracle: each solve is recorded once -------------------------------------
+
+
+ORACLE_CALL = st.tuples(
+    st.sampled_from(["solve", "many", "portfolio"]),
+    st.booleans(),  # scheduled
+    st.booleans(),  # store on
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(calls=st.lists(ORACLE_CALL, min_size=1, max_size=4), instance=st.integers(1, 3))
+def test_each_solve_is_recorded_once(calls, instance):
+    """Whatever mix of entry points, scheduling and ``store=`` a caller uses,
+    the durable scoreboard counts exactly the solves made with the store on,
+    and a scheduler driven only through that store round-trips exactly.
+    A scheduled ``solve`` is a one-item scheduled ``solve_many`` (``solve``
+    takes no scheduler)."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop(STORE_ENV_VAR, None)
+        path = os.path.join(tmp, "engine.db")
+        scheduler = AdaptiveScheduler(epsilon=0.0, seed=0)
+        expected = Counter()
+        for kind, scheduled, store_on in calls:
+            store = path if store_on else False
+            if kind == "portfolio":
+                best = repro.solve_portfolio(
+                    _mqo(instance), backends=("sa", "tabu"), seed=5,
+                    backend_opts=CANDIDATE_OPTS, store=store,
+                    scheduler=scheduler if scheduled else None,
+                )
+                solved = [entry["method"] for entry in best.info["portfolio"]]
+            elif kind == "solve" and not scheduled:
+                solved = [
+                    repro.solve(_mqo(instance), backend="sa", seed=5, store=store,
+                                **FAST_SA).method
+                ]
+            else:
+                problems = [_mqo(instance)] * (1 if kind == "solve" else 2)
+                results = repro.solve_many(
+                    problems, backend=("sa", "tabu") if scheduled else "sa", seed=5,
+                    store=store, scheduler=scheduler if scheduled else None,
+                    **(CANDIDATE_OPTS if scheduled else FAST_SA),
+                )
+                solved = [r.method for r in results]
+            if store_on:
+                expected.update(solved)
+        stored = EngineStore(path).scoreboard.load()
+        assert aggregate_counts(stored) == dict(expected)
+        if all(scheduled and store_on for _, scheduled, store_on in calls):
+            hydrated = BackendScoreboard()
+            hydrated.hydrate(path)
+            assert_stats_equal(hydrated._stats, scheduler.scoreboard._stats)
 
 
 # -- the determinism bar -----------------------------------------------------
@@ -341,13 +504,11 @@ class TestHydratedRoutingDeterminism:
         """Measure every candidate (portfolio per structure), then route a
         batch — all durable."""
         store = EngineStore(path)
-        scheduler = AdaptiveScheduler(
-            epsilon=0.0, seed=0, race_top_k=len(CANDIDATES), store=store
-        )
+        scheduler = AdaptiveScheduler(epsilon=0.0, seed=0, race_top_k=len(CANDIDATES))
         for rng in (1, 2, 3):
             repro.solve_portfolio(
                 _mqo(rng), backends=CANDIDATES, seed=5, backend_opts=CANDIDATE_OPTS,
-                scheduler=scheduler,
+                scheduler=scheduler, store=store,
             )
         repro.solve_many(
             _batch(), backend=CANDIDATES, scheduler=scheduler, seed=11, store=store,
@@ -377,7 +538,7 @@ class TestHydratedRoutingDeterminism:
         )
         assert all(mode == "exploit" for _, _, mode in reference)  # warm from step one
         for executor, copy in copies.items():
-            fresh = AdaptiveScheduler(epsilon=0.0, seed=0, store=EngineStore(copy))
+            fresh = AdaptiveScheduler(epsilon=0.0, seed=0)
             routed = repro.solve_many(
                 _batch(), backend=CANDIDATES, scheduler=fresh, seed=11,
                 executor=executor, store=EngineStore(copy), **CANDIDATE_OPTS,
@@ -399,7 +560,7 @@ class TestHydratedRoutingDeterminism:
     def test_warm_batch_hits_the_shared_tier(self, tmp_path):
         store, _ = self._warm(tmp_path / "engine.db")
         cache = ResultCache()
-        fresh = AdaptiveScheduler(epsilon=0.0, seed=0, store=store)
+        fresh = AdaptiveScheduler(epsilon=0.0, seed=0)
         warm = repro.solve_many(
             _batch(), backend=CANDIDATES, scheduler=fresh, seed=11, store=store,
             cache=cache, **CANDIDATE_OPTS,

@@ -147,8 +147,7 @@ class TestSpanTaxonomy:
         assert all(r.info["trace"]["span_id"] in warm_ids for r in second)
 
     def test_scheduled_path_emits_route_and_checkpoint_spans(self, tmp_path):
-        scheduler = AdaptiveScheduler(epsilon=0.0, seed=0,
-                                      store=tmp_path / "engine.db")
+        scheduler = AdaptiveScheduler(epsilon=0.0, seed=0)
         collector = obs.SpanCollector()
         with obs.activate(collector):
             results = repro.solve_many(

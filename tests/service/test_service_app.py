@@ -226,6 +226,31 @@ def test_fixed_backend_wave_records_each_solve_once_in_the_store(tmp_path):
     assert durable == live
 
 
+def test_restarted_service_boots_with_the_stored_capacity(tmp_path):
+    """Service B hydrates its scoreboard from service A's store file at
+    boot, so /readyz reports A's capacity before B has run a wave."""
+    from repro.engine import EngineStore
+
+    path = str(tmp_path / "engine.db")
+
+    async def run_waves():
+        service = make_service(max_wave=2, store=path)
+        await service.start()
+        for seeds in ((1, 2), (3, 4)):
+            jobs = [service.submit(MQO_SPEC, seed=s) for s in seeds]
+            await asyncio.gather(*[job.future for job in jobs])
+        await service.shutdown()
+        return service
+
+    first = asyncio.run(run_waves())
+    assert first._m["waves"].value() == 2
+    stored = EngineStore(path).scoreboard.load()[("sa", None)].count
+    assert stored == 4
+    booted = make_service(max_wave=2, store=path)
+    assert booted._m["waves"].value() == 0
+    assert booted.readiness()["capacity"]["sa"]["count"] == stored
+
+
 def test_restarted_service_serves_repeats_from_the_store_tier(tmp_path):
     """Service A's results outlive it: service B on the same store file,
     with a cold memory cache, serves the same (spec, seed) requests as
