@@ -26,26 +26,34 @@ from repro.qubo.sampleset import SampleSet
 from repro.utils.rngtools import ensure_rng
 
 
-def _greedy_quench(model: QuboModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _greedy_quench(rows: np.ndarray, owner: np.ndarray, couplings: list) -> np.ndarray:
     """Steepest-descent single-flip quench of each row to a local minimum.
+
+    Row ``r`` belongs to the model whose ``symmetric_couplings()`` are
+    ``couplings[owner[r]]``.  Every row still descending takes its move in
+    the same step (lock-step); a row leaves the batch at its local minimum.
+    ``S`` is exactly symmetric, so its row ``i`` stands in for column ``i``.
 
     The physical annealer's final read-out happens deep in the classical
     regime; this quench plays that role after the Trotter dynamics stop.
     """
-    a, S = model.symmetric_couplings()
-    rows = np.array(rows, dtype=int)
-    for r in range(rows.shape[0]):
-        x = rows[r]
-        fields = S @ x
-        while True:
-            deltas = (1 - 2 * x) * (a + fields)
-            i = int(np.argmin(deltas))
-            if deltas[i] >= -1e-12:
-                break
-            sign = 1 - 2 * x[i]
-            x[i] ^= 1
-            fields += S[:, i] * sign
-    return rows, model.energies(rows)
+    X = np.array(rows, dtype=int)
+    fields = np.empty(X.shape)
+    for r in range(X.shape[0]):
+        fields[r] = couplings[owner[r]][1] @ X[r]
+    n = X.shape[1]
+    linear = np.stack([a for a, _ in couplings])[owner]
+    S_rows = np.concatenate([S for _, S in couplings])  # row j * n + i is S_i of model j
+    live = np.arange(X.shape[0])
+    while live.size:
+        deltas = (1 - 2 * X[live]) * (linear[live] + fields[live])
+        i = deltas.argmin(axis=1)
+        down = deltas[np.arange(live.size), i] < -1e-12
+        live, i = live[down], i[down]
+        sign = 1 - 2 * X[live, i]
+        X[live, i] ^= 1
+        fields[live] += S_rows[owner[live] * n + i] * sign[:, None]
+    return X
 
 
 class SimulatedQuantumAnnealingSolver:
@@ -132,7 +140,8 @@ class SimulatedQuantumAnnealingSolver:
         per_read = energies.reshape(R, P)
         best_slice = per_read.argmin(axis=1)
         rows = X.reshape(R, P, n)[np.arange(R), best_slice]
-        rows, best_energies = _greedy_quench(model, rows)
+        rows = _greedy_quench(rows, np.zeros(R, dtype=int), [model.symmetric_couplings()])
+        best_energies = model.energies(rows)
         return SampleSet.from_arrays(
             rows,
             best_energies,

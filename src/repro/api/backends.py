@@ -1,9 +1,9 @@
 """The pluggable solver layer: every engine behind one ``run`` signature.
 
-A :class:`Backend` consumes a QUBO and returns a
-:class:`~repro.qubo.sampleset.SampleSet` — nothing domain-specific crosses
-this boundary, which is what lets one facade serve every Table I workload
-on every machine class.  The registry maps short names (``"sa"``,
+A :class:`Backend` consumes a shard's QUBOs, each with its own RNG, and
+returns one :class:`~repro.qubo.sampleset.SampleSet` per QUBO — nothing
+domain-specific crosses this boundary, which is what lets one facade serve
+every Table I workload on every machine class.  The registry maps short names (``"sa"``,
 ``"qaoa"``, ``"annealer"``, ...) to backend factories so callers select
 engines by string; new engines (real hardware clients, remote dispatchers)
 plug in via :func:`register_backend` without touching any domain code.
@@ -18,7 +18,7 @@ structurally identical instances.
 from __future__ import annotations
 
 import abc
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.api.problem import qubo_signature
 from repro.exceptions import ReproError
@@ -45,8 +45,15 @@ class Backend(abc.ABC):
     capacity: "int | None" = None
 
     @abc.abstractmethod
-    def run(self, model: QuboModel, rng=None, **opts) -> SampleSet:
-        """Sample low-energy assignments of ``model``."""
+    def run(self, jobs: Sequence[tuple[QuboModel, object]]) -> list[SampleSet]:
+        """Sample low-energy assignments of each ``(model, rng)`` job.
+
+        Returns one sample set per job, in job order; a single solve is the
+        one-job case.  ``rng`` is a seed, a ``Generator`` or ``None``.  A job's
+        samples may depend on the jobs before it only through state the
+        backend keys by QUBO structure (embeddings, warm-start angles), so
+        the engine passes a shard's jobs in shard order.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
@@ -100,8 +107,8 @@ class BruteForceBackend(Backend):
         self._keep = keep
         self.capacity = max_variables
 
-    def run(self, model: QuboModel, rng=None, **opts) -> SampleSet:
-        return self._solver.solve(model, keep=self._keep)
+    def run(self, jobs):
+        return [self._solver.solve(model, keep=self._keep) for model, _ in jobs]
 
 
 class TabuBackend(Backend):
@@ -116,8 +123,8 @@ class TabuBackend(Backend):
             num_restarts=num_restarts, max_iterations=max_iterations, tenure=tenure
         )
 
-    def run(self, model: QuboModel, rng=None, **opts) -> SampleSet:
-        return self._solver.solve(model, rng=ensure_rng(rng))
+    def run(self, jobs):
+        return self._solver.run(jobs)
 
 
 class SimulatedAnnealingBackend(Backend):
@@ -132,8 +139,8 @@ class SimulatedAnnealingBackend(Backend):
             num_reads=num_reads, num_sweeps=num_sweeps, quench=quench
         )
 
-    def run(self, model: QuboModel, rng=None, **opts) -> SampleSet:
-        return self._solver.solve(model, rng=ensure_rng(rng))
+    def run(self, jobs):
+        return self._solver.run(jobs)
 
 
 class SimulatedQuantumAnnealingBackend(Backend):
@@ -148,8 +155,8 @@ class SimulatedQuantumAnnealingBackend(Backend):
             num_reads=num_reads, num_sweeps=num_sweeps, num_slices=num_slices
         )
 
-    def run(self, model: QuboModel, rng=None, **opts) -> SampleSet:
-        return self._solver.solve(model, rng=ensure_rng(rng))
+    def run(self, jobs):
+        return [self._solver.solve(model, rng=rng) for model, rng in jobs]
 
 
 class AnnealerBackend(Backend):
@@ -183,8 +190,10 @@ class AnnealerBackend(Backend):
         # physical qubits (chains only shrink the usable count further).
         self.capacity = self.device.num_qubits if use_embedding else None
 
-    def run(self, model: QuboModel, rng=None, **opts) -> SampleSet:
-        rng = ensure_rng(rng)
+    def run(self, jobs):
+        return [self._sample(model, ensure_rng(rng)) for model, rng in jobs]
+
+    def _sample(self, model: QuboModel, rng) -> SampleSet:
         if not self.use_embedding:
             return self.device.sample_unembedded(model, rng=rng)
         # A cached embedding maps variable *indices*; any same-signature
@@ -229,10 +238,12 @@ class QAOABackend(Backend):
         self.warm_start = warm_start
         self._params_cache: dict = {}
 
-    def run(self, model: QuboModel, rng=None, **opts) -> SampleSet:
+    def run(self, jobs):
+        return [self._sample(model, ensure_rng(rng)) for model, rng in jobs]
+
+    def _sample(self, model: QuboModel, rng) -> SampleSet:
         from repro.algorithms.qaoa import QAOA
 
-        rng = ensure_rng(rng)
         qaoa = QAOA.from_qubo(model, num_layers=self.num_layers)
         key = (qubo_signature(model), self.num_layers) if self.warm_start else None
         initial = self._params_cache.get(key) if key is not None else None
@@ -267,10 +278,12 @@ class VQEBackend(Backend):
         self.restarts = restarts
         self.shots = shots
 
-    def run(self, model: QuboModel, rng=None, **opts) -> SampleSet:
+    def run(self, jobs):
+        return [self._sample(model, ensure_rng(rng)) for model, rng in jobs]
+
+    def _sample(self, model: QuboModel, rng) -> SampleSet:
         from repro.algorithms.vqe import VQE
 
-        rng = ensure_rng(rng)
         vqe = VQE.from_qubo(model, num_layers=self.num_layers)
         result = vqe.run(maxiter=self.maxiter, restarts=self.restarts, shots=self.shots, rng=rng)
         samples = result.samples
@@ -291,8 +304,8 @@ class SamplerBackend(Backend):
         self._sampler = sampler
         self.name = name
 
-    def run(self, model: QuboModel, rng=None, **opts) -> SampleSet:
-        return self._sampler.solve(model, rng=ensure_rng(rng))
+    def run(self, jobs):
+        return [self._sampler.solve(model, rng=ensure_rng(rng)) for model, rng in jobs]
 
 
 class ClassicalBaselineBackend(Backend):
@@ -306,7 +319,7 @@ class ClassicalBaselineBackend(Backend):
     name = "classical"
     solves_problem_directly = True
 
-    def run(self, model: QuboModel, rng=None, **opts) -> SampleSet:
+    def run(self, jobs):
         raise ReproError("classical baseline solves the domain problem, not the QUBO")
 
     def solve_problem(self, problem, rng=None, **opts):

@@ -7,7 +7,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-#: The kernel's ``wall_time`` split, in the order ``solve_one`` spends it.
+#: The ``wall_time`` split, in the order the shard kernel spends it.  For a
+#: sampling backend ``solve_time`` is the item's equal share of its shard's
+#: one ``Backend.run`` call, so ``wall_time`` is the item's own formulate,
+#: decode, refine and evaluate seconds plus that share.
 KERNEL_TIMINGS = ("formulate_time", "solve_time", "decode_time", "refine_time", "evaluate_time")
 
 
@@ -60,8 +63,10 @@ class SolveResult:
             energy to report, and ``NaN`` is deliberately unequal to every
             real energy so it can never masquerade as one.  Test via
             :attr:`used_qubo`, not ``==`` (NaN compares unequal to itself).
-        wall_time: End-to-end seconds spent solving.  A cache-served result
-            keeps the wall time of the original solve it memoised.
+        wall_time: Seconds spent solving this item: its own formulate,
+            decode, refine and evaluate seconds plus its equal share of the
+            shard's one sampling call.  A cache-served result keeps the
+            wall time of the original solve it memoised.
         num_variables: Size of the problem's QUBO formulation.  Reported on
             every path — direct-solve backends skip sampling but still
             formulate, so result rows stay comparable across backends.
@@ -72,10 +77,11 @@ class SolveResult:
             scheduler's scoreboard key), executor name, the item's child
             seed, a truncated QUBO fingerprint, ``cache_hit``, and the
             ``wall_time`` split — ``formulate_time`` (QUBO formulation),
-            ``solve_time`` (backend sampling / direct solve),
-            ``decode_time`` / ``refine_time`` / ``evaluate_time`` (summed
-            over the decoded candidates), and ``cache_time`` (cache-probe
-            seconds paid by this dispatch).
+            ``solve_time`` (the item's share of the shard's backend
+            sampling, or its direct solve), ``decode_time`` /
+            ``refine_time`` / ``evaluate_time`` (summed over the decoded
+            candidates), and ``cache_time`` (cache-probe seconds paid by
+            this dispatch).
             Every kernel result also carries the raw split in
             ``info["timings"]``, and when tracing is active
             ``info["trace"]`` holds the ``{"trace_id", "span_id"}`` of the

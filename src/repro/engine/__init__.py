@@ -49,7 +49,6 @@ from repro.engine.runner import (
     execute_plan,
     run_portfolio,
     solve_batch,
-    solve_one,
 )
 from repro.engine.scheduler import (
     AdaptiveScheduler,
@@ -87,7 +86,6 @@ __all__ = [
     "signature_key",
     "execute_plan",
     "solve_batch",
-    "solve_one",
     "run_portfolio",
     "AdaptiveScheduler",
     "BackendScoreboard",

@@ -3,8 +3,8 @@
 This module owns the code that actually runs a compiled
 :class:`~repro.engine.plan.ExecutionPlan`:
 
-* :func:`solve_one` — the Problem -> QUBO -> Backend -> SolveResult kernel
-  (moved here from the facade so every executor shares one definition);
+* :func:`_execute_shard` — the shard kernel, Problems -> QUBOs -> one
+  ``Backend.run`` -> SolveResults, shared by every executor;
 * :func:`execute_plan` — cache lookup, shard dispatch through a pluggable
   executor, cache fill, and per-result engine metadata.  It is the only
   code that produces engine results: everything below reaches the kernel
@@ -59,73 +59,82 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.engine.store import EngineStore, SharedCacheTier
 
 
-def solve_one(problem: Problem, backend: Backend, rng, refine: bool, top_k: int) -> SolveResult:
-    """Solve one problem on one backend instance (the pipeline kernel).
+def _solve_directly(problem: Problem, backend: Backend, rng, refine: bool) -> SolveResult:
+    """A direct-solve backend (``classical``) on one problem.
 
-    Sampling backends return samples whose ``top_k`` lowest-energy reads
-    are decoded (and refined); the best evaluated one wins.  Direct-solve
-    backends (``classical``) bypass QUBO *sampling* but still report
-    ``num_variables`` from the problem's cached formulation, so result rows
-    stay comparable across backends; their ``energy`` is NaN by convention
-    (see :class:`~repro.api.result.SolveResult`).
-
-    Every result carries ``info["timings"]``: ``formulate_time`` (the
-    ``to_qubo`` call; near zero when the adapter's cached formulation is
-    reused, e.g. after plan compile already formulated), ``solve_time``
-    (backend sampling / direct solve), and ``decode_time`` /
-    ``refine_time`` / ``evaluate_time`` summed over the decoded
-    candidates (``decode_time`` is 0 on the direct-solve path).
+    Sampling is bypassed, but ``num_variables`` still comes from the
+    problem's cached formulation so result rows stay comparable across
+    backends; ``energy`` is NaN by convention (see
+    :class:`~repro.api.result.SolveResult`) and ``decode_time`` is 0.
     """
-    from repro.api.result import SolveResult
-
     start = time.perf_counter()
     model = problem.to_qubo()
-    formulate_s = time.perf_counter() - start
-    decode_s = refine_s = evaluate_s = 0.0
     solve_t0 = time.perf_counter()
-    if backend.solves_problem_directly:
-        solution = backend.solve_problem(problem, rng=rng)
-        solve_s = time.perf_counter() - solve_t0
+    solution = backend.solve_problem(problem, rng=rng)
+    t0 = time.perf_counter()
+    if refine:
+        solution = problem.refine(solution)
+    t1 = time.perf_counter()
+    objective = problem.evaluate(solution)
+    timings = {
+        "formulate_time": solve_t0 - start,
+        "solve_time": t0 - solve_t0,
+        "decode_time": 0.0,
+        "refine_time": t1 - t0,
+        "evaluate_time": time.perf_counter() - t1,
+    }
+    return _result(problem, backend, model, solution, objective, math.nan,
+                   {"solver": backend.name}, timings, time.perf_counter() - start)
+
+
+def _best_of(problem: Problem, backend: Backend, model, samples, refine: bool, top_k: int,
+             formulate_s: float, solve_s: float) -> SolveResult:
+    """Decode (and refine) the ``top_k`` lowest-energy samples; the best evaluated wins.
+
+    ``solve_s`` is this item's share of the shard's sampling, and
+    ``wall_time`` is that share plus the item's own formulate, decode,
+    refine and evaluate seconds.
+    """
+    start = time.perf_counter()
+    solution, objective = None, math.inf
+    decode_s = refine_s = evaluate_s = 0.0
+    for sample in samples.truncate(max(top_k, 1)):
         t0 = time.perf_counter()
-        if refine:
-            solution = problem.refine(solution)
+        candidate = problem.decode(sample.bits)
         t1 = time.perf_counter()
-        objective = problem.evaluate(solution)
-        refine_s, evaluate_s = t1 - t0, time.perf_counter() - t1
-        energy, info = math.nan, {"solver": backend.name}
-    else:
-        samples = backend.run(model, rng=rng)
-        solve_s = time.perf_counter() - solve_t0
-        solution, objective = None, math.inf
-        for sample in samples.truncate(max(top_k, 1)):
-            t0 = time.perf_counter()
-            candidate = problem.decode(sample.bits)
-            t1 = time.perf_counter()
-            if refine:
-                candidate = problem.refine(candidate)
-            t2 = time.perf_counter()
-            value = problem.evaluate(candidate)
-            t3 = time.perf_counter()
-            decode_s += t1 - t0
-            refine_s += t2 - t1
-            evaluate_s += t3 - t2
-            if value < objective:
-                solution, objective = candidate, value
-        energy, info = samples.best.energy, dict(samples.info)
-    info["timings"] = {
+        if refine:
+            candidate = problem.refine(candidate)
+        t2 = time.perf_counter()
+        value = problem.evaluate(candidate)
+        t3 = time.perf_counter()
+        decode_s += t1 - t0
+        refine_s += t2 - t1
+        evaluate_s += t3 - t2
+        if value < objective:
+            solution, objective = candidate, value
+    timings = {
         "formulate_time": formulate_s,
         "solve_time": solve_s,
         "decode_time": decode_s,
         "refine_time": refine_s,
         "evaluate_time": evaluate_s,
     }
+    wall = formulate_s + solve_s + time.perf_counter() - start
+    return _result(problem, backend, model, solution, objective, samples.best.energy,
+                   dict(samples.info), timings, wall)
+
+
+def _result(problem, backend, model, solution, objective, energy, info, timings, wall):
+    from repro.api.result import SolveResult
+
+    info["timings"] = timings
     return SolveResult(
         problem=problem.name,
         method=backend.name,
         solution=solution,
         objective=objective,
         energy=energy,
-        wall_time=time.perf_counter() - start,
+        wall_time=wall,
         num_variables=model.num_variables,
         info=info,
     )
@@ -191,12 +200,19 @@ def _shard_tier(tiers: list) -> "str | None":
 
 
 def _execute_shard(payload: dict) -> dict:
-    """Run one shard's items in order on one backend; module-level for pickling.
+    """The shard kernel, run on one backend; module-level for pickling.
 
-    Items run in shard order on the shared instance, so signature-keyed
-    backend caches (embeddings, warm-start angles) amortise across the
-    shard.  A live Generator seed (an uncacheable one-item plan) is drawn
-    in place.
+    Sampling backends: formulate every item, call ``Backend.run`` **once**
+    with every item's ``(model, rng)``, then decode, refine and evaluate
+    each item (:func:`_best_of`).  Items are passed in shard order on the
+    shared instance, so signature-keyed backend caches (embeddings,
+    warm-start angles) amortise across the shard.  Each item's
+    ``solve_time`` is an equal share of that one call.  Direct-solve
+    backends solve item by item (:func:`_solve_directly`).  A live
+    Generator seed (an uncacheable one-item plan) is drawn in place.
+
+    One ``engine.solve`` span per item covers that item's own stages;
+    formulation and the shard's one ``run`` sit in ``engine.shard``.
 
     Returns ``{"results": [...], "spans": [...]}`` — results in shard
     order, spans collected worker-side when the payload carries a trace
@@ -206,6 +222,8 @@ def _execute_shard(payload: dict) -> dict:
     from repro.api.backends import get_backend
 
     shard = payload["shard"]
+    items = shard.items
+    refine, top_k = payload["refine"], payload["top_k"]
     if shard.backend_name is not None:
         backend = get_backend(shard.backend_name, **shard.backend_opts)
     else:
@@ -217,13 +235,29 @@ def _execute_shard(payload: dict) -> dict:
             "engine.shard",
             parent=payload.get("trace"),
             shard=payload["shard_id"],
-            shard_size=len(shard.items),
+            shard_size=len(items),
             signature=shard.signature,
             backend=backend.name,
             executor=payload["executor"],
         )
+
+    rngs = [np.random.default_rng(item.seed) for item in items]
+    if not backend.solves_problem_directly:
+        models, formulate_s = [], []
+        for item in items:
+            t0 = time.perf_counter()
+            models.append(item.problem.to_qubo())
+            formulate_s.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        sample_sets = backend.run(list(zip(models, rngs)))
+        share = (time.perf_counter() - t0) / len(items)
+        if len(sample_sets) != len(items):
+            raise ReproError(
+                f"backend {backend.name!r} returned {len(sample_sets)} sample sets "
+                f"for {len(items)} jobs"
+            )
     out = []
-    for item in shard.items:
+    for pos, item in enumerate(items):
         if tracer is not None:
             solve_span = tracer.begin(
                 "engine.solve",
@@ -233,10 +267,11 @@ def _execute_shard(payload: dict) -> dict:
                 seed=item.seed if isinstance(item.seed, int) else None,
                 fingerprint=item.fingerprint[:16],
             )
-        result = solve_one(
-            item.problem, backend, np.random.default_rng(item.seed),
-            payload["refine"], payload["top_k"],
-        )
+        if backend.solves_problem_directly:
+            result = _solve_directly(item.problem, backend, rngs[pos], refine)
+        else:
+            result = _best_of(item.problem, backend, models[pos], sample_sets[pos],
+                              refine, top_k, formulate_s[pos], share)
         if tracer is not None:
             tracer.end(solve_span)
             result.info["trace"] = {

@@ -42,10 +42,10 @@ class TestRegistry:
         class EchoBackend(Backend):
             name = "echo_test"
 
-            def run(self, model, rng=None, **opts):
+            def run(self, jobs):
                 from repro.qubo.bruteforce import BruteForceSolver
 
-                return BruteForceSolver().solve(model)
+                return [BruteForceSolver().solve(model) for model, _ in jobs]
 
         register_backend("echo_test", EchoBackend)
         try:
@@ -158,4 +158,4 @@ class TestSamplerBackend:
     def test_classical_backend_refuses_qubo(self):
         backend = get_backend("classical")
         with pytest.raises(ReproError):
-            backend.run(QuboModel(2))
+            backend.run([(QuboModel(2), 0)])

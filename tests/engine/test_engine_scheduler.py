@@ -63,11 +63,14 @@ class ScriptedBackend(Backend):
         self._bit = bit
         self.delay_s = delay_s
 
-    def run(self, model, rng=None, **opts) -> SampleSet:
-        if self.delay_s:
-            time.sleep(self.delay_s)
-        bits = tuple(self._bit for _ in range(model.num_variables))
-        return SampleSet([Sample(bits, model.energy(bits))])
+    def run(self, jobs) -> list[SampleSet]:
+        out = []
+        for model, _ in jobs:
+            if self.delay_s:
+                time.sleep(self.delay_s)
+            bits = tuple(self._bit for _ in range(model.num_variables))
+            out.append(SampleSet([Sample(bits, model.energy(bits))]))
+        return out
 
 
 CANDIDATES = ("scripted_good", "scripted_bad")
