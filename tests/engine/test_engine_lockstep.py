@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import repro
 from repro import obs
-from repro.api import LeftDeepJoinAdapter, MQOAdapter, get_backend
+from repro.api import Backend, LeftDeepJoinAdapter, MQOAdapter, get_backend
 from repro.db.generator import chain_query
+from repro.exceptions import ReproError
 from repro.mqo import generate_mqo_problem
 from repro.qubo.model import QuboModel
 from repro.qubo.sampleset import Sample, SampleSet
@@ -206,3 +207,15 @@ def test_shard_sampling_is_split_evenly_across_items():
     solves = [s for s in spans if s["name"] == "engine.solve"]
     assert len(solves) == 4
     assert all(s["parent_id"] == shard["span_id"] for s in solves)
+
+
+def test_run_must_return_one_sample_set_per_job():
+    class Short(Backend):
+        name = "short"
+
+        def run(self, jobs):
+            return []
+
+    problem = MQOAdapter(generate_mqo_problem(3, 2, sharing_density=0.4, rng=1))
+    with pytest.raises(ReproError, match="returned 0 sample sets for 1 jobs"):
+        repro.solve(problem, backend=Short(), seed=0)
