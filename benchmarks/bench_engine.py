@@ -1,6 +1,6 @@
 """Engine benchmarks: sharded dispatch, cache reuse, adaptive scheduling.
 
-Seven claims, each asserted on results and on deterministic counts read
+Eight claims, each asserted on results and on deterministic counts read
 from the engine's own spans (``engine.solve`` per solved item,
 ``engine.execute``'s ``shards_dispatched``) — never on wall clock, which
 ``layerbench/`` measures:
@@ -24,7 +24,11 @@ from the engine's own spans (``engine.solve`` per solved item,
    to the seed's dict-per-term path (its speed is layerbench's
    ``api.formulate_s`` / ``qubo.fingerprint_s``);
 7. the qbsolv-style decomposer matches or beats a direct tabu solve on a
-   clustered instance 4x over the imposed capacity.
+   clustered instance 4x over the imposed capacity;
+8. a stateless backend samples a whole dispatch in one call: a 32-item
+   batch of seven QUBO sizes over the four Table I domains (21 shards)
+   makes exactly one ``Backend.run`` on the serial executor, on ``sa`` and
+   on ``tabu``.
 
 A tracing gate rides along: with no tracer installed, the no-op span cost
 stays under 2% of an untraced batch.
@@ -34,6 +38,7 @@ import statistics
 import time
 
 import numpy as np
+import pytest
 
 from repro import obs
 from repro import (
@@ -44,8 +49,18 @@ from repro import (
     solve_many,
     solve_portfolio,
 )
-from repro.api import MQOAdapter, as_problem
+from repro.api import (
+    LeftDeepJoinAdapter,
+    MQOAdapter,
+    SchemaMatchingAdapter,
+    TxnScheduleAdapter,
+    as_problem,
+    get_backend,
+)
+from repro.db.generator import chain_query, star_query
+from repro.integration.generator import generate_schema_pair
 from repro.mqo import generate_mqo_problem
+from repro.txn.generator import generate_transactions
 from repro.mqo.qubo import mqo_to_qubo
 from repro.qubo.model import QuboModel
 
@@ -422,3 +437,41 @@ def test_decomposer_matches_direct_tabu_when_4x_over_capacity():
     assert decomposed.objective <= direct.objective + 1e-9, (
         f"decomposer lost quality: {decomposed.objective} vs {direct.objective}"
     )
+
+
+# -- claim 8: one sampling call per dispatch ---------------------------------
+
+
+def _table1_small_batch():
+    """8 small instances of each Table I domain: 32 items, 7 QUBO sizes, 21 shards."""
+    problems = []
+    for seed in range(8):
+        problems.append(MQOAdapter(generate_mqo_problem(4, 3, sharing_density=0.4, rng=seed)))
+        topology = chain_query if seed % 2 == 0 else star_query
+        problems.append(LeftDeepJoinAdapter(topology(4, rng=seed)))
+        source, target, _ = generate_schema_pair(4, rng=seed)
+        problems.append(SchemaMatchingAdapter(source, target))
+        txns = generate_transactions(4, num_items=6, rng=seed)
+        problems.append(TxnScheduleAdapter(txns, num_slots=4))
+    return problems
+
+
+@pytest.mark.parametrize("backend", ["sa", "tabu"])
+def test_serial_dispatch_makes_one_run_call(backend, monkeypatch):
+    """Claim 8: one ``Backend.run`` for the whole batch, not one per shard."""
+    calls = []
+    cls = type(get_backend(backend))
+    original = cls.run
+
+    def counted(self, jobs):
+        calls.append(len(jobs))
+        return original(self, jobs)
+
+    monkeypatch.setattr(cls, "run", counted)
+    problems = _table1_small_batch()
+    results, solves, shards = engine_counts(
+        lambda: solve_many(problems, backend=backend, seed=5, executor="serial")
+    )
+    assert len({r.num_variables for r in results}) == 7
+    assert (shards, solves) == (21, 32)
+    assert calls == [32]

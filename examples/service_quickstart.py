@@ -36,7 +36,7 @@ async def main() -> None:
         max_wave=16,            # ...or dispatch the moment 16 are pending
         backends=("sa",),
         backend_opts={"sa": dict(SA_OPTS)},
-        executor="threads",
+        executor="serial",      # the wave's shards share one Backend.run
     ))
     await service.start()
 

@@ -1,21 +1,22 @@
 """Classical simulated annealing for QUBO models.
 
 The sampler runs in lock-step: every read of every schedule half of every
-job advances together, one variable position per step, so the inner loop
-is a handful of numpy calls over all rows rather than one call chain per
-read group.  Each job's RNG stream is drawn up front in the order a lone
-anneal draws it, and every row does the same float operations, so a job's
-samples do not depend on which other jobs share the call.
+job, whatever its size, advances together, one variable position per step,
+so the inner loop is a handful of numpy calls over all rows rather than one
+call chain per read group.  Each job's RNG stream is drawn in the order a
+lone anneal draws it, and every row does the same float operations, so a
+job's samples do not depend on which other jobs share the call.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
 from repro.annealing.schedule import beta_range, geometric_beta_schedule, model_beta_range
-from repro.qubo.model import QuboModel, size_classes
+from repro.qubo.model import QuboModel
 from repro.qubo.sampleset import SampleSet
 from repro.utils.rngtools import ensure_rng
 
@@ -64,12 +65,146 @@ class SimulatedAnnealingSolver:
         coefficient range (good mixing on small, homogeneous problems) and
         one to the per-variable field range (good freezing on heterogeneous
         penalty/chain problems) — and the results merged.
+
+        Jobs of every size advance together: rows are padded to the call's
+        largest ``n`` and a row sits out step ``t`` once ``t`` reaches its
+        own ``n``.  Rows go half by half, one half per (job, schedule
+        half), largest ``n`` first, so the rows still stepping at step ``t``
+        are a prefix.  Row ``r`` of ``X`` and ``fields`` lives at flat index
+        ``r * N + c``; ``owner`` maps a row to its job and ``half_of`` to its
+        half, whose permutation orders that row's sweep.
         """
-        out: list = [None] * len(jobs)
-        for group in size_classes([model for model, _ in jobs]):
-            for k, samples in zip(group, self._lockstep([jobs[k] for k in group], blocks)):
-                out[k] = samples
-        return out
+        models = [model for model, _ in jobs]
+        if not models:
+            return []
+        sweeps = self.num_sweeps
+        couplings = [model.symmetric_couplings() for model in models]
+        block_idx = [np.array(sorted(block), dtype=int) for block in blocks or []]
+        block_data = [[(idx, S[np.ix_(idx, idx)]) for idx in block_idx] for _, S in couplings]
+        halves = [(j, betas, reads) for j, model in enumerate(models)
+                  for betas, reads in self._halves(model)]
+        dims = [models[j].num_variables for j, _, _ in halves]
+        N = max(dims)
+        order = sorted(range(len(halves)), key=lambda h: -dims[h])
+        counts = [halves[h][2] for h in order]
+        spans: list = [None] * len(halves)  # each half's slice of rows
+        R = 0
+        for h in order:
+            spans[h] = slice(R, R + halves[h][2])
+            R += halves[h][2]
+        half_of = np.repeat(order, counts).astype(int)
+        owner = np.array([j for j, _, _ in halves], dtype=int)[half_of]
+        row_n = np.array(dims, dtype=int)[half_of]
+        # Steps grouped by how many rows (a prefix) are still stepping.
+        phases = [(live, list(steps)) for live, steps in
+                  groupby(range(N), key=lambda t: int(np.count_nonzero(row_n > t)))]
+
+        # Each job's stream comes in a lone anneal's order: per half the
+        # start states, then per sweep its permutation, its uniforms and one
+        # uniform per read per block.  Earlier halves are drawn up front;
+        # a job's last half is drawn sweep by sweep, after everything else
+        # its generator gives — unless a later job shares that generator,
+        # whose draws must then wait for all of this job's.
+        rngs = [ensure_rng(rng) for _, rng in jobs]
+        last_job = {id(rng): j for j, rng in enumerate(rngs)}
+        last_half = {j: h for h, (j, _, _) in enumerate(halves)}
+        lazy = {h for j, h in last_half.items() if last_job[id(rngs[j])] == j}
+        eager = [h for h in range(len(halves)) if h not in lazy]
+        # Where an up-front half's perm and uniforms land in the per-sweep
+        # (half, N) perm and (R, N) uniform arrays, as flat indices.
+        perm_dest = [h * N + np.arange(dims[h]) for h in eager]
+        u_dest = [(np.arange(spans[h].start, spans[h].stop)[:, None] * N
+                   + np.arange(dims[h])).reshape(-1) for h in eager]
+        perm_dest = np.concatenate([np.empty(0, dtype=int), *perm_dest])
+        u_dest = np.concatenate([np.empty(0, dtype=int), *u_dest])
+        perm_store = np.empty((sweeps, perm_dest.size), dtype=int)
+        u_store = np.empty((sweeps, u_dest.size))
+        block_u = np.empty((sweeps, len(block_idx), R))
+        X = np.zeros((R, N), dtype=np.int64)
+        p_off = u_off = 0
+        for h, (j, _, reads) in enumerate(halves):
+            n, rows = dims[h], spans[h]
+            X[rows, :n] = rngs[j].integers(0, 2, size=(reads, n))
+            if h in lazy:
+                continue
+            for s in range(sweeps):
+                perm_store[s, p_off:p_off + n] = rngs[j].permutation(n)
+                u_store[s, u_off:u_off + reads * n] = rngs[j].random((reads, n)).reshape(-1)
+                for b in range(len(block_idx)):
+                    block_u[s, b, rows] = rngs[j].random(reads)
+            p_off += n
+            u_off += reads * n
+        neg_beta = -np.stack([betas for _, betas, _ in halves], axis=1)  # (sweep, half)
+
+        # Initial fields half by half: sum_j S_ij x_j per read.
+        fields = np.zeros((R, N))
+        for h, (j, _, _) in enumerate(halves):
+            n, rows = dims[h], spans[h]
+            fields[rows, :n] = np.ascontiguousarray(X[rows, :n]) @ couplings[j][1]
+        # Padded linear terms and rows of S; job j's S_i is row offsets[j] + i.
+        offsets = np.cumsum([0, *(model.num_variables for model in models)])
+        linear = np.zeros((len(models), N))
+        S_rows = np.zeros((offsets[-1], N))
+        for j, (a, S) in enumerate(couplings):
+            linear[j, :a.size] = a
+            S_rows[offsets[j]:offsets[j + 1], :a.size] = S
+        linear = linear[owner].reshape(-1)
+        x_flat, f_flat = X.reshape(-1), fields.reshape(-1)
+        base = (np.arange(R) * N)[:, None]
+        row_base = offsets[owner][:, None]
+        perms = np.tile(np.arange(N), (len(halves), 1))  # padding stays n..N-1
+        U = np.empty((R, N))
+        perms_flat, U_flat = perms.reshape(-1), U.reshape(-1)
+        lazy_draws = [(h, rngs[halves[h][0]], dims[h], spans[h], halves[h][2])
+                      for h in sorted(lazy)]
+        for s in range(sweeps):
+            perms_flat[perm_dest] = perm_store[s]
+            U_flat[u_dest] = u_store[s]
+            for h, rng, n, rows, reads in lazy_draws:
+                perms[h, :n] = rng.permutation(n)
+                U[rows, :n] = rng.random((reads, n))
+                for b in range(len(block_idx)):
+                    block_u[s, b, rows] = rng.random(reads)
+            # Step t visits variable cols[r, t] of row r: its flat index into
+            # X / fields / the linear terms, its uniform and its row of S.
+            cols = perms[half_of]
+            flat = cols + base
+            uniforms = U_flat[flat]
+            lin = linear[flat]
+            s_row = cols + row_base
+            nb = neg_beta[s][half_of]
+            for live, steps in phases:
+                flat_l, lin_l, u_l, nb_l = flat[:live], lin[:live], uniforms[:live], nb[:live]
+                for t in steps:
+                    at = flat_l[:, t]
+                    sign = 1 - 2 * x_flat[at]
+                    delta = sign * (lin_l[:, t] + f_flat[at])
+                    # exp(-beta * clip(delta, 0, 700)), in two plain ufunc calls.
+                    hot = np.exp(nb_l * np.minimum(np.maximum(delta, 0.0), 700.0))
+                    rows = ((delta <= 0) | (u_l[:, t] < hot)).nonzero()[0]
+                    if rows.size == 0:
+                        continue
+                    x_flat[at[rows]] ^= 1
+                    fields[rows] += sign[rows, None] * S_rows[s_row[rows, t]]
+            for h, (j, _, _) in enumerate(halves if block_idx else ()):
+                n, rows = dims[h], spans[h]
+                _block_moves(X[rows, :n], fields[rows, :n], couplings[j], block_data[j],
+                             block_u[s, :, rows], nb[rows])
+        if self.quench:
+            from repro.annealing.sqa import _greedy_quench
+
+            X = _greedy_quench(X, owner, couplings)
+
+        out: list[list[SampleSet]] = [[] for _ in models]
+        info = {"solver": "simulated_annealing", "reads": self.num_reads, "sweeps": self.num_sweeps}
+        for h, (j, _, _) in enumerate(halves):
+            rows = X[spans[h], :dims[h]]
+            out[j].append(SampleSet.from_arrays(rows, models[j].energies(rows), info=info))
+        half = self.num_reads // 2
+        portfolio = {"coeff_reads": self.num_reads - half, "field_reads": half}
+        return [parts[0] if len(parts) == 1 else
+                SampleSet([*parts[0], *parts[1]], info={**info, "schedule_portfolio": portfolio})
+                for parts in out]
 
     def _halves(self, model: QuboModel) -> list[tuple[np.ndarray, int]]:
         """``(beta schedule, reads)`` per schedule half of one job."""
@@ -88,97 +223,6 @@ class SimulatedAnnealingSolver:
                 np.linspace(0, 1, self.num_sweeps), np.linspace(0, 1, len(betas)), betas
             )
         return [(np.asarray(betas, dtype=float), self.num_reads)]
-
-    def _lockstep(self, jobs: Sequence, blocks) -> list[SampleSet]:
-        """The kernel: anneal same-size jobs with all their rows in lock-step.
-
-        Rows are grouped in halves, one per (job, schedule half), in job
-        order.  Row ``r`` of ``X`` and ``fields`` lives at flat index
-        ``r * n + c``; ``owner`` maps a row to its job and ``half_of`` to its
-        half, whose permutation orders that row's sweep.
-        """
-        models = [model for model, _ in jobs]
-        n, sweeps = models[0].num_variables, self.num_sweeps
-        couplings = [model.symmetric_couplings() for model in models]
-        block_idx = [np.array(sorted(block), dtype=int) for block in blocks or []]
-        block_data = [[(idx, S[np.ix_(idx, idx)]) for idx in block_idx] for _, S in couplings]
-        halves = [(j, betas, reads) for j, model in enumerate(models)
-                  for betas, reads in self._halves(model)]
-        sizes = [reads for _, _, reads in halves]
-        starts = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        R = int(starts[-1])
-        owner = np.repeat([j for j, _, _ in halves], sizes).astype(int)
-        half_of = np.repeat(np.arange(len(halves)), sizes)
-
-        # Each job's stream, drawn up front in a lone anneal's order: per
-        # half the start states, then per sweep its permutation, its
-        # uniforms and one uniform per read per block.
-        X = np.empty((R, n), dtype=np.int64)
-        perms = np.empty((sweeps, len(halves), n), dtype=int)
-        U = np.empty((sweeps, R, n))
-        block_u = np.empty((sweeps, len(block_idx), R))
-        neg_beta = np.empty((sweeps, R))
-        rngs = [ensure_rng(rng) for _, rng in jobs]
-        for h, (j, betas, reads) in enumerate(halves):
-            rows = slice(starts[h], starts[h + 1])
-            X[rows] = rngs[j].integers(0, 2, size=(reads, n))
-            for s in range(sweeps):
-                perms[s, h] = rngs[j].permutation(n)
-                U[s, rows] = rngs[j].random((reads, n))
-                for b in range(len(block_idx)):
-                    block_u[s, b, rows] = rngs[j].random(reads)
-            neg_beta[:, rows] = -betas[:, None]
-
-        # Initial fields block by block: sum_j S_ij x_j per read.
-        fields = np.empty((R, n))
-        for h, (j, _, _) in enumerate(halves):
-            rows = slice(starts[h], starts[h + 1])
-            fields[rows] = X[rows] @ couplings[j][1]
-        linear = np.stack([a for a, _ in couplings])[owner].reshape(-1)
-        S_rows = np.concatenate([S for _, S in couplings])  # row j * n + i is S_i of job j
-        x_flat, f_flat = X.reshape(-1), fields.reshape(-1)
-        base = (np.arange(R) * n)[:, None]
-        owner_base = (owner * n)[:, None]
-        for s in range(sweeps):
-            # Step t visits variable cols[r, t] of row r: its flat index into
-            # X / fields / the linear terms, its uniform and its row of S.
-            cols = perms[s][half_of]
-            flat = cols + base
-            uniforms = U[s].reshape(-1)[flat]
-            lin = linear[flat]
-            s_row = cols + owner_base
-            nb = neg_beta[s]
-            for t in range(n):
-                at = flat[:, t]
-                sign = 1 - 2 * x_flat[at]
-                delta = sign * (lin[:, t] + f_flat[at])
-                # exp(-beta * clip(delta, 0, 700)), in two plain ufunc calls.
-                hot = np.exp(nb * np.minimum(np.maximum(delta, 0.0), 700.0))
-                rows = ((delta <= 0) | (uniforms[:, t] < hot)).nonzero()[0]
-                if rows.size == 0:
-                    continue
-                x_flat[at[rows]] ^= 1
-                fields[rows] += sign[rows, None] * S_rows[s_row[rows, t]]
-            for h, (j, _, _) in enumerate(halves if block_idx else ()):
-                rows = slice(starts[h], starts[h + 1])
-                _block_moves(X[rows], fields[rows], couplings[j], block_data[j],
-                             block_u[s, :, rows], nb[rows])
-        if self.quench:
-            from repro.annealing.sqa import _greedy_quench
-
-            X = _greedy_quench(X, owner, couplings)
-
-        out: list[list[SampleSet]] = [[] for _ in models]
-        info = {"solver": "simulated_annealing", "reads": self.num_reads, "sweeps": self.num_sweeps}
-        for h, (j, _, _) in enumerate(halves):
-            rows = X[starts[h]:starts[h + 1]]
-            out[j].append(SampleSet.from_arrays(rows, models[j].energies(rows), info=info))
-        half = self.num_reads // 2
-        portfolio = {"coeff_reads": self.num_reads - half, "field_reads": half}
-        return [parts[0] if len(parts) == 1 else
-                SampleSet([*parts[0], *parts[1]], info={**info, "schedule_portfolio": portfolio})
-                for parts in out]
-
 
 def _block_moves(X, fields, coupling, block_data, block_u, nb) -> None:
     """One collective-flip proposal per block for one half's rows, in place."""

@@ -30,21 +30,31 @@ def _greedy_quench(rows: np.ndarray, owner: np.ndarray, couplings: list) -> np.n
     """Steepest-descent single-flip quench of each row to a local minimum.
 
     Row ``r`` belongs to the model whose ``symmetric_couplings()`` are
-    ``couplings[owner[r]]``.  Every row still descending takes its move in
-    the same step (lock-step); a row leaves the batch at its local minimum.
-    ``S`` is exactly symmetric, so its row ``i`` stands in for column ``i``.
+    ``couplings[owner[r]]``; models may differ in size, and a row of a
+    smaller model is padded with zero bits that are never move candidates.
+    Every row still descending takes its move in the same step (lock-step);
+    a row leaves the batch at its local minimum.  ``S`` is exactly
+    symmetric, so its row ``i`` stands in for column ``i``.
 
     The physical annealer's final read-out happens deep in the classical
     regime; this quench plays that role after the Trotter dynamics stop.
     """
     X = np.array(rows, dtype=int)
-    fields = np.empty(X.shape)
-    for r in range(X.shape[0]):
-        fields[r] = couplings[owner[r]][1] @ X[r]
-    n = X.shape[1]
-    linear = np.stack([a for a, _ in couplings])[owner]
-    S_rows = np.concatenate([S for _, S in couplings])  # row j * n + i is S_i of model j
-    live = np.arange(X.shape[0])
+    R, N = X.shape
+    offsets = np.cumsum([0, *(a.size for a, _ in couplings)])
+    # A padded column's delta is +inf: never the row's argmin move.
+    linear = np.full((len(couplings), N), np.inf)
+    S_rows = np.zeros((offsets[-1], N))  # row offsets[j] + i is S_i of model j
+    for j, (a, S) in enumerate(couplings):
+        linear[j, :a.size] = a
+        S_rows[offsets[j]:offsets[j + 1], :a.size] = S
+    fields = np.zeros(X.shape)
+    for r in range(R):
+        a, S = couplings[owner[r]]
+        fields[r, :a.size] = S @ X[r, :a.size]
+    linear = linear[owner]
+    row_base = offsets[owner]
+    live = np.arange(R if N else 0)  # an empty model has no move to take
     while live.size:
         deltas = (1 - 2 * X[live]) * (linear[live] + fields[live])
         i = deltas.argmin(axis=1)
@@ -52,7 +62,7 @@ def _greedy_quench(rows: np.ndarray, owner: np.ndarray, couplings: list) -> np.n
         live, i = live[down], i[down]
         sign = 1 - 2 * X[live, i]
         X[live, i] ^= 1
-        fields[live] += S_rows[owner[live] * n + i] * sign[:, None]
+        fields[live] += S_rows[row_base[live] + i] * sign[:, None]
     return X
 
 

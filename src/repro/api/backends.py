@@ -8,11 +8,14 @@ every Table I workload on every machine class.  The registry maps short names (`
 engines by string; new engines (real hardware clients, remote dispatchers)
 plug in via :func:`register_backend` without touching any domain code.
 
-Backends are stateful on purpose: the annealer backend memoises hardware
-embeddings and the gate-model backends memoise optimised angles, keyed by
-the QUBO's structural signature, so batch execution
+Some backends are stateful on purpose: the annealer backend memoises
+hardware embeddings and the gate-model backends memoise optimised angles,
+keyed by the QUBO's structural signature, so batch execution
 (:func:`repro.api.facade.solve_many`) amortises the expensive setup across
-structurally identical instances.
+structurally identical instances.  The rest declare
+:attr:`Backend.stateful` ``False``: a job's samples depend only on its own
+``(model, rng)``, so the engine packs every uncached shard of such a
+backend into one ``run`` call.
 """
 
 from __future__ import annotations
@@ -44,6 +47,15 @@ class Backend(abc.ABC):
     #: clients should set it to their device's usable qubit count.
     capacity: "int | None" = None
 
+    #: Whether a job's samples may depend on the jobs run before it on this
+    #: instance (embedding or warm-start caches).  The engine gives a
+    #: stateful backend a fresh instance and one ``run`` per shard; a
+    #: stateless one (``False``) gets one ``run`` per dispatch, over every
+    #: uncached shard that names it with the same options.  ``True`` is the
+    #: safe default: a stateful backend packed with other shards would
+    #: carry their state into its samples.
+    stateful: bool = True
+
     @abc.abstractmethod
     def run(self, jobs: Sequence[tuple[QuboModel, object]]) -> list[SampleSet]:
         """Sample low-energy assignments of each ``(model, rng)`` job.
@@ -52,7 +64,9 @@ class Backend(abc.ABC):
         one-job case.  ``rng`` is a seed, a ``Generator`` or ``None``.  A job's
         samples may depend on the jobs before it only through state the
         backend keys by QUBO structure (embeddings, warm-start angles), so
-        the engine passes a shard's jobs in shard order.
+        the engine passes a shard's jobs in shard order; a backend that is
+        not :attr:`stateful` must return for each job what a one-job call
+        returns.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -99,6 +113,7 @@ class BruteForceBackend(Backend):
     """Exhaustive enumeration (exact ground truth; exponential)."""
 
     name = "bruteforce"
+    stateful = False
 
     def __init__(self, keep: int = 16, max_variables: int = 22):
         from repro.qubo.bruteforce import BruteForceSolver
@@ -115,6 +130,7 @@ class TabuBackend(Backend):
     """Multi-restart tabu search (the classical heuristic reference)."""
 
     name = "tabu"
+    stateful = False
 
     def __init__(self, num_restarts: int = 8, max_iterations: int = 500, tenure: "int | None" = None):
         from repro.qubo.tabu import TabuSolver
@@ -131,6 +147,7 @@ class SimulatedAnnealingBackend(Backend):
     """Thermal Metropolis annealing on the logical QUBO (no topology)."""
 
     name = "sa"
+    stateful = False
 
     def __init__(self, num_reads: int = 16, num_sweeps: int = 200, quench: bool = True):
         from repro.annealing.simulated_annealing import SimulatedAnnealingSolver
@@ -147,6 +164,7 @@ class SimulatedQuantumAnnealingBackend(Backend):
     """Path-integral (transverse-field) annealing on the logical QUBO."""
 
     name = "sqa"
+    stateful = False
 
     def __init__(self, num_reads: int = 8, num_sweeps: int = 128, num_slices: int = 8):
         from repro.annealing.sqa import SimulatedQuantumAnnealingSolver
@@ -317,6 +335,7 @@ class ClassicalBaselineBackend(Backend):
     """
 
     name = "classical"
+    stateful = False
     solves_problem_directly = True
 
     def run(self, jobs):

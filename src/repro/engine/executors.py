@@ -1,15 +1,19 @@
-"""Pluggable shard executors: serial, thread-pool, and process-pool.
+"""Pluggable pack executors: serial, thread-pool, and process-pool.
 
-An executor maps the shard worker over shard payloads and returns results
-in payload order.  Because the planner fixes every item's seed and shard
-before dispatch, the executor choice changes *wall-clock only* — the
-returned objectives are identical across all three (the determinism
-contract the engine tests pin down).  For caller-supplied backend
-*instances* that guarantee additionally relies on instance state being
-keyed by QUBO structural signature (true of every built-in backend):
-shards have distinct signatures, so shared caches never collide across
-concurrently running shards, and a worker process's cold copy recomputes
-exactly what the shared instance would have.
+An executor maps the pack kernel over pack payloads and returns results
+in payload order.  A pack is the shards one ``Backend.run`` serves: every
+uncached shard of a stateless backend, split into at most
+:attr:`Executor.workers` item-balanced packs, or one shard of a stateful
+backend.  Because the planner fixes every item's seed and shard before
+dispatch, and a stateless backend's job ignores its call-mates, the
+executor choice changes *wall-clock only* — the returned objectives are
+identical across all three (the determinism contract the engine tests pin
+down).  For caller-supplied stateful backend *instances* that guarantee
+additionally relies on instance state being keyed by QUBO structural
+signature (true of every built-in backend): shards have distinct
+signatures, so shared caches never collide across concurrently running
+shards, and a worker process's cold copy recomputes exactly what the
+shared instance would have.
 
 ``threads`` suits backends that release the GIL or wait on I/O (a real
 hardware client); ``processes`` sidesteps the GIL for the CPU-bound
@@ -30,9 +34,13 @@ from repro.exceptions import ReproError
 
 
 class Executor(abc.ABC):
-    """Maps a worker over shard payloads, preserving payload order."""
+    """Maps a worker over pack payloads, preserving payload order."""
 
     name: str = "executor"
+
+    #: Payloads this executor runs at once; the engine splits a stateless
+    #: backend's shards into at most this many packs.
+    workers: int = 1
 
     @abc.abstractmethod
     def run(self, worker: Callable, payloads: Sequence) -> list:
@@ -43,7 +51,7 @@ class Executor(abc.ABC):
 
 
 class SerialExecutor(Executor):
-    """In-process, one shard after another — the determinism reference."""
+    """In-process, one pack after another — the determinism reference."""
 
     name = "serial"
 
@@ -52,18 +60,17 @@ class SerialExecutor(Executor):
 
 
 class ThreadExecutor(Executor):
-    """Thread pool: shards overlap wherever the backend drops the GIL."""
+    """Thread pool: packs overlap wherever the backend drops the GIL."""
 
     name = "threads"
 
     def __init__(self, max_workers: "int | None" = None):
-        self.max_workers = max_workers
+        self.workers = max_workers or (os.cpu_count() or 1) * 2
 
     def run(self, worker: Callable, payloads: Sequence) -> list:
         if len(payloads) <= 1:
             return [worker(p) for p in payloads]
-        workers = self.max_workers or min(len(payloads), (os.cpu_count() or 1) * 2)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(len(payloads), self.workers)) as pool:
             return list(pool.map(worker, payloads))
 
 
@@ -73,14 +80,13 @@ class ProcessExecutor(Executor):
     name = "processes"
 
     def __init__(self, max_workers: "int | None" = None):
-        self.max_workers = max_workers
+        self.workers = max_workers or os.cpu_count() or 1
 
     def run(self, worker: Callable, payloads: Sequence) -> list:
         if len(payloads) <= 1:
             return [worker(p) for p in payloads]
-        workers = self.max_workers or min(len(payloads), os.cpu_count() or 1)
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=min(len(payloads), self.workers)) as pool:
                 return list(pool.map(worker, payloads))
         except Exception as exc:
             # Diagnose serialization failures only on the error path — the
@@ -89,7 +95,7 @@ class ProcessExecutor(Executor):
                 pickle.dumps(payloads)
             except Exception:
                 raise ReproError(
-                    "processes executor needs picklable shards; select the backend "
+                    "processes executor needs picklable packs; select the backend "
                     "by name (not a live instance) or use executor='threads'"
                 ) from exc
             raise

@@ -1,14 +1,14 @@
-"""Plan execution: the solve kernel, shard workers, caching, and racing.
+"""Plan execution: the pack kernel, pack workers, caching, and racing.
 
 This module owns the code that actually runs a compiled
 :class:`~repro.engine.plan.ExecutionPlan`:
 
-* :func:`_execute_shard` — the shard kernel, Problems -> QUBOs -> one
-  ``Backend.run`` -> SolveResults, shared by every executor;
-* :func:`execute_plan` — cache lookup, shard dispatch through a pluggable
-  executor, cache fill, and per-result engine metadata.  It is the only
-  code that produces engine results: everything below reaches the kernel
-  through it;
+* :func:`_execute_pack` — the pack kernel, Problems -> QUBOs -> one
+  ``Backend.run`` -> SolveResults per shard, shared by every executor;
+* :func:`execute_plan` — cache lookup, packing of the uncached shards
+  (:func:`_packs`), dispatch through a pluggable executor, cache fill, and
+  per-result engine metadata.  It is the only code that produces engine
+  results: everything below reaches the kernel through it;
 * :func:`solve_batch` — compile, optionally route (adaptive scheduler),
   execute, record: the one path behind ``solve`` (a one-item plan),
   ``solve_many`` and the service's waves;
@@ -16,14 +16,21 @@ This module owns the code that actually runs a compiled
   one-item plan, optionally narrowed by a scheduler and raced under a
   wall-clock deadline.
 
+A pack is the shards one ``Backend.run`` serves.  A stateless backend
+(:attr:`~repro.api.backends.Backend.stateful` ``False``) returns for each
+job what a one-job call returns, so every uncached shard naming it with
+the same options rides one call (one per executor worker).  A stateful
+backend gets a fresh instance and one call per shard.
+
 Cache semantics are **shard-atomic**: a shard's items are served from the
-cache only when *every* item hits.  Item *k* of a shard is solved on
-backend state built by items ``0..k-1`` (embedding searched with the
-leader's RNG, warm-start angles from the leader's optimisation), so
-skipping a cached prefix would hand later misses a fresh instance and
-silently change their samples.  All-or-nothing keeps hits exactly
-byte-equivalent to a re-run — and since per-item child seeds are fixed at
-plan time, a hit never perturbs the RNG stream of neighbouring items.
+cache only when *every* item hits.  Shard-prefix state is a property of
+stateful backends only: there, item *k* of a shard is solved on backend
+state built by items ``0..k-1`` (embedding searched with the leader's RNG,
+warm-start angles from the leader's optimisation), so skipping a cached
+prefix would hand later misses a fresh instance and silently change their
+samples.  All-or-nothing keeps hits exactly byte-equivalent to a re-run —
+and since per-item child seeds are fixed at plan time, a hit never
+perturbs the RNG stream of neighbouring items.
 """
 
 from __future__ import annotations
@@ -140,13 +147,49 @@ def _result(problem, backend, model, solution, objective, energy, info, timings,
     )
 
 
-# -- shard execution --------------------------------------------------------
+# -- pack execution ---------------------------------------------------------
 
 
-def _shard_payload(plan: ExecutionPlan, shard_id: int, executor_name: str) -> dict:
+def _packs(plan: ExecutionPlan, shard_ids: list[int], workers: int) -> list[list[int]]:
+    """Group the dispatched shards into packs, one ``Backend.run`` each.
+
+    A stateful backend's shard is a pack of its own.  Shards of a stateless
+    backend are grouped by ``(backend name, options)`` — on an
+    instance-backed plan, all of them — and each group is split into at
+    most ``workers`` packs of nearly equal item counts (largest shard into
+    the lightest pack); a pack keeps its shards in plan order.
+    """
+    from repro.api.backends import get_backend
+
+    stateful: dict = {}
+    groups: dict = {}
+    packs: list[list[int]] = []
+    for shard_id in shard_ids:
+        shard = plan.shards[shard_id]
+        key = (shard.backend_name, repr(sorted(shard.backend_opts.items())))
+        if key not in stateful:
+            backend = plan.backend_instance
+            if backend is None:
+                backend = get_backend(shard.backend_name, **shard.backend_opts)
+            stateful[key] = backend.stateful
+        if stateful[key]:
+            packs.append([shard_id])
+        else:
+            groups.setdefault(key, []).append(shard_id)
+    for group in groups.values():
+        bins: list[list[int]] = [[] for _ in range(min(workers, len(group)))]
+        loads = [0] * len(bins)
+        for shard_id in sorted(group, key=lambda k: -len(plan.shards[k].items)):
+            lightest = loads.index(min(loads))
+            bins[lightest].append(shard_id)
+            loads[lightest] += len(plan.shards[shard_id].items)
+        packs.extend(sorted(b) for b in bins)
+    return packs
+
+
+def _pack_payload(plan: ExecutionPlan, pack: list[int], executor_name: str) -> dict:
     return {
-        "shard_id": shard_id,
-        "shard": plan.shards[shard_id],
+        "shards": [(shard_id, plan.shards[shard_id]) for shard_id in pack],
         "backend_instance": plan.backend_instance,
         "refine": plan.refine,
         "top_k": plan.top_k,
@@ -199,46 +242,48 @@ def _shard_tier(tiers: list) -> "str | None":
     return None
 
 
-def _execute_shard(payload: dict) -> dict:
-    """The shard kernel, run on one backend; module-level for pickling.
+def _execute_pack(payload: dict) -> dict:
+    """The pack kernel, run on one backend; module-level for pickling.
 
-    Sampling backends: formulate every item, call ``Backend.run`` **once**
-    with every item's ``(model, rng)``, then decode, refine and evaluate
-    each item (:func:`_best_of`).  Items are passed in shard order on the
-    shared instance, so signature-keyed backend caches (embeddings,
-    warm-start angles) amortise across the shard.  Each item's
+    Sampling backends: formulate every item of every shard in the pack,
+    call ``Backend.run`` **once** with every item's ``(model, rng)``, then
+    decode, refine and evaluate each item (:func:`_best_of`).  Items are
+    passed in pack order — shard by shard, each in shard order — so
+    signature-keyed backend caches (embeddings, warm-start angles)
+    amortise across a stateful backend's one-shard pack.  Each item's
     ``solve_time`` is an equal share of that one call.  Direct-solve
     backends solve item by item (:func:`_solve_directly`).  A live
     Generator seed (an uncacheable one-item plan) is drawn in place.
 
-    One ``engine.solve`` span per item covers that item's own stages;
-    formulation and the shard's one ``run`` sit in ``engine.shard``.
+    One ``engine.dispatch`` span holds formulation and the one ``run``; under
+    it, one ``engine.shard`` span per shard holds that shard's
+    ``engine.solve`` spans, one per item over its own stages.
 
-    Returns ``{"results": [...], "spans": [...]}`` — results in shard
-    order, spans collected worker-side when the payload carries a trace
-    context, so the dispatching side can re-emit them regardless of
-    executor.
+    Returns ``{"results": [[...], ...], "spans": [...]}`` — results per
+    shard in pack order, each in shard order; spans collected worker-side
+    when the payload carries a trace context, so the dispatching side can
+    re-emit them regardless of executor.
     """
     from repro.api.backends import get_backend
 
-    shard = payload["shard"]
-    items = shard.items
+    shards = payload["shards"]
+    lead = shards[0][1]
+    items = [item for _, shard in shards for item in shard.items]
     refine, top_k = payload["refine"], payload["top_k"]
-    if shard.backend_name is not None:
-        backend = get_backend(shard.backend_name, **shard.backend_opts)
+    if lead.backend_name is not None:
+        backend = get_backend(lead.backend_name, **lead.backend_opts)
     else:
         backend = payload["backend_instance"]
     tracer = obs.collector_for(payload.get("trace"))
-    shard_span = None
+    dispatch_span = None
     if tracer is not None:
-        shard_span = tracer.begin(
-            "engine.shard",
+        dispatch_span = tracer.begin(
+            "engine.dispatch",
             parent=payload.get("trace"),
-            shard=payload["shard_id"],
-            shard_size=len(items),
-            signature=shard.signature,
             backend=backend.name,
             executor=payload["executor"],
+            shards=[shard_id for shard_id, _ in shards],
+            items=len(items),
         )
 
     rngs = [np.random.default_rng(item.seed) for item in items]
@@ -256,30 +301,46 @@ def _execute_shard(payload: dict) -> dict:
                 f"backend {backend.name!r} returned {len(sample_sets)} sample sets "
                 f"for {len(items)} jobs"
             )
-    out = []
-    for pos, item in enumerate(items):
+    out, k = [], 0
+    for shard_id, shard in shards:
         if tracer is not None:
-            solve_span = tracer.begin(
-                "engine.solve",
-                parent=shard_span,
-                shard=payload["shard_id"],
-                index=item.index,
-                seed=item.seed if isinstance(item.seed, int) else None,
-                fingerprint=item.fingerprint[:16],
+            shard_span = tracer.begin(
+                "engine.shard",
+                parent=dispatch_span,
+                shard=shard_id,
+                shard_size=len(shard.items),
+                signature=shard.signature,
+                backend=backend.name,
+                executor=payload["executor"],
             )
-        if backend.solves_problem_directly:
-            result = _solve_directly(item.problem, backend, rngs[pos], refine)
-        else:
-            result = _best_of(item.problem, backend, models[pos], sample_sets[pos],
-                              refine, top_k, formulate_s[pos], share)
+        results = []
+        for item in shard.items:
+            if tracer is not None:
+                solve_span = tracer.begin(
+                    "engine.solve",
+                    parent=shard_span,
+                    shard=shard_id,
+                    index=item.index,
+                    seed=item.seed if isinstance(item.seed, int) else None,
+                    fingerprint=item.fingerprint[:16],
+                )
+            if backend.solves_problem_directly:
+                result = _solve_directly(item.problem, backend, rngs[k], refine)
+            else:
+                result = _best_of(item.problem, backend, models[k], sample_sets[k],
+                                  refine, top_k, formulate_s[k], share)
+            if tracer is not None:
+                tracer.end(solve_span)
+                result.info["trace"] = {
+                    "trace_id": solve_span["trace_id"], "span_id": solve_span["span_id"]
+                }
+            results.append(result)
+            k += 1
         if tracer is not None:
-            tracer.end(solve_span)
-            result.info["trace"] = {
-                "trace_id": solve_span["trace_id"], "span_id": solve_span["span_id"]
-            }
-        out.append(result)
+            tracer.end(shard_span)
+        out.append(results)
     if tracer is not None:
-        tracer.end(shard_span)
+        tracer.end(dispatch_span)
     return {"results": out, "spans": tracer.drain() if tracer is not None else []}
 
 
@@ -312,7 +373,6 @@ def execute_plan(
     with obs.span("engine.execute", executor=runner.name) as exec_span:
         results: list = [None] * len(plan.items)
         dispatched: list[tuple[int, float]] = []  # (shard id, cache-probe seconds)
-        payloads: list = []
         for shard_id, shard in enumerate(plan.shards):
             looked, probe_s = None, 0.0
             if cache is not None:
@@ -330,7 +390,6 @@ def execute_plan(
                     )
             if looked is None:
                 dispatched.append((shard_id, probe_s))
-                payloads.append(_shard_payload(plan, shard_id, runner.name))
                 continue
             for pos, (item, (result, label)) in enumerate(zip(shard.items, looked)):
                 _engine_info(result, shard_id, shard, pos, runner.name, probe_s, label)
@@ -341,14 +400,16 @@ def execute_plan(
                     }
                 results[item.index] = result
 
-        for (shard_id, probe_s), shard_out in zip(
-            dispatched, runner.run(_execute_shard, payloads)
-        ):
-            obs.ingest(shard_out["spans"])
-            shard = plan.shards[shard_id]
-            for pos, result in enumerate(shard_out["results"]):
-                _engine_info(result, shard_id, shard, pos, runner.name, probe_s)
-                results[shard.items[pos].index] = result
+        packs = _packs(plan, [shard_id for shard_id, _ in dispatched], runner.workers)
+        payloads = [_pack_payload(plan, pack, runner.name) for pack in packs]
+        probes = dict(dispatched)
+        for pack, pack_out in zip(packs, runner.run(_execute_pack, payloads)):
+            obs.ingest(pack_out["spans"])
+            for shard_id, shard_results in zip(pack, pack_out["results"]):
+                shard = plan.shards[shard_id]
+                for pos, result in enumerate(shard_results):
+                    _engine_info(result, shard_id, shard, pos, runner.name, probes[shard_id])
+                    results[shard.items[pos].index] = result
 
         if cache is not None:
             for item in plan.items:
@@ -361,7 +422,7 @@ def execute_plan(
             if shard.routing is not None:
                 for item in shard.items:
                     results[item.index].info["engine"]["scheduler"] = dict(shard.routing)
-        exec_span.set(shards_dispatched=len(payloads))
+        exec_span.set(shards_dispatched=len(dispatched), packs=len(packs))
     return results
 
 

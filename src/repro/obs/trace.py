@@ -309,8 +309,8 @@ def request_slice(spans: "list[dict]", span_id: "str | None") -> list[dict]:
     set interleaves every request's work.  For one request — identified by
     its ``engine.solve`` span id — the relevant slice is:
 
-    * the span itself, its ancestors (shard -> execute -> facade), and its
-      descendants;
+    * the span itself, its ancestors (shard -> dispatch -> execute ->
+      facade), and its descendants;
     * spans under the same root that are scoped to the *same shard*
       (``engine.shard`` ancestry or a matching ``shard`` attribute:
       cache lookups, route decisions);

@@ -524,14 +524,3 @@ class QuboModel:
             f"offset={self.offset:.4g})"
         )
 
-
-def size_classes(models: Sequence[QuboModel]) -> list[list[int]]:
-    """Indices of ``models`` grouped by variable count, in first-seen order.
-
-    The lock-step samplers advance same-size models together, so a batch
-    of mixed sizes runs one lock-step pass per size.
-    """
-    groups: dict[int, list[int]] = {}
-    for k, model in enumerate(models):
-        groups.setdefault(model.num_variables, []).append(k)
-    return list(groups.values())

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.qubo.model import QuboModel, size_classes
+from repro.qubo.model import QuboModel
 from repro.qubo.sampleset import Sample, SampleSet
 from repro.utils.rngtools import ensure_rng
 
@@ -19,8 +19,8 @@ from repro.utils.rngtools import ensure_rng
 class TabuSolver:
     """Multi-restart single-flip tabu search.
 
-    Every restart of every job advances in lock-step: one move per row per
-    iteration, in one set of numpy calls over all rows.  A row with no
+    Every restart of every job, whatever its size, advances in lock-step:
+    one move per row per iteration, in one set of numpy calls over all rows.  A row with no
     admissible move stops while the others go on.
     """
 
@@ -34,37 +34,49 @@ class TabuSolver:
         return self.run([(model, rng)])[0]
 
     def run(self, jobs: Sequence) -> list[SampleSet]:
-        """Search every ``(model, rng)`` job; one sample set per job, in order."""
-        out: list = [None] * len(jobs)
-        for group in size_classes([model for model, _ in jobs]):
-            for k, samples in zip(group, self._lockstep([jobs[k] for k in group])):
-                out[k] = samples
-        return out
+        """Search every ``(model, rng)`` job; one sample set per job, in order.
 
-    def _lockstep(self, jobs: Sequence) -> list[SampleSet]:
-        """The kernel: all restarts of same-size jobs, row ``j * restarts + k``."""
+        Restart ``k`` of job ``j`` is row ``j * restarts + k``.  Rows are
+        padded to the call's largest ``n``; a padded column is never tabu-free
+        and its delta is +inf, so it is never a candidate move.
+        """
         models = [model for model, _ in jobs]
-        n, restarts = models[0].num_variables, self.num_restarts
+        if not models:
+            return []
+        restarts = self.num_restarts
+        dims = np.array([model.num_variables for model in models], dtype=int)
+        N = int(dims.max())
         couplings = [model.symmetric_couplings() for model in models]
-        tenure = self.tenure if self.tenure is not None else max(4, n // 4)
         owner = np.repeat(np.arange(len(models)), restarts)
         R = owner.size
+        row_n = dims[owner]
+        tenure = np.array([self.tenure if self.tenure is not None else max(4, n // 4)
+                           for n in dims], dtype=int)[owner]
         # Each job's restart start states, drawn up front in restart order.
-        X = np.empty((R, n), dtype=np.int64)
+        X = np.zeros((R, N), dtype=np.int64)
         for j, (_, rng) in enumerate(jobs):
             rng = ensure_rng(rng)
             for k in range(restarts):
-                X[j * restarts + k] = rng.integers(0, 2, size=n)
-        fields = np.empty((R, n))
+                X[j * restarts + k, :dims[j]] = rng.integers(0, 2, size=dims[j])
+        fields = np.zeros((R, N))
         energy = np.empty(R)
         for r in range(R):
-            fields[r] = couplings[owner[r]][1] @ X[r]
-            energy[r] = models[owner[r]].energy(X[r])
-        linear = np.stack([a for a, _ in couplings])[owner]
-        # Row j * n + i is S_i of job j; S is exactly symmetric, so it is column i too.
-        S_rows = np.concatenate([S for _, S in couplings])
+            n = row_n[r]
+            fields[r, :n] = couplings[owner[r]][1] @ X[r, :n]
+            energy[r] = models[owner[r]].energy(X[r, :n])
+        # Padded linear terms and rows of S; job j's S_i is row offsets[j] + i
+        # (S is exactly symmetric, so it is column i too).
+        offsets = np.cumsum([0, *dims])
+        linear = np.full((len(models), N), np.inf)
+        S_rows = np.zeros((offsets[-1], N))
+        for j, (a, S) in enumerate(couplings):
+            linear[j, :a.size] = a
+            S_rows[offsets[j]:offsets[j + 1], :a.size] = S
+        linear = linear[owner]
+        row_base = offsets[owner]
         best_x, best_e = X.copy(), energy.copy()
-        tabu_until = np.zeros((R, n), dtype=int)
+        padded = np.arange(N) >= row_n[:, None]
+        tabu_until = np.where(padded, np.iinfo(np.int64).max, 0)
         live = np.ones(R, dtype=bool)
         for it in range(self.max_iterations):
             sign = 1 - 2 * X
@@ -78,17 +90,17 @@ class TabuSolver:
                 break
             # The first lowest delta among the row's candidates.
             i = np.where(candidate, deltas, np.inf).argmin(axis=1)[rows]
-            at = rows * n + i  # flat index of each moving row's flip
+            at = rows * N + i  # flat index of each moving row's flip
             energy[rows] += deltas.reshape(-1)[at]
             X.reshape(-1)[at] ^= 1
-            fields[rows] += sign.reshape(-1)[at][:, None] * S_rows[owner[rows] * n + i]
-            tabu_until.reshape(-1)[at] = it + tenure
+            fields[rows] += sign.reshape(-1)[at][:, None] * S_rows[row_base[rows] + i]
+            tabu_until.reshape(-1)[at] = it + tenure[rows]
             better = rows[energy[rows] < best_e[rows] - 1e-12]
             best_e[better] = energy[better]
             best_x[better] = X[better]
         return [
             SampleSet(
-                [Sample(tuple(int(b) for b in best_x[r]), float(best_e[r]))
+                [Sample(tuple(int(b) for b in best_x[r, :dims[j]]), float(best_e[r]))
                  for r in range(j * restarts, (j + 1) * restarts)],
                 info={"solver": "tabu", "restarts": restarts},
             )

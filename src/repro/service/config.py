@@ -25,7 +25,7 @@ TOML layout (every table and key optional)::
 
     [engine]
     backends = ["sa", "tabu"]          # >1 name enables adaptive routing
-    executor = "threads"
+    executor = "serial"
     refine = true
     top_k = 8
     cache = true                        # in-memory result cache (durable: store)
@@ -142,7 +142,8 @@ class ServiceConfig:
             :class:`~repro.engine.scheduler.AdaptiveScheduler` routes each
             request's structure by scoreboard telemetry.
         backend_opts: Per-backend factory options keyed by registry name.
-        executor: Engine executor for wave dispatch (``threads`` default;
+        executor: Engine executor for wave dispatch (``serial`` default:
+            a wave's stateless shards then share one ``Backend.run``;
             any :func:`~repro.engine.executors.list_executors` entry).
         cache: ``True`` (service-owned in-memory cache) or ``False``.
             Results shared across restarts and processes live in
@@ -184,7 +185,7 @@ class ServiceConfig:
     max_inflight_waves: int = 1
     backends: tuple = ("sa",)
     backend_opts: dict = field(default_factory=dict)
-    executor: str = "threads"
+    executor: str = "serial"
     refine: bool = True
     top_k: int = 8
     cache: bool = True

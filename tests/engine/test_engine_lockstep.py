@@ -1,11 +1,12 @@
 """Lock-step sampling must equal per-item sampling.
 
-``Backend.run`` takes a whole shard's ``(model, rng)`` jobs, and the ``sa``
-and ``tabu`` kernels advance every job's rows together.  A job's samples
-must not depend on which other jobs share the call: a k-job ``run`` equals
-k one-job runs on the same backend instance, and a batch solved with
-default sharding equals the same batch solved one item per shard.  The
-shard's one ``run`` is split evenly across its items' timings.
+``Backend.run`` takes a whole pack's ``(model, rng)`` jobs, and the ``sa``
+and ``tabu`` kernels advance every job's rows together, whatever its size.
+A job's samples must not depend on which other jobs share the call: a
+k-job ``run`` equals k one-job runs on the same backend instance, with
+equal or mixed sizes, and a batch solved with default sharding equals the
+same batch solved one item per shard.  The one ``run`` is split evenly
+across its items' timings.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro import obs
+from repro.annealing.sqa import _greedy_quench
 from repro.api import Backend, LeftDeepJoinAdapter, MQOAdapter, get_backend
 from repro.db.generator import chain_query
 from repro.exceptions import ReproError
@@ -84,6 +86,97 @@ def test_k_job_run_equals_k_one_job_runs(backend, n, kind, coeffs, seeds):
     models = [_model(n, kind, coeffs[k:] + coeffs[:k]) for k in range(len(seeds))]
     together, alone = _together_and_alone(backend, models, seeds)
     assert together == alone
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    backend=st.sampled_from(["sa", "tabu", "tabu-stops"]),
+    ns=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+    kind=st.sampled_from(["random", "uncoupled", "equal"]),
+    coeffs=st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+                    min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 8),
+)
+def test_mixed_size_run_equals_one_job_runs(backend, ns, kind, coeffs, seed):
+    """Jobs of different sizes share one masked lock-step call: rows padded
+    to the largest n, each row stepping over its own n only."""
+    models = [_model(n, kind, coeffs[k % len(coeffs):] + coeffs[:k % len(coeffs)])
+              for k, n in enumerate(ns)]
+    together, alone = _together_and_alone(backend, models, [seed + k for k in range(len(ns))])
+    assert together == alone
+    assert [len(rows[0][0]) for rows, _ in together] == ns
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    ns=st.lists(st.integers(1, 10), min_size=2, max_size=4),
+    tenure=st.integers(1, 12),
+    kind=st.sampled_from(["random", "uncoupled", "equal"]),
+    coeffs=st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+                    min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 8),
+)
+def test_mixed_size_tabu_equals_one_restart_at_a_time(ns, tenure, kind, coeffs, seed):
+    models = [_model(n, kind, coeffs[k % len(coeffs):] + coeffs[:k % len(coeffs)])
+              for k, n in enumerate(ns)]
+    seeds = [seed + k for k in range(len(ns))]
+    solver = TabuSolver(num_restarts=3, max_iterations=30, tenure=tenure)
+    together = solver.run([(m, np.random.default_rng(s)) for m, s in zip(models, seeds)])
+    reference = [_reference_tabu(m, np.random.default_rng(s), 3, 30, tenure)
+                 for m, s in zip(models, seeds)]
+    assert [_flat(s) for s in together] == [_flat(s) for s in reference]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    ns=st.lists(st.integers(1, 10), min_size=2, max_size=4),
+    kind=st.sampled_from(["random", "uncoupled", "equal"]),
+    coeffs=st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+                    min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixed_size_quench_equals_quench_per_model(ns, kind, coeffs, seed):
+    """Padded rows descend exactly as unpadded ones and keep their padding 0."""
+    models = [_model(n, kind, coeffs[k % len(coeffs):] + coeffs[:k % len(coeffs)])
+              for k, n in enumerate(ns)]
+    couplings = [m.symmetric_couplings() for m in models]
+    rng = np.random.default_rng(seed)
+    starts = [rng.integers(0, 2, size=(3, n)) for n in ns]
+    padded = np.zeros((3 * len(ns), max(ns)), dtype=int)
+    for j, rows in enumerate(starts):
+        padded[3 * j:3 * j + 3, :ns[j]] = rows
+    together = _greedy_quench(padded, np.repeat(np.arange(len(ns)), 3), couplings)
+    for j, rows in enumerate(starts):
+        alone = _greedy_quench(rows, np.zeros(3, dtype=int), [couplings[j]])
+        assert np.array_equal(together[3 * j:3 * j + 3, :ns[j]], alone)
+        assert not together[3 * j:3 * j + 3, ns[j]:].any()
+
+
+@pytest.mark.parametrize("backend", ["sa", "tabu", "sqa"])
+def test_jobs_sharing_a_generator_draw_in_job_order(backend):
+    """Jobs 0 and 2 share one Generator: job 2 must draw after all of job 0,
+    as in one-job runs, even though SA draws a job's last half lazily."""
+    name, opts = BACKENDS[backend]
+    coeffs = [1.0, -2.0, 0.5, -1.0, 3.0]
+    models = [_model(n, "random", coeffs) for n in (4, 6, 3)]
+    shared, own = np.random.default_rng(9), np.random.default_rng(10)
+    together = get_backend(name, **opts).run(list(zip(models, [shared, own, shared])))
+    shared, own = np.random.default_rng(9), np.random.default_rng(10)
+    alone = [get_backend(name, **opts).run([(m, rng)])[0]
+             for m, rng in zip(models, [shared, own, shared])]
+    assert [_flat(s) for s in together] == [_flat(s) for s in alone]
+
+
+@pytest.mark.parametrize("backend", ["sa", "tabu", "sqa"])
+def test_empty_model_samples_the_empty_assignment(backend):
+    """A 0-variable QUBO (a 2-attribute schema pair formulates one) has one
+    assignment; the quench must not take an argmin over no columns."""
+    name, opts = BACKENDS[backend]
+    (alone,) = get_backend(name, **opts).run([(QuboModel(0), 1)])
+    _, mixed = get_backend(name, **opts).run(
+        [(_model(3, "random", [1.0, -2.0]), 0), (QuboModel(0), 1)])
+    assert _flat(alone) == _flat(mixed)
+    assert {s.bits for s in alone} == {()}
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
@@ -198,12 +291,15 @@ def test_shard_sampling_is_split_evenly_across_items():
     spans = collector.drain()
     (shard,) = [s for s in spans if s["name"] == "engine.shard"]
     assert shard["attrs"]["shard_size"] == 4
+    # The pack's dispatch span holds formulation and the one run.
+    (dispatch,) = [s for s in spans if s["name"] == "engine.dispatch"]
+    assert shard["parent_id"] == dispatch["span_id"]
     timings = [r.info["timings"] for r in results]
     assert len({t["solve_time"] for t in timings}) == 1
     for result, split in zip(results, timings):
         assert result.wall_time >= sum(split.values())
     # Every item is charged its share of the one run, not the whole of it.
-    assert sum(r.wall_time for r in results) <= shard["duration_s"] + 1e-3
+    assert sum(r.wall_time for r in results) <= dispatch["duration_s"] + 1e-3
     solves = [s for s in spans if s["name"] == "engine.solve"]
     assert len(solves) == 4
     assert all(s["parent_id"] == shard["span_id"] for s in solves)

@@ -1,0 +1,197 @@
+"""Packed dispatch must equal shard-by-shard and item-by-item solving.
+
+The engine hands every uncached shard of a stateless backend to one
+``Backend.run`` (one per executor worker), while a stateful backend keeps a
+fresh instance and one ``run`` per shard.  Packing may change which jobs
+share a call, never a result: on mixed-size batches over the four Table I
+domains and raw QUBOs, ``solve_many`` equals the same batch at
+``max_shard_size=1`` and equals per-item ``solve`` on every executor, and a
+half-warm cache (some shards hit, the rest packed) equals a cold run.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.api import (
+    Backend,
+    LeftDeepJoinAdapter,
+    MQOAdapter,
+    SchemaMatchingAdapter,
+    TxnScheduleAdapter,
+    register_backend,
+)
+from repro.api.adapters import RawQuboProblem
+from repro.db.generator import chain_query, star_query
+from repro.engine import ResultCache
+from repro.engine.executors import ThreadExecutor
+from repro.integration.generator import generate_schema_pair
+from repro.mqo import generate_mqo_problem
+from repro.qubo.model import QuboModel
+from repro.qubo.sampleset import Sample, SampleSet
+from repro.txn.generator import generate_transactions
+
+#: The stateless backends, with settings small enough for many examples.
+STATELESS = {
+    "sa": dict(num_reads=4, num_sweeps=16),
+    "tabu": dict(num_restarts=3, max_iterations=30),
+    "sqa": dict(num_reads=2, num_sweeps=6, num_slices=2),
+    "bruteforce": dict(keep=4),
+    "classical": {},
+}
+
+
+def _instance(kind: str, size: int, rng: int):
+    """One small instance; ``size`` moves its QUBO's variable count."""
+    if kind == "mqo":
+        return MQOAdapter(generate_mqo_problem(2 + size % 2, 2 + size // 2,
+                                               sharing_density=0.4, rng=rng))
+    if kind == "join":
+        topology = chain_query if rng % 2 == 0 else star_query
+        return LeftDeepJoinAdapter(topology(3 + size % 2, rng=rng))
+    if kind == "schema":
+        source, target, _ = generate_schema_pair(3 + size % 3, rng=rng)
+        return SchemaMatchingAdapter(source, target)
+    if kind == "txn":
+        return TxnScheduleAdapter(generate_transactions(3, num_items=4, rng=rng),
+                                  num_slots=2 + size % 2)
+    gen = np.random.default_rng(rng)
+    n = 2 + size
+    model = QuboModel(num_variables=n)
+    for i in range(n):
+        model.add_linear(i, float(gen.integers(-3, 4)))
+        for j in range(i + 1, n):
+            model.add_quadratic(i, j, float(gen.integers(-3, 4)))
+    return RawQuboProblem(model)
+
+
+SPECS = st.lists(
+    st.tuples(st.sampled_from(["mqo", "join", "schema", "txn", "qubo"]),
+              st.integers(0, 3), st.integers(0, 2)),
+    min_size=2, max_size=7,
+)
+
+
+def _batch(specs):
+    return [_instance(kind, size, rng) for kind, size, rng in specs]
+
+
+def _outcome(result):
+    info = {k: v for k, v in result.info.items() if k not in ("timings", "engine", "trace")}
+    return (result.objective, result.solution, repr(result.energy), result.num_variables,
+            result.info["engine"]["seed"], sorted(info.items()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    backend=st.sampled_from(sorted(STATELESS)),
+    executor=st.sampled_from(["serial", "threads", "processes"]),
+    specs=SPECS,
+    seed=st.integers(0, 2**31),
+)
+def test_packed_batch_equals_one_item_shards_and_single_solves(backend, executor, specs, seed):
+    if backend == "classical":  # a raw QUBO has no domain baseline
+        specs = [("mqo" if kind == "qubo" else kind, size, rng) for kind, size, rng in specs]
+    opts = STATELESS[backend]
+    packed = repro.solve_many(_batch(specs), backend=backend, seed=seed,
+                              executor=executor, **opts)
+    single_shards = repro.solve_many(_batch(specs), backend=backend, seed=seed,
+                                     executor=executor, max_shard_size=1, **opts)
+    singles = [repro.solve(problem, backend=backend, seed=r.info["engine"]["seed"], **opts)
+               for problem, r in zip(_batch(specs), packed)]
+    assert [_outcome(r) for r in packed] == [_outcome(r) for r in single_shards]
+    assert [_outcome(r) for r in packed] == [_outcome(r) for r in singles]
+
+
+@settings(max_examples=10, deadline=None)
+@given(backend=st.sampled_from(["sa", "tabu"]), specs=SPECS, seed=st.integers(0, 2**31))
+def test_half_warm_cache_equals_cold_run(backend, specs, seed):
+    """Warm the cache with every other shard (whole shards, same seeds, so
+    the same keys); the full batch then hits those and packs the rest."""
+    opts = STATELESS[backend]
+    cold = repro.solve_many(_batch(specs), backend=backend, seed=seed, **opts)
+    seeds = [r.info["engine"]["seed"] for r in cold]
+    warm = [k for k, r in enumerate(cold) if r.info["engine"]["shard"] % 2 == 0]
+    cache = ResultCache()
+    batch = _batch(specs)
+    repro.solve_many([batch[k] for k in warm], backend=backend, cache=cache,
+                     seeds=[seeds[k] for k in warm], **opts)
+    mixed = repro.solve_many(batch, backend=backend, cache=cache, seeds=seeds, **opts)
+    assert [r.cache_hit for r in mixed] == [k in warm for k in range(len(batch))]
+    assert [_outcome(r) for r in mixed] == [_outcome(r) for r in cold]
+
+
+# -- counting: one run per dispatch, or per shard -----------------------------
+
+
+class CountingBackend(Backend):
+    """Returns each model's all-zero assignment; logs ``(instance, jobs)`` per call."""
+
+    calls: list = []
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def run(self, jobs):
+        type(self).calls.append((self, len(jobs)))
+        return [SampleSet([Sample((0,) * m.num_variables, m.energy((0,) * m.num_variables))])
+                for m, _ in jobs]
+
+
+class StatelessCounting(CountingBackend):
+    stateful = False
+    calls: list = []
+
+
+class StatefulCounting(CountingBackend):
+    calls: list = []
+
+
+@pytest.fixture
+def counting_registry():
+    from repro.api import backends as registry
+
+    register_backend("counting_stateless", lambda: StatelessCounting("counting_stateless"),
+                     overwrite=True)
+    register_backend("counting_stateful", lambda: StatefulCounting("counting_stateful"),
+                     overwrite=True)
+    yield
+    registry._REGISTRY.pop("counting_stateless", None)
+    registry._REGISTRY.pop("counting_stateful", None)
+
+
+def _mixed_batch():
+    """Nine items over five structures: five shards, two of them 3 items."""
+    return _batch([("mqo", 0, 1), ("qubo", 1, 0), ("mqo", 0, 1), ("txn", 0, 1),
+                   ("qubo", 2, 1), ("mqo", 0, 1), ("txn", 0, 1), ("qubo", 3, 2),
+                   ("txn", 0, 1)])
+
+
+def test_stateless_backend_runs_once_per_serial_dispatch(counting_registry):
+    StatelessCounting.calls = []
+    results = repro.solve_many(_mixed_batch(), backend="counting_stateless", seed=1)
+    assert len({r.info["engine"]["shard"] for r in results}) == 5
+    assert [jobs for _, jobs in StatelessCounting.calls] == [9]
+
+
+def test_stateless_backend_runs_at_most_once_per_thread_worker(counting_registry):
+    StatelessCounting.calls = []
+    repro.solve_many(_mixed_batch(), backend="counting_stateless", seed=1,
+                     executor=ThreadExecutor(max_workers=2))
+    # Item-balanced: the 3-item shards go to different packs.
+    assert sorted(jobs for _, jobs in StatelessCounting.calls) == [4, 5]
+    StatelessCounting.calls = []
+    repro.solve_many(_mixed_batch(), backend="counting_stateless", seed=1,
+                     executor="threads")
+    assert 1 <= len(StatelessCounting.calls) <= ThreadExecutor().workers
+    assert sum(jobs for _, jobs in StatelessCounting.calls) == 9
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads"])
+def test_stateful_backend_gets_a_fresh_instance_and_run_per_shard(counting_registry, executor):
+    StatefulCounting.calls = []
+    repro.solve_many(_mixed_batch(), backend="counting_stateful", seed=1, executor=executor)
+    assert sorted(jobs for _, jobs in StatefulCounting.calls) == [1, 1, 1, 3, 3]
+    assert len({id(instance) for instance, _ in StatefulCounting.calls}) == 5
