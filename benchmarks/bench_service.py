@@ -62,7 +62,6 @@ def test_coalesced_burst_beats_sequential_at_equal_objectives():
                 max_wave=len(requests),
                 backends=("sa",),
                 backend_opts={"sa": dict(SA_OPTS)},
-                executor="threads",
             )
         )
         await service.start()
@@ -110,7 +109,6 @@ def _overload_config(**overrides):
         max_queue_depth=OVERLOAD_DEPTH,
         backends=("sa",),
         backend_opts={"sa": dict(OVERLOAD_SA_OPTS)},
-        executor="threads",
         degrade_backends=("tabu",),
         # The flood tenant may hold 25% of the queue and has *no* backend
         # budget: whatever it does get admitted runs on the classical tier.

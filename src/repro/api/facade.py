@@ -8,13 +8,14 @@ registered engine::
 
 These entry points are thin front-ends over one engine path in
 :mod:`repro.engine`: the planner compiles work into structure-keyed shards
-(``solve`` is a one-item plan), pluggable executors (``serial`` /
-``threads`` / ``processes``) run the shards, and a content-addressed
+(``solve`` is a one-item plan), the ``serial`` or ``processes`` executor
+runs them as ``Backend.run`` packs, and a content-addressed
 :class:`~repro.engine.cache.ResultCache` skips repeat work.
 ``solve_portfolio`` races several backends on one instance (optionally
 under a wall-clock deadline) and keeps the best answer; ``solve_many`` runs
 a batch sharded by QUBO structure so embedding / warm-start caches amortise
-within each shard while shards run in parallel.  Both accept a
+within each shard, with every uncached shard of a stateless backend sharing
+one sampling call.  Both accept a
 ``scheduler=`` :class:`~repro.engine.scheduler.AdaptiveScheduler`, which
 routes work by observed per-structure quality/latency telemetry instead of
 racing or fixing one backend.
@@ -229,35 +230,37 @@ def solve_many(
 ) -> list[SolveResult]:
     """Solve a batch of problems, sharded by QUBO structure.
 
-    The planner groups structurally identical QUBOs into shards that share
-    one backend instance — the annealer backend reuses hardware embeddings
-    and the QAOA backend warm-starts its angles within a shard, so
-    same-shaped instances pay the expensive setup once — while distinct
-    shards run independently on the chosen executor.  Each problem gets an
-    independent child RNG split from ``seed`` *in batch order*, making the
-    batch reproducible as a whole and its objectives identical across
-    ``serial``, ``threads``, and ``processes`` executors.  (Batch items are
-    still not bitwise-equal to standalone ``solve`` calls: the child RNG
-    streams and the shard-shared caches differ from the fresh-instance
-    path.)
+    The planner groups structurally identical QUBOs into shards.  A
+    stateful backend gets one instance and one ``Backend.run`` per shard —
+    the annealer backend reuses hardware embeddings and the QAOA backend
+    warm-starts its angles within a shard, so same-shaped instances pay the
+    expensive setup once — while every uncached shard of a stateless
+    backend rides one ``run``.  Each problem gets an independent child RNG
+    split from ``seed`` *in batch order*, making the batch reproducible as
+    a whole and its objectives identical on both executors.  With its child
+    seed (or ``seeds=``), a stateless backend's item equals a standalone
+    ``solve`` bit for bit; a stateful backend's non-leader item also
+    depends on the shard state its predecessors built.
 
     Args:
-        executor: ``"serial"`` (default), ``"threads"`` (overlaps wherever
-            the backend drops the GIL or waits on I/O), ``"processes"``
-            (true parallelism for the CPU-bound simulator backends; shards
-            must pickle, so select the backend by name), or an
-            :class:`~repro.engine.executors.Executor` instance.  A
+        executor: ``"serial"`` (default; one pack after another in this
+            process), ``"processes"`` (true parallelism for the CPU-bound
+            simulator backends; packs must pickle, so select the backend
+            by name), or an :class:`~repro.engine.executors.Executor`
+            instance, e.g. ``ProcessExecutor(max_workers=4)``.  A
             caller-supplied ``Backend`` *instance* keeps the determinism
             guarantee only while its state is keyed by QUBO signature
             (true of the built-ins) — and under ``"processes"`` the
             workers operate on pickled copies, so the caller's instance
             does not accumulate caches across the batch.
         cache: Same spellings as :func:`solve`.  Hits are shard-atomic: a
-            shard is served from cache only when every item hits, because
-            later items' samples depend on backend state built by earlier
-            ones.  Hits never perturb the RNG stream of neighbouring items.
+            shard is served from cache only when every item hits, which a
+            stateful backend needs because later items' samples depend on
+            state built by earlier ones.  Hits never perturb the RNG
+            stream of neighbouring items.
         max_shard_size: Split signature groups larger than this into
-            several shards (more parallelism; setup amortises per split).
+            several shards (on a stateful backend, more packs to run in
+            parallel; setup amortises per split).
         scheduler: An :class:`~repro.engine.scheduler.AdaptiveScheduler`.
             When set, ``backend`` may be a *sequence* of registry names and
             every shard is routed to the candidate with the best expected

@@ -6,7 +6,7 @@ under it, split into three pieces that compose::
     compile_plan(problems, backend, seed)        # plan.py      — what to run
         -> ExecutionPlan (items, shards with their backends, seeds, cache keys)
     execute_plan(plan, executor=..., cache=...)  # runner.py    — how to run it
-        -> [SolveResult]  via serial / threads / processes executors
+        -> [SolveResult]  via the serial or processes executor
         (solve_batch: compile -> route -> execute -> record, the one path
         behind solve, solve_many, and the service)
     ResultCache                                  # cache.py     — what to skip
@@ -24,7 +24,8 @@ The design invariants, relied on throughout:
   identical objectives;
 * **shard = structure** — items are sharded by QUBO structural signature so
   stateful backend caches (hardware embeddings, warm-start angles) amortise
-  within a shard while shards parallelise freely;
+  within a shard; shards are packed into ``Backend.run`` calls, and packs
+  run in parallel on the ``processes`` executor;
 * **content-addressed results** — cache keys hash the canonical QUBO
   fingerprint, backend, opts, seed, and shard-prefix history, making a hit
   byte-equivalent to a re-run.
@@ -40,7 +41,6 @@ from repro.engine.executors import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     get_executor,
     list_executors,
 )
@@ -75,7 +75,6 @@ __all__ = [
     "solve_decomposed",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "get_executor",
     "list_executors",

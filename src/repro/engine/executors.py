@@ -1,4 +1,4 @@
-"""Pluggable pack executors: serial, thread-pool, and process-pool.
+"""Pluggable pack executors: serial and process-pool.
 
 An executor maps the pack kernel over pack payloads and returns results
 in payload order.  A pack is the shards one ``Backend.run`` serves: every
@@ -7,19 +7,19 @@ uncached shard of a stateless backend, split into at most
 backend.  Because the planner fixes every item's seed and shard before
 dispatch, and a stateless backend's job ignores its call-mates, the
 executor choice changes *wall-clock only* — the returned objectives are
-identical across all three (the determinism contract the engine tests pin
-down).  For caller-supplied stateful backend *instances* that guarantee
+identical on both (the determinism contract the engine tests pin down).
+For caller-supplied stateful backend *instances* that guarantee
 additionally relies on instance state being keyed by QUBO structural
-signature (true of every built-in backend): shards have distinct
-signatures, so shared caches never collide across concurrently running
-shards, and a worker process's cold copy recomputes exactly what the
-shared instance would have.
+signature (true of every built-in backend): a worker process's cold copy
+then recomputes exactly what the shared instance would have.
 
-``threads`` suits backends that release the GIL or wait on I/O (a real
-hardware client); ``processes`` sidesteps the GIL for the CPU-bound
-simulator backends at the price of pickling shards to workers.  Payloads
-for the process pool must therefore be picklable — by-name backend specs
-always are, and every built-in adapter/problem pickles cleanly.
+``serial`` runs every pack in the calling process; with a stateless
+backend that is one ``run`` per dispatch.  ``processes`` sidesteps the GIL
+for the CPU-bound simulator backends at the price of pickling packs to
+workers, which pays off for the expensive stateful fleets (annealer, QAOA,
+VQE).  Payloads for the process pool must therefore be picklable — by-name
+backend specs always are, and every built-in adapter/problem pickles
+cleanly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import abc
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 from repro.exceptions import ReproError
@@ -59,21 +59,6 @@ class SerialExecutor(Executor):
         return [worker(p) for p in payloads]
 
 
-class ThreadExecutor(Executor):
-    """Thread pool: packs overlap wherever the backend drops the GIL."""
-
-    name = "threads"
-
-    def __init__(self, max_workers: "int | None" = None):
-        self.workers = max_workers or (os.cpu_count() or 1) * 2
-
-    def run(self, worker: Callable, payloads: Sequence) -> list:
-        if len(payloads) <= 1:
-            return [worker(p) for p in payloads]
-        with ThreadPoolExecutor(max_workers=min(len(payloads), self.workers)) as pool:
-            return list(pool.map(worker, payloads))
-
-
 class ProcessExecutor(Executor):
     """Process pool: true parallelism for the CPU-bound simulator backends."""
 
@@ -96,23 +81,20 @@ class ProcessExecutor(Executor):
             except Exception:
                 raise ReproError(
                     "processes executor needs picklable packs; select the backend "
-                    "by name (not a live instance) or use executor='threads'"
+                    "by name (not a live instance) or use executor='serial'"
                 ) from exc
             raise
 
 
-_EXECUTORS: dict[str, Callable[..., Executor]] = {
+_EXECUTORS: dict[str, Callable[[], Executor]] = {
     "serial": SerialExecutor,
-    "threads": ThreadExecutor,
     "processes": ProcessExecutor,
 }
 
 
-def get_executor(spec: "str | Executor", **opts) -> Executor:
+def get_executor(spec: "str | Executor") -> Executor:
     """Resolve an executor name (or pass an instance through)."""
     if isinstance(spec, Executor):
-        if opts:
-            raise ReproError("executor opts only apply when selecting by name")
         return spec
     try:
         factory = _EXECUTORS[spec]
@@ -120,7 +102,7 @@ def get_executor(spec: "str | Executor", **opts) -> Executor:
         raise ReproError(
             f"unknown executor {spec!r}; available: {', '.join(list_executors())}"
         ) from None
-    return factory(**opts)
+    return factory()
 
 
 def list_executors() -> list[str]:

@@ -10,18 +10,20 @@ can run:
    choice, or cache state, which is what makes serial and parallel runs of
    the same plan return identical objectives;
 3. items are grouped into **shards** by structural signature
-   (:func:`~repro.api.problem.qubo_signature`): same-shaped QUBOs share a
-   backend instance so embedding / warm-start caches amortise *within* the
-   shard, while distinct shards are free to run in parallel;
-4. when the backend is selected by name (a fresh instance per shard), each
-   item gets a content-addressed cache key over ``(QUBO fingerprint,
-   backend, opts, seed)`` **plus its shard-prefix history** — within a
-   shard, item *k*'s samples depend on the backend state built by items
-   ``0..k-1`` (the embedding is searched with the leader's RNG, warm-start
-   angles come from the leader's optimisation), so the key hashes the
-   predecessors' fingerprints and seeds too.  A shard-position-0 key has an
-   empty history, so a standalone ``solve`` — a one-item plan — shares it
-   with every batch shard leader of the same fingerprint/opts/seed.
+   (:func:`~repro.api.problem.qubo_signature`), the unit of caching and
+   telemetry.  The runner packs shards into ``Backend.run`` calls — all
+   uncached shards of a stateless backend share one, each shard of a
+   stateful backend gets its own instance so embedding / warm-start caches
+   amortise within it — and executors run packs, not shards, in parallel;
+4. when the backend is selected by name, each item gets a
+   content-addressed cache key over ``(QUBO fingerprint, backend, opts,
+   seed)`` **plus its shard-prefix history** — on a stateful backend item
+   *k*'s samples depend on the state built by items ``0..k-1`` (the
+   embedding is searched with the leader's RNG, warm-start angles come
+   from the leader's optimisation), so the key hashes the predecessors'
+   fingerprints and seeds too.  A shard-position-0 key has an empty
+   history, so a standalone ``solve`` — a one-item plan — shares it with
+   every batch shard leader of the same fingerprint/opts/seed.
 
 Backend instances passed by the caller are shared and stateful by design;
 their state is not content-addressable, so instance-backed plans disable
@@ -83,14 +85,17 @@ class Shard:
 
     ``backend_name``/``backend_opts`` name the backend each dispatch builds
     fresh; both are ``None``/``{}`` when the plan carries a shared
-    ``backend_instance`` instead.  The adaptive scheduler rewrites them in
-    place and records why in ``routing``.
+    ``backend_instance`` instead.  ``stateful`` is that backend's
+    :attr:`~repro.api.backends.Backend.stateful`, read off the instance the
+    planner (or the scheduler) already built.  The adaptive scheduler
+    rewrites all three in place and records why in ``routing``.
     """
 
     items: list[PlanItem]  #: in shard order (position 0 is the shard leader)
     signature: str         #: 16-hex structure key (scoreboard / store index)
     backend_name: "str | None"
     backend_opts: dict
+    stateful: bool         #: whether the backend needs a pack of its own
     routing: "dict | None" = None  #: the scheduler's decision; None unless routed
 
 
@@ -189,12 +194,12 @@ def compile_plan(
                 "sharing a live Backend instance cannot split a signature group "
                 "deterministically"
             )
-        backend_name, backend_instance = None, backend
+        backend_name, backend_instance, stateful = None, backend, backend.stateful
     else:
         # Built once and dropped: a bad name or bad options fail here, at
         # compile time, rather than inside a worker.
         backend_name, backend_instance = str(backend), None
-        get_backend(backend_name, **backend_opts)
+        stateful = get_backend(backend_name, **backend_opts).stateful
     if max_shard_size is not None and max_shard_size < 1:
         raise ReproError("max_shard_size must be >= 1")
 
@@ -235,7 +240,8 @@ def compile_plan(
         ):
             shard_id = len(shards)
             open_shard[signature] = shard_id
-            shards.append(Shard([], signature_key(signature), backend_name, dict(backend_opts)))
+            shards.append(Shard([], signature_key(signature), backend_name,
+                                dict(backend_opts), stateful))
         item = PlanItem(
             index=index,
             problem=problem,

@@ -4,11 +4,12 @@ This module owns the code that actually runs a compiled
 :class:`~repro.engine.plan.ExecutionPlan`:
 
 * :func:`_execute_pack` — the pack kernel, Problems -> QUBOs -> one
-  ``Backend.run`` -> SolveResults per shard, shared by every executor;
+  ``Backend.run`` -> SolveResults per shard, shared by both executors;
 * :func:`execute_plan` — cache lookup, packing of the uncached shards
-  (:func:`_packs`), dispatch through a pluggable executor, cache fill, and
-  per-result engine metadata.  It is the only code that produces engine
-  results: everything below reaches the kernel through it;
+  (:func:`_packs`), dispatch through the ``serial`` or ``processes``
+  executor, cache fill, and per-result engine metadata.  It is the only
+  code that produces engine results: everything below reaches the kernel
+  through it;
 * :func:`solve_batch` — compile, optionally route (adaptive scheduler),
   execute, record: the one path behind ``solve`` (a one-item plan),
   ``solve_many`` and the service's waves;
@@ -19,7 +20,7 @@ This module owns the code that actually runs a compiled
 A pack is the shards one ``Backend.run`` serves.  A stateless backend
 (:attr:`~repro.api.backends.Backend.stateful` ``False``) returns for each
 job what a one-job call returns, so every uncached shard naming it with
-the same options rides one call (one per executor worker).  A stateful
+the same options rides one call (one per process worker).  A stateful
 backend gets a fresh instance and one call per shard.
 
 Cache semantics are **shard-atomic**: a shard's items are served from the
@@ -159,22 +160,14 @@ def _packs(plan: ExecutionPlan, shard_ids: list[int], workers: int) -> list[list
     most ``workers`` packs of nearly equal item counts (largest shard into
     the lightest pack); a pack keeps its shards in plan order.
     """
-    from repro.api.backends import get_backend
-
-    stateful: dict = {}
     groups: dict = {}
     packs: list[list[int]] = []
     for shard_id in shard_ids:
         shard = plan.shards[shard_id]
-        key = (shard.backend_name, repr(sorted(shard.backend_opts.items())))
-        if key not in stateful:
-            backend = plan.backend_instance
-            if backend is None:
-                backend = get_backend(shard.backend_name, **shard.backend_opts)
-            stateful[key] = backend.stateful
-        if stateful[key]:
+        if shard.stateful:
             packs.append([shard_id])
         else:
+            key = (shard.backend_name, repr(sorted(shard.backend_opts.items())))
             groups.setdefault(key, []).append(shard_id)
     for group in groups.values():
         bins: list[list[int]] = [[] for _ in range(min(workers, len(group)))]
@@ -194,8 +187,8 @@ def _pack_payload(plan: ExecutionPlan, pack: list[int], executor_name: str) -> d
         "refine": plan.refine,
         "top_k": plan.top_k,
         "executor": executor_name,
-        # Picklable trace context: thread workers don't inherit contextvars
-        # and process workers share nothing, so parentage rides the payload.
+        # Picklable trace context: process workers share nothing, so
+        # parentage rides the payload.
         "trace": obs.current_context(),
     }
 
@@ -504,7 +497,7 @@ def solve_batch(
     durable = resolve_store(store)
     if scheduler is not None:
         names = _candidate_names([backend] if isinstance(backend, (str, Backend)) else backend)
-        opts_map = _validated_opts_map(backend_opts, names)
+        opts_map, stateful = _validated_opts_map(backend_opts, names)
         backend, backend_opts = names[0], opts_map.get(names[0], {})
         if durable is not None:
             scheduler.scoreboard.hydrate(durable)
@@ -527,7 +520,7 @@ def solve_batch(
         )
         plan_span.set(items=len(plan.items), shards=len(plan.shards))
     if scheduler is not None:
-        scheduler.route(plan, names, opts_map)
+        scheduler.route(plan, names, opts_map, stateful)
     cache = resolve_cache(cache)
     tier = None
     if durable is not None:

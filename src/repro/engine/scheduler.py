@@ -19,7 +19,7 @@ into routing decisions for the engine's one execution path:
 
 Routing happens **before** dispatch and the scoreboard updates **after**
 the whole batch returns, so a scheduled batch stays deterministic for a
-fixed ``(scheduler seed, scoreboard history)`` across serial / threads /
+fixed ``(scheduler seed, scoreboard history)`` across the serial and
 processes executors — exactly the engine's existing contract.
 Mid-batch adaptation would tie routing to completion order and silently
 break it, which is why the batch boundary is the observation boundary.
@@ -442,7 +442,8 @@ class AdaptiveScheduler:
             return RoutingDecision(pick, "explore", signature, names)
         return RoutingDecision(self.rank(signature, names)[0], "exploit", signature, names)
 
-    def route(self, plan: ExecutionPlan, names: Sequence[str], opts_map: dict) -> None:
+    def route(self, plan: ExecutionPlan, names: Sequence[str], opts_map: dict,
+              stateful: dict) -> None:
         """Route every shard of a compiled plan up front (one decision each).
 
         Each shard's ``backend_name``/``backend_opts`` are rewritten in
@@ -452,8 +453,9 @@ class AdaptiveScheduler:
         *one* dispatch wave, so a cold or exploring batch spread over
         several backends parallelises as widely as a single-backend batch
         would.  Items keep their compiled seeds, so routing never perturbs
-        a result.  ``opts_map`` holds per-backend factory options keyed by
-        name.
+        a result.  ``opts_map`` holds per-backend factory options and
+        ``stateful`` each backend's :attr:`~repro.api.backends.Backend.stateful`,
+        both keyed by name (see :func:`_validated_opts_map`).
         """
         for shard_id, shard in enumerate(plan.shards):
             with obs.span(
@@ -463,6 +465,7 @@ class AdaptiveScheduler:
                 route_span.set(backend=decision.backend, mode=decision.mode)
             shard.backend_name = decision.backend
             shard.backend_opts = dict(opts_map.get(decision.backend, {}))
+            shard.stateful = stateful[decision.backend]
             shard.routing = {
                 "backend": decision.backend,
                 "mode": decision.mode,
@@ -518,8 +521,11 @@ def _candidate_names(candidates: Sequence) -> list[str]:
     return names
 
 
-def _validated_opts_map(backend_opts: "dict | None", names: Sequence[str]) -> dict:
-    """Portfolio-style per-backend opts, checked against the candidate list."""
+def _validated_opts_map(
+    backend_opts: "dict | None", names: Sequence[str]
+) -> "tuple[dict, dict]":
+    """Portfolio-style per-backend opts, checked against the candidate list,
+    and each candidate's :attr:`~repro.api.backends.Backend.stateful`."""
     from repro.api.backends import get_backend
 
     opts_map = dict(backend_opts or {})
@@ -530,7 +536,6 @@ def _validated_opts_map(backend_opts: "dict | None", names: Sequence[str]) -> di
         )
     # Build every candidate once so a bad option fails up front, whichever
     # backends the scheduler's RNG later routes to.
-    for name in names:
-        get_backend(name, **opts_map.get(name, {}))
-    return opts_map
+    stateful = {name: get_backend(name, **opts_map.get(name, {})).stateful for name in names}
+    return opts_map, stateful
 

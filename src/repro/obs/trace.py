@@ -17,10 +17,9 @@ layer the same three primitives:
   for spans that cross task boundaries (queue wait starts on the handler
   task and ends on the dispatcher).
 * :class:`TraceContext` — the picklable ``(trace_id, span_id)`` pair that
-  travels *inside* shard payloads.  ``ThreadPoolExecutor`` does not copy
-  contextvars into its workers and process pools cannot share memory at
-  all, so the engine stamps the current context into each payload; the
-  worker rebuilds parentage from it with a local :class:`SpanCollector`
+  travels *inside* pack payloads.  Process pools share no memory, so
+  the engine stamps the current context into each payload; the worker
+  rebuilds parentage from it with a local :class:`SpanCollector`
   and returns the collected spans alongside its results, which the
   dispatching side re-emits via :func:`ingest`.  Asyncio needs none of
   this: tasks and ``asyncio.to_thread`` copy the ambient context, so the

@@ -20,10 +20,12 @@ class BruteForceSolver:
         self.max_variables = max_variables
 
     def solve(self, model: QuboModel, keep: int = 16) -> SampleSet:
-        """Return the ``keep`` lowest-energy assignments."""
+        """Return the ``keep`` lowest-energy assignments.
+
+        A 0-variable model has one assignment, the empty one, at the
+        model's offset.
+        """
         n = model.num_variables
-        if n == 0:
-            raise ReproError("cannot solve an empty QUBO")
         if n > self.max_variables:
             raise ReproError(
                 f"brute force limited to {self.max_variables} variables, model has {n}"

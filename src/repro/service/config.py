@@ -142,9 +142,9 @@ class ServiceConfig:
             :class:`~repro.engine.scheduler.AdaptiveScheduler` routes each
             request's structure by scoreboard telemetry.
         backend_opts: Per-backend factory options keyed by registry name.
-        executor: Engine executor for wave dispatch (``serial`` default:
-            a wave's stateless shards then share one ``Backend.run``;
-            any :func:`~repro.engine.executors.list_executors` entry).
+        executor: Engine executor for wave dispatch: ``serial`` (default;
+            a wave's stateless shards then share one ``Backend.run``) or
+            ``processes`` (pays off for annealer, QAOA and VQE fleets).
         cache: ``True`` (service-owned in-memory cache) or ``False``.
             Results shared across restarts and processes live in
             ``store``.

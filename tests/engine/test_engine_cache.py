@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 
 import repro
 from repro import obs
-from repro.api import MQOAdapter
+from repro.api import LeftDeepJoinAdapter, MQOAdapter, SchemaMatchingAdapter, TxnScheduleAdapter
 from repro.api.adapters import RawQuboProblem
+from repro.db.generator import chain_query
 from repro.engine import EngineStore, ResultCache, default_cache, resolve_cache
 from repro.exceptions import ReproError
+from repro.integration.generator import generate_schema_pair
 from repro.mqo import generate_mqo_problem
 from repro.qubo.model import QuboModel
+from repro.txn.generator import generate_transactions
 
 FAST_SA = dict(num_reads=4, num_sweeps=40)
 
@@ -137,7 +140,7 @@ def _dispatch_counts(run):
     return results, execute["attrs"]["shards_dispatched"], solves
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["serial", "processes"])
 class TestDispatchCounters:
     def test_cold_dispatches_every_shard_warm_dispatches_none(self, executor):
         problems = [_mqo(r) for r in (1, 5, 1, 9)]  # three structure shards
@@ -217,6 +220,24 @@ def _raw_qubo(rng: int) -> RawQuboProblem:
     return RawQuboProblem(model)
 
 
+def _oracle_instance(kind: str, rng: int):
+    if kind == "mqo":
+        return _mqo(rng)
+    if kind == "txn":
+        return TxnScheduleAdapter(generate_transactions(3, num_items=4, rng=rng),
+                                  num_slots=2 + rng % 2)
+    if kind == "join":
+        return LeftDeepJoinAdapter(chain_query(3 + rng % 2, rng=rng))
+    if kind == "schema":
+        source, target, _ = generate_schema_pair(3 + rng % 2, rng=rng)
+        return SchemaMatchingAdapter(source, target)
+    return _raw_qubo(rng)
+
+
+#: Per-backend options small enough for many examples.
+ORACLE_BACKENDS = {"sa": FAST_SA, "tabu": dict(num_restarts=2, max_iterations=40)}
+
+
 def _oracle_bytes(result) -> bytes:
     return pickle.dumps(
         (result.solution, result.objective, result.energy, result.num_variables)
@@ -226,21 +247,24 @@ def _oracle_bytes(result) -> bytes:
 @settings(max_examples=8, deadline=None)
 @given(
     specs=st.lists(
-        st.tuples(st.sampled_from(["mqo", "qubo"]), st.integers(0, 3)), min_size=1, max_size=4
+        st.tuples(st.sampled_from(["mqo", "qubo", "txn", "join", "schema"]),
+                  st.integers(0, 3)),
+        min_size=1, max_size=4,
     ),
+    backend=st.sampled_from(sorted(ORACLE_BACKENDS)),
     seed=st.integers(0, 2**31),
 )
-def test_every_cache_tier_serves_what_a_rerun_computes(specs, seed):
+def test_every_cache_tier_serves_what_a_rerun_computes(specs, backend, seed):
     """Cold solve, memory-tier hit, store-tier hit (a fresh cache over the
     same store file) and an uncached rerun agree byte for byte."""
-    batch = [_mqo(rng) if kind == "mqo" else _raw_qubo(rng) for kind, rng in specs]
+    batch = [_oracle_instance(kind, rng) for kind, rng in specs]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "engine.db"
         cache = ResultCache()
 
         def run(cache, store):
-            return repro.solve_many(batch, backend="sa", seed=seed, cache=cache,
-                                    store=store, **FAST_SA)
+            return repro.solve_many(batch, backend=backend, seed=seed, cache=cache,
+                                    store=store, **ORACLE_BACKENDS[backend])
 
         runs = {
             None: run(cache, EngineStore(path)),

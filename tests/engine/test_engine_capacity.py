@@ -147,9 +147,9 @@ def test_explicit_seeds_are_deterministic_across_executors():
     seeds = [5, 6, 7]
     serial = solve_many(batch, backend="sa", seeds=seeds, executor="serial",
                         max_shard_size=1, num_reads=4)
-    threaded = solve_many(batch, backend="sa", seeds=seeds, executor="threads",
-                          max_shard_size=1, num_reads=4)
-    assert [r.objective for r in serial] == [r.objective for r in threaded]
+    pooled = solve_many(batch, backend="sa", seeds=seeds, executor="processes",
+                        max_shard_size=1, num_reads=4)
+    assert [r.objective for r in serial] == [r.objective for r in pooled]
 
 
 # -- expected_service_time ---------------------------------------------------

@@ -13,7 +13,7 @@ from repro.mqo import generate_mqo_problem
 FAST_SA = dict(num_reads=4, num_sweeps=40)
 
 #: Every executor x every sampling-backend tier the matrix pins down.
-ALL_EXECUTORS = ["serial", "threads", "processes"]
+ALL_EXECUTORS = ["serial", "processes"]
 MATRIX_BACKENDS = {
     "tabu": dict(num_restarts=2, max_iterations=60),
     "sa": FAST_SA,
@@ -31,17 +31,17 @@ def _mixed_batch():
 
 class TestExecutorRegistry:
     def test_listed(self):
-        assert list_executors() == ["processes", "serial", "threads"]
+        assert list_executors() == ["processes", "serial"]
 
     def test_unknown_rejected(self):
-        with pytest.raises(ReproError, match="unknown executor"):
-            get_executor("gpu")
+        # 'threads' named the removed thread-pool executor.
+        for name in ("gpu", 'threads'):
+            with pytest.raises(ReproError, match="unknown executor"):
+                get_executor(name)
 
     def test_instance_passthrough(self):
         ex = SerialExecutor()
         assert get_executor(ex) is ex
-        with pytest.raises(ReproError, match="executor opts"):
-            get_executor(ex, max_workers=2)
 
 
 class TestDeterminismMatrix:
@@ -70,7 +70,7 @@ class TestDeterminismMatrix:
             ], executor
             assert all(r.info["engine"]["executor"] == executor for r in other)
 
-    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("executor", ["processes"])
     def test_matches_serial_annealer(self, executor):
         """Stateful shard caches (embeddings) stay deterministic in parallel."""
         problems = _mixed_batch()
@@ -90,11 +90,11 @@ class TestDeterminismMatrix:
 class TestEngineMetadata:
     def test_engine_metadata_recorded(self):
         results = repro.solve_many(
-            _mixed_batch(), backend="sa", seed=11, executor="threads", **FAST_SA
+            _mixed_batch(), backend="sa", seed=11, executor="processes", **FAST_SA
         )
         for r in results:
             engine = r.info["engine"]
-            assert engine["executor"] == "threads"
+            assert engine["executor"] == "processes"
             assert engine["cache_hit"] is False
             assert engine["shard"] < 3 and engine["shard_size"] >= 1
             assert len(engine["fingerprint"]) == 16

@@ -167,7 +167,7 @@ def test_jobs_sharing_a_generator_draw_in_job_order(backend):
     assert [_flat(s) for s in together] == [_flat(s) for s in alone]
 
 
-@pytest.mark.parametrize("backend", ["sa", "tabu", "sqa"])
+@pytest.mark.parametrize("backend", ["sa", "tabu", "sqa", "bruteforce"])
 def test_empty_model_samples_the_empty_assignment(backend):
     """A 0-variable QUBO (a 2-attribute schema pair formulates one) has one
     assignment; the quench must not take an argmin over no columns."""
@@ -271,7 +271,7 @@ def _outcome(result):
             result.info["engine"]["seed"], sorted(info.items()))
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["serial", "processes"])
 @pytest.mark.parametrize("backend", ["sa", "tabu"])
 def test_lockstep_shards_equal_one_item_shards(backend, executor):
     opts = BACKENDS[backend][1]

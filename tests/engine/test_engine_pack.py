@@ -1,7 +1,7 @@
 """Packed dispatch must equal shard-by-shard and item-by-item solving.
 
 The engine hands every uncached shard of a stateless backend to one
-``Backend.run`` (one per executor worker), while a stateful backend keeps a
+``Backend.run`` (one per process worker), while a stateful backend keeps a
 fresh instance and one ``run`` per shard.  Packing may change which jobs
 share a call, never a result: on mixed-size batches over the four Table I
 domains and raw QUBOs, ``solve_many`` equals the same batch at
@@ -25,8 +25,8 @@ from repro.api import (
 )
 from repro.api.adapters import RawQuboProblem
 from repro.db.generator import chain_query, star_query
-from repro.engine import ResultCache
-from repro.engine.executors import ThreadExecutor
+from repro import obs
+from repro.engine import ProcessExecutor, ResultCache
 from repro.integration.generator import generate_schema_pair
 from repro.mqo import generate_mqo_problem
 from repro.qubo.model import QuboModel
@@ -87,7 +87,7 @@ def _outcome(result):
 @settings(max_examples=30, deadline=None)
 @given(
     backend=st.sampled_from(sorted(STATELESS)),
-    executor=st.sampled_from(["serial", "threads", "processes"]),
+    executor=st.sampled_from(["serial", "processes"]),
     specs=SPECS,
     seed=st.integers(0, 2**31),
 )
@@ -149,17 +149,46 @@ class StatefulCounting(CountingBackend):
     calls: list = []
 
 
+#: Instances each counting factory has built, by registry name.
+BUILDS: dict = {}
+
+
+def _counting_factory(cls, name):
+    def build():
+        BUILDS[name] = BUILDS.get(name, 0) + 1
+        return cls(name)
+    return build
+
+
 @pytest.fixture
 def counting_registry():
     from repro.api import backends as registry
 
-    register_backend("counting_stateless", lambda: StatelessCounting("counting_stateless"),
+    BUILDS.clear()
+    register_backend("counting_stateless",
+                     _counting_factory(StatelessCounting, "counting_stateless"),
                      overwrite=True)
-    register_backend("counting_stateful", lambda: StatefulCounting("counting_stateful"),
+    register_backend("counting_stateful",
+                     _counting_factory(StatefulCounting, "counting_stateful"),
                      overwrite=True)
     yield
     registry._REGISTRY.pop("counting_stateless", None)
     registry._REGISTRY.pop("counting_stateful", None)
+
+
+def _dispatched_packs(run) -> list:
+    """``(shards, items)`` of every ``engine.dispatch`` span ``run()`` emits.
+
+    One dispatch span wraps each pack's one ``Backend.run``, and process
+    workers send their spans back with their results, so this counts
+    ``run`` calls on every executor; class-level counters only see the
+    calls made in this process.
+    """
+    collector = obs.SpanCollector()
+    with obs.activate(collector):
+        run()
+    return [(len(s["attrs"]["shards"]), s["attrs"]["items"])
+            for s in collector.drain() if s["name"] == "engine.dispatch"]
 
 
 def _mixed_batch():
@@ -176,22 +205,55 @@ def test_stateless_backend_runs_once_per_serial_dispatch(counting_registry):
     assert [jobs for _, jobs in StatelessCounting.calls] == [9]
 
 
-def test_stateless_backend_runs_at_most_once_per_thread_worker(counting_registry):
-    StatelessCounting.calls = []
-    repro.solve_many(_mixed_batch(), backend="counting_stateless", seed=1,
-                     executor=ThreadExecutor(max_workers=2))
+def test_stateless_backend_runs_at_most_once_per_process_worker(counting_registry):
+    packs = _dispatched_packs(lambda: repro.solve_many(
+        _mixed_batch(), backend="counting_stateless", seed=1,
+        executor=ProcessExecutor(max_workers=2)))
     # Item-balanced: the 3-item shards go to different packs.
-    assert sorted(jobs for _, jobs in StatelessCounting.calls) == [4, 5]
-    StatelessCounting.calls = []
-    repro.solve_many(_mixed_batch(), backend="counting_stateless", seed=1,
-                     executor="threads")
-    assert 1 <= len(StatelessCounting.calls) <= ThreadExecutor().workers
-    assert sum(jobs for _, jobs in StatelessCounting.calls) == 9
+    assert sorted(items for _, items in packs) == [4, 5]
+    assert sum(shards for shards, _ in packs) == 5
+    packs = _dispatched_packs(lambda: repro.solve_many(
+        _mixed_batch(), backend="counting_stateless", seed=1, executor="processes"))
+    assert 1 <= len(packs) <= ProcessExecutor().workers
+    assert sum(items for _, items in packs) == 9
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads"])
+@pytest.mark.parametrize("executor", ["serial", "processes"])
 def test_stateful_backend_gets_a_fresh_instance_and_run_per_shard(counting_registry, executor):
     StatefulCounting.calls = []
-    repro.solve_many(_mixed_batch(), backend="counting_stateful", seed=1, executor=executor)
-    assert sorted(jobs for _, jobs in StatefulCounting.calls) == [1, 1, 1, 3, 3]
-    assert len({id(instance) for instance, _ in StatefulCounting.calls}) == 5
+    packs = _dispatched_packs(lambda: repro.solve_many(
+        _mixed_batch(), backend="counting_stateful", seed=1, executor=executor))
+    assert sorted(packs) == [(1, 1), (1, 1), (1, 1), (1, 3), (1, 3)]
+    # Only serial runs its packs here, where the class counter sees them.
+    if executor == "serial":
+        assert sorted(jobs for _, jobs in StatefulCounting.calls) == [1, 1, 1, 3, 3]
+        assert len({id(instance) for instance, _ in StatefulCounting.calls}) == 5
+
+
+@pytest.mark.parametrize("backend, packs", [("counting_stateless", 1),
+                                            ("counting_stateful", 5)])
+def test_by_name_dispatch_builds_one_instance_per_pack(counting_registry, backend, packs):
+    """A by-name serial batch builds one instance at compile time (to
+    validate the name and read ``stateful``) and one per pack, none more."""
+    repro.solve_many(_mixed_batch(), backend=backend, seed=1)
+    assert BUILDS[backend] == 1 + packs
+    BUILDS.clear()
+    cache = ResultCache()
+    repro.solve_many(_mixed_batch(), backend=backend, seed=1, cache=cache)
+    repro.solve_many(_mixed_batch(), backend=backend, seed=1, cache=cache)
+    assert BUILDS[backend] == 2 + packs  # the warm rerun dispatches nothing
+
+
+def test_bruteforce_pack_with_an_empty_qubo_returns_every_result():
+    """A 2-attribute schema pair formulates a 0-variable QUBO; packed
+    with non-empty items, it gets the empty assignment and the rest solve."""
+    source, target, _ = generate_schema_pair(2, rng=0)
+    empty = SchemaMatchingAdapter(source, target)
+    assert empty.to_qubo().num_variables == 0
+    batch = _batch([("mqo", 0, 1), ("qubo", 1, 0)]) + [empty] + _batch([("txn", 0, 1)])
+    results = repro.solve_many(batch, backend="bruteforce", seed=4, keep=4)
+    assert len(results) == 4 and all(r.solution is not None for r in results)
+    assert results[2].num_variables == 0
+    singles = [repro.solve(p, backend="bruteforce", seed=r.info["engine"]["seed"], keep=4)
+               for p, r in zip(batch, results)]
+    assert [_outcome(r) for r in results] == [_outcome(r) for r in singles]

@@ -293,7 +293,7 @@ class TestScheduledBatch:
                 ])
             return out
 
-        assert run("serial") == run("threads")
+        assert run("serial") == run("processes")
 
     def test_mixed_routing_dispatches_as_one_wave(self):
         """Shards routed to different backends must reach the executor in a
@@ -413,10 +413,9 @@ def _instance(kind: str, rng: int):
     scheduler_seed=st.integers(0, 2**16),
     epsilon=st.floats(0.0, 1.0),
     max_shard_size=st.sampled_from([None, 1, 2]),
-    executor=st.sampled_from(["serial", "threads"]),
 )
 def test_routed_items_equal_unscheduled_runs_on_their_backend(
-    specs, batch_seed, scheduler_seed, epsilon, max_shard_size, executor
+    specs, batch_seed, scheduler_seed, epsilon, max_shard_size
 ):
     """Every item of a scheduled batch equals the same item of an unscheduled
     batch on the backend its shard was routed to: solution, objective,
@@ -424,8 +423,7 @@ def test_routed_items_equal_unscheduled_runs_on_their_backend(
     batch = [_instance(kind, rng) for kind, rng in specs]
     cache = ResultCache()
     scheduled = repro.solve_many(
-        batch, backend=ROUTED, seed=batch_seed, max_shard_size=max_shard_size,
-        executor=executor, cache=cache,
+        batch, backend=ROUTED, seed=batch_seed, max_shard_size=max_shard_size, cache=cache,
         scheduler=AdaptiveScheduler(epsilon=epsilon, seed=scheduler_seed), **ROUTED_OPTS,
     )
     plain, keys = {}, {}

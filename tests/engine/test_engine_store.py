@@ -2,7 +2,7 @@
 
 The determinism bar mirrors the engine's: a fresh scheduler hydrated from
 the store must make the same routing decisions as the long-lived instance
-that produced it — across serial / threads / processes / async executors —
+that produced it — across serial / processes / async executors —
 and two processes hammering one store file must never corrupt it.
 """
 
@@ -520,7 +520,7 @@ class TestHydratedRoutingDeterminism:
         store, long_lived = self._warm(tmp_path / "engine.db")
         store.checkpoint()  # fold the WAL so the file can be copied
         copies = {}
-        for executor in ("serial", "threads", "processes"):
+        for executor in ("serial", "processes"):
             copy = tmp_path / f"engine-{executor}.db"
             shutil.copy(store.path, copy)
             copies[executor] = copy

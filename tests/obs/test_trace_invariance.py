@@ -20,7 +20,7 @@ from repro.engine import AdaptiveScheduler, ResultCache, solve_decomposed
 from repro.mqo import generate_mqo_problem
 from repro.qubo.model import QuboModel
 
-ALL_EXECUTORS = ["serial", "threads", "processes"]
+ALL_EXECUTORS = ["serial", "processes"]
 MATRIX_BACKENDS = {
     "tabu": dict(num_restarts=2, max_iterations=40),
     "sa": dict(num_reads=3, num_sweeps=30),
@@ -51,7 +51,7 @@ def _signature(results):
 
 
 class TestTraceInvariance:
-    """serial/threads/processes x tabu/sa: tracing on == tracing off."""
+    """serial/processes x tabu/sa: tracing on == tracing off."""
 
     @pytest.mark.parametrize("executor", ALL_EXECUTORS)
     @pytest.mark.parametrize("backend", sorted(MATRIX_BACKENDS))
@@ -102,7 +102,7 @@ class TestTraceInvariance:
 class TestWorkerPropagation:
     """The payload-carried TraceContext: spans survive pool boundaries."""
 
-    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("executor", ["processes"])
     def test_pool_workers_report_spans_into_the_request_trace(self, executor):
         collector = obs.SpanCollector()
         with obs.activate(collector):

@@ -75,9 +75,11 @@ class TestBruteForce:
         with pytest.raises(ReproError):
             BruteForceSolver(max_variables=4).solve(QuboModel(5))
 
-    def test_empty_model_rejected(self):
-        with pytest.raises(ReproError):
-            BruteForceSolver().solve(QuboModel(0))
+    def test_empty_model_returns_the_empty_assignment(self):
+        model = QuboModel(0)
+        model.offset = 1.5
+        ss = BruteForceSolver().solve(model)
+        assert [(s.bits, s.energy) for s in ss] == [((), 1.5)]
 
 
 class TestTabu:

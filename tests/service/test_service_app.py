@@ -32,7 +32,6 @@ def make_service(**overrides) -> SolverService:
         window_s=30.0,  # only the size trigger can dispatch
         backends=("sa",),
         backend_opts=FAST_SA,
-        executor="threads",
     )
     defaults.update(overrides)
     return SolverService(ServiceConfig(**defaults))

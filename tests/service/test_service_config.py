@@ -29,6 +29,7 @@ def test_validation_rejects_bad_values():
         dict(top_k=0),
         dict(executor="bogus"),
         dict(executor="async"),  # not an executor name
+        {"executor": 'threads'},  # removed: serial and processes remain
     ]
     for overrides in bad:
         with pytest.raises(ReproError):

@@ -24,7 +24,7 @@ def _run_with_server(handler, **config_overrides):
         config = dict(
             window_s=0.05, max_wave=16, port=0, backends=("sa",),
             backend_opts={"sa": {"num_reads": 2, "num_sweeps": 20}},
-            executor="threads", store="",
+            store="",
         )
         config.update(config_overrides)
         server = ServiceServer(SolverService(ServiceConfig(**config)))
