@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize as sciopt
 
+from repro.exceptions import ReproError
 from repro.utils.rngtools import ensure_rng
 
 ScalarFn = Callable[[np.ndarray], float]
@@ -42,7 +43,17 @@ def scipy_minimize(
     method: str = "COBYLA",
     maxiter: int = 200,
 ) -> OptimizerResult:
-    """Minimise ``fn`` with a scipy derivative-free method."""
+    """Minimise ``fn`` with a scipy derivative-free method.
+
+    COBYLA needs ``maxiter`` of at least the number of parameters + 2 (scipy
+    would silently raise a smaller one), so a smaller one is refused.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if method.upper() == "COBYLA" and maxiter < x0.size + 2:
+        raise ReproError(
+            f"COBYLA needs maxiter >= {x0.size + 2} (parameters + 2) for {x0.size} "
+            f"parameters; got {maxiter}"
+        )
     history: list[float] = []
     evals = 0
 
@@ -53,7 +64,7 @@ def scipy_minimize(
         history.append(value)
         return value
 
-    result = sciopt.minimize(wrapped, np.asarray(x0, dtype=float), method=method, options={"maxiter": maxiter})
+    result = sciopt.minimize(wrapped, x0, method=method, options={"maxiter": maxiter})
     return OptimizerResult(np.asarray(result.x, dtype=float), float(result.fun), evals, history)
 
 

@@ -10,12 +10,14 @@ job's samples do not depend on which other jobs share the call.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import groupby, repeat
 from typing import Sequence
 
 import numpy as np
 
 from repro.annealing.schedule import beta_range, geometric_beta_schedule, model_beta_range
+from repro.exceptions import ReproError
+from repro.qubo.lockstep import coupling_table
 from repro.qubo.model import QuboModel
 from repro.qubo.sampleset import SampleSet
 from repro.utils.rngtools import ensure_rng
@@ -27,10 +29,11 @@ class SimulatedAnnealingSolver:
     Args:
         num_reads: Independent annealing runs (returned as separate samples).
         num_sweeps: Full variable sweeps per read.
-        beta_schedule: Optional explicit inverse-temperature ladder; defaults
-            to a geometric ramp over the per-variable field range of the
-            problem (dwave-neal style), which handles the heterogeneous
-            scales of penalty- and chain-augmented QUBOs.
+        beta_schedule: Optional explicit inverse-temperature ladder of
+            positive, finite values; defaults to a geometric ramp over the
+            per-variable field range of the problem (dwave-neal style),
+            which handles the heterogeneous scales of penalty- and
+            chain-augmented QUBOs.
         quench: Finish each read with a greedy single-flip descent.
     """
 
@@ -41,6 +44,9 @@ class SimulatedAnnealingSolver:
         beta_schedule: "np.ndarray | None" = None,
         quench: bool = True,
     ):
+        if beta_schedule is not None and not np.all(np.isfinite(beta_schedule)
+                                                    & (np.asarray(beta_schedule) > 0)):
+            raise ReproError("inverse temperatures must be positive and finite")
         self.num_reads = num_reads
         self.num_sweeps = num_sweeps
         self.beta_schedule = beta_schedule
@@ -50,6 +56,7 @@ class SimulatedAnnealingSolver:
         """Anneal one ``model``: the one-job call of :meth:`run`."""
         return self.run([(model, rng)], blocks=blocks)[0]
 
+    @np.errstate(over="ignore")  # exp(-beta * delta) of a steep downhill move
     def run(self, jobs: Sequence, blocks: "list[list[int]] | None" = None) -> list[SampleSet]:
         """Anneal every ``(model, rng)`` job; one sample set per job, in order.
 
@@ -70,9 +77,9 @@ class SimulatedAnnealingSolver:
         largest ``n`` and a row sits out step ``t`` once ``t`` reaches its
         own ``n``.  Rows go half by half, one half per (job, schedule
         half), largest ``n`` first, so the rows still stepping at step ``t``
-        are a prefix.  Row ``r`` of ``X`` and ``fields`` lives at flat index
-        ``r * N + c``; ``owner`` maps a row to its job and ``half_of`` to its
-        half, whose permutation orders that row's sweep.
+        are a prefix.  Row ``r`` of ``spins`` and ``fields`` lives at flat
+        index ``r * N + c``; ``owner`` maps a row to its job and ``half_of``
+        to its half, whose permutation orders that row's sweep.
         """
         models = [model for model, _ in jobs]
         if not models:
@@ -110,30 +117,33 @@ class SimulatedAnnealingSolver:
         last_half = {j: h for h, (j, _, _) in enumerate(halves)}
         lazy = {h for j, h in last_half.items() if last_job[id(rngs[j])] == j}
         eager = [h for h in range(len(halves)) if h not in lazy]
-        # Where an up-front half's perm and uniforms land in the per-sweep
-        # (half, N) perm and (R, N) uniform arrays, as flat indices.
-        perm_dest = [h * N + np.arange(dims[h]) for h in eager]
-        u_dest = [(np.arange(spans[h].start, spans[h].stop)[:, None] * N
-                   + np.arange(dims[h])).reshape(-1) for h in eager]
-        perm_dest = np.concatenate([np.empty(0, dtype=int), *perm_dest])
-        u_dest = np.concatenate([np.empty(0, dtype=int), *u_dest])
-        perm_store = np.empty((sweeps, perm_dest.size), dtype=int)
-        u_store = np.empty((sweeps, u_dest.size))
+        # A sweep's draws land where they are read, with no copy: half h's
+        # permutation in row slot[h] of the sweep's (half, N) table, its
+        # uniforms as a (reads, n) block at seg[slot[h]] of the sweep's
+        # uniform buffer.  Up-front halves take the first slots.
+        by_slot = eager + sorted(lazy)
+        slot = np.empty(len(halves), dtype=int)
+        slot[by_slot] = np.arange(len(halves))
+        seg = np.cumsum([0, *(halves[h][2] * dims[h] for h in by_slot)])
+        E = len(eager)
+        perm_store = np.empty((sweeps, E, N), dtype=np.int64)
+        perm_store[...] = np.arange(N)  # a shuffle of arange(n) is permutation(n)
+        u_store = np.empty((sweeps, seg[E]))
         block_u = np.empty((sweeps, len(block_idx), R))
         X = np.zeros((R, N), dtype=np.int64)
-        p_off = u_off = 0
         for h, (j, _, reads) in enumerate(halves):
-            n, rows = dims[h], spans[h]
+            n, rows, k = dims[h], spans[h], slot[h]
             X[rows, :n] = rngs[j].integers(0, 2, size=(reads, n))
             if h in lazy:
                 continue
-            for s in range(sweeps):
-                perm_store[s, p_off:p_off + n] = rngs[j].permutation(n)
-                u_store[s, u_off:u_off + reads * n] = rngs[j].random((reads, n)).reshape(-1)
-                for b in range(len(block_idx)):
-                    block_u[s, b, rows] = rngs[j].random(reads)
-            p_off += n
-            u_off += reads * n
+            shuffle, uniform = rngs[j].shuffle, rngs[j].random
+            for perm, u, block in zip(perm_store[:, k, :n],
+                                      u_store[:, seg[k]:seg[k + 1]].reshape(sweeps, reads, n),
+                                      block_u[:, :, rows] if block_idx else repeat(())):
+                shuffle(perm)
+                uniform(out=u)
+                for b in block:
+                    uniform(out=b)
         neg_beta = -np.stack([betas for _, betas, _ in halves], axis=1)  # (sweep, half)
 
         # Initial fields half by half: sum_j S_ij x_j per read.
@@ -141,55 +151,78 @@ class SimulatedAnnealingSolver:
         for h, (j, _, _) in enumerate(halves):
             n, rows = dims[h], spans[h]
             fields[rows, :n] = np.ascontiguousarray(X[rows, :n]) @ couplings[j][1]
-        # Padded linear terms and rows of S; job j's S_i is row offsets[j] + i.
-        offsets = np.cumsum([0, *(model.num_variables for model in models)])
-        linear = np.zeros((len(models), N))
-        S_rows = np.zeros((offsets[-1], N))
-        for j, (a, S) in enumerate(couplings):
-            linear[j, :a.size] = a
-            S_rows[offsets[j]:offsets[j + 1], :a.size] = S
-        linear = linear[owner].reshape(-1)
-        x_flat, f_flat = X.reshape(-1), fields.reshape(-1)
-        base = (np.arange(R) * N)[:, None]
-        row_base = offsets[owner][:, None]
-        perms = np.tile(np.arange(N), (len(halves), 1))  # padding stays n..N-1
-        U = np.empty((R, N))
-        perms_flat, U_flat = perms.reshape(-1), U.reshape(-1)
-        lazy_draws = [(h, rngs[halves[h][0]], dims[h], spans[h], halves[h][2])
-                      for h in sorted(lazy)]
+        spins = 1.0 - 2.0 * X  # +-1.0; padding stays +1
+        offsets, linear, signed = coupling_table(couplings, N)
+        M = offsets[-1]
+        base = np.arange(R) * N
+        row_base = offsets[owner]
+        row_slot = slot[half_of]
+        first_row = np.array([spans[h].start for h in range(len(halves))])
+        u_base = seg[row_slot] + (np.arange(R) - first_row[half_of]) * row_n
+        perms = np.empty((len(halves), N), dtype=np.int64)
+        perms[E:] = np.arange(N)  # padding stays n..N-1
+        U = np.empty(seg[-1] + N)  # a padded step reads up to N - 1 past its row
+        lazy_draws = [(rngs[halves[h][0]], dims[h], perms[slot[h], :dims[h]],
+                       U[seg[slot[h]]:seg[slot[h] + 1]].reshape(halves[h][2], dims[h]),
+                       block_u[:, :, spans[h]]) for h in by_slot[E:]]
+        z, f = spins.reshape(-1), fields.reshape(-1)
+        hot = np.empty(R)
+        accepted = np.zeros((N, R), dtype=bool)  # a row past its n stays False
         for s in range(sweeps):
-            perms_flat[perm_dest] = perm_store[s]
-            U_flat[u_dest] = u_store[s]
-            for h, rng, n, rows, reads in lazy_draws:
-                perms[h, :n] = rng.permutation(n)
-                U[rows, :n] = rng.random((reads, n))
-                for b in range(len(block_idx)):
-                    block_u[s, b, rows] = rng.random(reads)
-            # Step t visits variable cols[r, t] of row r: its flat index into
-            # X / fields / the linear terms, its uniform and its row of S.
-            cols = perms[half_of]
-            flat = cols + base
-            uniforms = U_flat[flat]
-            lin = linear[flat]
-            s_row = cols + row_base
-            nb = neg_beta[s][half_of]
+            perms[:E] = perm_store[s]
+            U[:seg[E]] = u_store[s]
+            for rng, n, perm, u, block in lazy_draws:
+                perm[:] = rng.permutation(n)
+                rng.random(out=u)
+                for b in block[s] if block_idx else ():
+                    rng.random(out=b)
+            # Step-major: step t visits variable cols[t, r] of row r, so one
+            # step's rows are contiguous.  ``at`` is its flat index into
+            # spins / fields, ``entry`` its entry of the coupling table.  A
+            # padded step visits a padding column.
+            cols = perms.T.take(row_slot, axis=1)
+            at = cols + base
+            entry = cols + row_base
+            lin = linear.take(entry, mode="clip")
+            uniforms = U.take(cols + u_base)
+            # A row visits each variable once per sweep, so the spin it
+            # meets is the one it has now; the sweep's flips go back into
+            # ``spins`` after the step loop.
+            sg = z.take(at)
+            flip = entry + M * (sg < 0)  # the row of ``signed`` a flip adds
+            nb = neg_beta[s].take(half_of)
             for live, steps in phases:
-                flat_l, lin_l, u_l, nb_l = flat[:live], lin[:live], uniforms[:live], nb[:live]
-                for t in steps:
-                    at = flat_l[:, t]
-                    sign = 1 - 2 * x_flat[at]
-                    delta = sign * (lin_l[:, t] + f_flat[at])
-                    # exp(-beta * clip(delta, 0, 700)), in two plain ufunc calls.
-                    hot = np.exp(nb_l * np.minimum(np.maximum(delta, 0.0), 700.0))
-                    rows = ((delta <= 0) | (u_l[:, t] < hot)).nonzero()[0]
-                    if rows.size == 0:
+                fields_l, hot_l, nb_l = fields[:live], hot[:live], nb[:live]
+                ts = slice(steps[0], steps[-1] + 1)
+                for at_t, lin_t, sg_t, u_t, flip_t, accept_t in zip(
+                        at[ts, :live], lin[ts, :live], sg[ts, :live], uniforms[ts, :live],
+                        flip[ts, :live], accepted[ts, :live]):
+                    delta = f.take(at_t)
+                    np.add(delta, lin_t, out=delta)
+                    np.multiply(delta, sg_t, out=delta)
+                    # Accept if u < exp(-beta * clip(delta, 0, 700)).  A
+                    # uniform is below 1 and beta > 0, so a downhill move
+                    # (exp(-beta * delta) >= 1, or inf) needs no clip at 0.
+                    np.minimum(delta, 700.0, out=hot_l)
+                    np.multiply(hot_l, nb_l, out=hot_l)
+                    np.exp(hot_l, out=hot_l)
+                    np.less(u_t, hot_l, out=accept_t)
+                    taken = np.count_nonzero(accept_t)
+                    if not taken:
                         continue
-                    x_flat[at[rows]] ^= 1
-                    fields[rows] += sign[rows, None] * S_rows[s_row[rows, t]]
+                    adds = flip_t
+                    if taken < live:
+                        # A rejected row adds zeros: its fields keep their
+                        # values (a -0.0 may turn +0.0, which no delta,
+                        # clip or comparison tells apart).
+                        adds = np.where(accept_t, adds, 2 * M)
+                    fields_l += signed.take(adds, axis=0)
+            z[at] = np.where(accepted, -sg, sg)
             for h, (j, _, _) in enumerate(halves if block_idx else ()):
                 n, rows = dims[h], spans[h]
-                _block_moves(X[rows, :n], fields[rows, :n], couplings[j], block_data[j],
+                _block_moves(spins[rows, :n], fields[rows, :n], couplings[j], block_data[j],
                              block_u[s, :, rows], nb[rows])
+        X = (spins < 0).astype(np.int64)
         if self.quench:
             from repro.annealing.sqa import _greedy_quench
 
@@ -224,15 +257,15 @@ class SimulatedAnnealingSolver:
             )
         return [(np.asarray(betas, dtype=float), self.num_reads)]
 
-def _block_moves(X, fields, coupling, block_data, block_u, nb) -> None:
+def _block_moves(spins, fields, coupling, block_data, block_u, nb) -> None:
     """One collective-flip proposal per block for one half's rows, in place."""
     a, S = coupling
     for (idx, S_bb), u in zip(block_data, block_u):
-        # Collective flip of the whole block: with d_i = 1 - 2 x_i,
+        # Collective flip of the whole block: with spins d_i = 1 - 2 x_i,
         # dE = sum_i d_i (a_i + field_i) + sum_{i<j} S_ij d_i d_j
         # (the second term corrects the double-counted intra-block
         # couplings already present in the fields).
-        D = 1.0 - 2.0 * X[:, idx]
+        D = spins[:, idx]
         cross = 0.5 * np.einsum("ri,ij,rj->r", D, S_bb, D)
         delta = (D * (a[idx] + fields[:, idx])).sum(axis=1) + cross
         accept = (delta <= 0) | (u < np.exp(nb * np.clip(delta, 0, 700)))
@@ -240,5 +273,5 @@ def _block_moves(X, fields, coupling, block_data, block_u, nb) -> None:
             continue
         Da = D[accept]
         rows = np.nonzero(accept)[0]
-        X[np.ix_(rows, idx)] ^= 1
+        spins[np.ix_(rows, idx)] *= -1.0
         fields[rows] += Da @ S[idx]

@@ -21,6 +21,7 @@ import numpy as np
 from repro.annealing.schedule import linear_schedule
 from repro.exceptions import ReproError
 from repro.qubo.ising import qubo_to_ising
+from repro.qubo.lockstep import coupling_table, padded_linear
 from repro.qubo.model import QuboModel
 from repro.qubo.sampleset import SampleSet
 from repro.utils.rngtools import ensure_rng
@@ -41,29 +42,30 @@ def _greedy_quench(rows: np.ndarray, owner: np.ndarray, couplings: list) -> np.n
     """
     X = np.array(rows, dtype=int)
     R, N = X.shape
-    offsets = np.cumsum([0, *(a.size for a, _ in couplings)])
-    # A padded column's delta is +inf: never the row's argmin move.
-    linear = np.full((len(couplings), N), np.inf)
-    S_rows = np.zeros((offsets[-1], N))  # row offsets[j] + i is S_i of model j
-    for j, (a, S) in enumerate(couplings):
-        linear[j, :a.size] = a
-        S_rows[offsets[j]:offsets[j + 1], :a.size] = S
+    offsets, linear, signed = coupling_table(couplings, N)
+    M = offsets[-1]
     fields = np.zeros(X.shape)
     for r in range(R):
         a, S = couplings[owner[r]]
         fields[r, :a.size] = S @ X[r, :a.size]
-    linear = linear[owner]
+    # A padded column's delta is +inf: never the row's argmin move.
+    linear = padded_linear(linear, offsets, owner, N)
     row_base = offsets[owner]
+    spins = 1.0 - 2.0 * X  # +-1.0; padding stays +1
+    z = spins.reshape(-1)
     live = np.arange(R if N else 0)  # an empty model has no move to take
     while live.size:
-        deltas = (1 - 2 * X[live]) * (linear[live] + fields[live])
+        deltas = linear.take(live, axis=0)
+        deltas += fields.take(live, axis=0)
+        deltas *= spins.take(live, axis=0)
         i = deltas.argmin(axis=1)
-        down = deltas[np.arange(live.size), i] < -1e-12
+        down = deltas.reshape(-1).take(np.arange(live.size) * N + i) < -1e-12
         live, i = live[down], i[down]
-        sign = 1 - 2 * X[live, i]
-        X[live, i] ^= 1
-        fields[live] += S_rows[row_base[live] + i] * sign[:, None]
-    return X
+        at = live * N + i
+        sg = z.take(at)
+        z[at] = -sg
+        fields[live] += signed.take(row_base[live] + i + M * (sg < 0), axis=0)
+    return (spins < 0).astype(int)
 
 
 class SimulatedQuantumAnnealingSolver:

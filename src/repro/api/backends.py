@@ -106,6 +106,11 @@ def list_backends() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def registered_factories() -> dict[str, Callable[..., Backend]]:
+    """A copy of the registry, name -> factory."""
+    return dict(_REGISTRY)
+
+
 # -- built-in engines ------------------------------------------------------
 
 

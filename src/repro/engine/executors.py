@@ -28,6 +28,7 @@ import abc
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
 from repro.exceptions import ReproError
@@ -60,19 +61,39 @@ class SerialExecutor(Executor):
 
 
 class ProcessExecutor(Executor):
-    """Process pool: true parallelism for the CPU-bound simulator backends."""
+    """Process pool: true parallelism for the CPU-bound simulator backends.
+
+    The pool is built on the first run that needs it and kept for later
+    runs, so a dispatch does not pay worker start-up.  Workers are forked
+    when the pool starts and resolve backends by name, so a pool started
+    before the backend registry changed is replaced on the next run, as is
+    a pool broken by a dead worker.
+    """
 
     name = "processes"
 
     def __init__(self, max_workers: "int | None" = None):
         self.workers = max_workers or os.cpu_count() or 1
+        self._pool: "ProcessPoolExecutor | None" = None
+        self._registry: dict = {}  # the backend registry the pool's workers know
 
     def run(self, worker: Callable, payloads: Sequence) -> list:
+        from repro.api.backends import registered_factories
+
         if len(payloads) <= 1:
             return [worker(p) for p in payloads]
+        registry = registered_factories()
+        if self._pool is not None and registry != self._registry:
+            self._pool.shutdown()
+            self._pool = None
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._registry = registry
         try:
-            with ProcessPoolExecutor(max_workers=min(len(payloads), self.workers)) as pool:
-                return list(pool.map(worker, payloads))
+            return list(self._pool.map(worker, payloads))
+        except BrokenProcessPool:
+            self._pool = None  # the next run starts a fresh one
+            raise
         except Exception as exc:
             # Diagnose serialization failures only on the error path — the
             # happy path must not pay a second pickling pass.
@@ -86,23 +107,23 @@ class ProcessExecutor(Executor):
             raise
 
 
-_EXECUTORS: dict[str, Callable[[], Executor]] = {
-    "serial": SerialExecutor,
-    "processes": ProcessExecutor,
+#: One shared instance per name, so by-name callers share one process pool.
+_EXECUTORS: dict[str, Executor] = {
+    "serial": SerialExecutor(),
+    "processes": ProcessExecutor(),
 }
 
 
 def get_executor(spec: "str | Executor") -> Executor:
-    """Resolve an executor name (or pass an instance through)."""
+    """Resolve an executor name to its shared instance (or pass one through)."""
     if isinstance(spec, Executor):
         return spec
     try:
-        factory = _EXECUTORS[spec]
+        return _EXECUTORS[spec]
     except KeyError:
         raise ReproError(
             f"unknown executor {spec!r}; available: {', '.join(list_executors())}"
         ) from None
-    return factory()
 
 
 def list_executors() -> list[str]:

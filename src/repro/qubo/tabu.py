@@ -11,9 +11,14 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.qubo.lockstep import coupling_table, padded_linear
 from repro.qubo.model import QuboModel
 from repro.qubo.sampleset import Sample, SampleSet
 from repro.utils.rngtools import ensure_rng
+
+
+#: Scale of the tabu mask: a power of two, so (k - 1/2) * BIG is exact.
+BIG = 2.0 ** 600
 
 
 class TabuSolver:
@@ -64,40 +69,54 @@ class TabuSolver:
             n = row_n[r]
             fields[r, :n] = couplings[owner[r]][1] @ X[r, :n]
             energy[r] = models[owner[r]].energy(X[r, :n])
-        # Padded linear terms and rows of S; job j's S_i is row offsets[j] + i
-        # (S is exactly symmetric, so it is column i too).
-        offsets = np.cumsum([0, *dims])
-        linear = np.full((len(models), N), np.inf)
-        S_rows = np.zeros((offsets[-1], N))
-        for j, (a, S) in enumerate(couplings):
-            linear[j, :a.size] = a
-            S_rows[offsets[j]:offsets[j + 1], :a.size] = S
-        linear = linear[owner]
+        offsets, linear, signed = coupling_table(couplings, N)
+        M = offsets[-1]
         row_base = offsets[owner]
-        best_x, best_e = X.copy(), energy.copy()
+        linear = padded_linear(linear, offsets, owner, N)
+        spins = 1.0 - 2.0 * X  # +-1.0; padding stays +1
+        best_z, best_e = spins.copy(), energy.copy()
+        # A move is tabu until iteration ``tabu_until``, kept as
+        # (tabu_until - 1/2) * BIG.  At iteration ``it`` the exact difference
+        # (tabu_until - it - 1/2) * BIG is <= -BIG/2 for a free move and
+        # >= BIG/2 for a tabu one, so its maximum with the move's delta is
+        # a free move's delta and above every delta for a tabu one (deltas
+        # stay below BIG/2 ~ 2e180 in size).  A padded column is never free.
         padded = np.arange(N) >= row_n[:, None]
-        tabu_until = np.where(padded, np.iinfo(np.int64).max, 0)
+        tabu = np.where(padded, np.inf, -0.5 * BIG)
         live = np.ones(R, dtype=bool)
-        for it in range(self.max_iterations):
-            sign = 1 - 2 * X
-            deltas = sign * (linear + fields)
-            # Aspiration: a tabu move is allowed if it beats the incumbent.
-            aspiring = energy[:, None] + deltas < (best_e - 1e-12)[:, None]
-            candidate = (tabu_until <= it) | aspiring
-            live &= candidate.any(axis=1)
+        base = np.arange(R) * N
+        deltas, masked = np.empty((R, N)), np.empty((R, N))
+        z, d, t, m = spins.reshape(-1), deltas.reshape(-1), tabu.reshape(-1), masked.reshape(-1)
+        for it in range(self.max_iterations if N else 0):
+            np.add(linear, fields, out=deltas)
+            np.multiply(deltas, spins, out=deltas)
+            # Each row takes its first lowest delta among the moves that are
+            # tabu-free or aspire (beat the incumbent).  fl(e + d) grows
+            # with d, so some move aspires only if the row's lowest does,
+            # and that one is then the pick; else the pick is the lowest
+            # free move.  A row with neither stops.
+            low = deltas.argmin(axis=1)
+            aspiring = energy + d.take(base + low) < best_e - 1e-12
+            np.subtract(tabu, it * BIG, out=masked)
+            np.maximum(masked, deltas, out=masked)
+            free_low = masked.argmin(axis=1)
+            live &= aspiring | (m.take(base + free_low) < 0.5 * BIG)
             rows = live.nonzero()[0]
             if rows.size == 0:
                 break
-            # The first lowest delta among the row's candidates.
-            i = np.where(candidate, deltas, np.inf).argmin(axis=1)[rows]
-            at = rows * N + i  # flat index of each moving row's flip
-            energy[rows] += deltas.reshape(-1)[at]
-            X.reshape(-1)[at] ^= 1
-            fields[rows] += sign.reshape(-1)[at][:, None] * S_rows[row_base[rows] + i]
-            tabu_until.reshape(-1)[at] = it + tenure[rows]
+            i = np.where(aspiring, low, free_low)[rows]
+            at = base[rows] + i  # flat index of each moving row's flip
+            sg = z.take(at)
+            energy[rows] += d.take(at)
+            z[at] = -sg
+            adds = np.full(R, 2 * M)  # a stopped row adds the zero row
+            adds[rows] = row_base[rows] + i + M * (sg < 0)
+            fields += signed.take(adds, axis=0)
+            t[at] = (it + tenure[rows] - 0.5) * BIG
             better = rows[energy[rows] < best_e[rows] - 1e-12]
             best_e[better] = energy[better]
-            best_x[better] = X[better]
+            best_z[better] = spins[better]
+        best_x = best_z < 0
         return [
             SampleSet(
                 [Sample(tuple(int(b) for b in best_x[r, :dims[j]]), float(best_e[r]))

@@ -128,6 +128,13 @@ class TestVQE:
         opt = vqe.optimize(maxiter=200, restarts=3, rng=0)
         assert opt.value == pytest.approx(-1.0, abs=1e-4)
 
+    def test_cobyla_maxiter_below_parameters_plus_two_is_refused(self):
+        # 4 qubits x (1 + 1) layers = 8 parameters: COBYLA needs maxiter >= 10.
+        vqe = VQE.from_qubo(_random_qubo(31, n=4), num_layers=1)
+        with pytest.raises(ReproError, match="maxiter >= 10"):
+            vqe.optimize(maxiter=9, restarts=1, rng=0)
+        assert vqe.optimize(maxiter=10, restarts=1, rng=0).evaluations <= 10
+
     def test_sampling_requires_diagonal(self):
         ham = PauliSum([PauliString("X", -1.0)])
         vqe = VQE(ham, num_layers=1)

@@ -132,6 +132,12 @@ class TestOptimizers:
         assert res.evaluations > 0
         assert len(res.history) == res.evaluations
 
+    def test_scipy_cobyla_refuses_maxiter_below_parameters_plus_two(self):
+        with pytest.raises(ReproError, match=r"maxiter >= 5 \(parameters \+ 2\) for 3 parameters"):
+            scipy_minimize(self._quadratic, np.zeros(3), method="cobyla", maxiter=4)
+        res = scipy_minimize(self._quadratic, np.zeros(3), method="COBYLA", maxiter=5)
+        assert res.evaluations <= 5
+
     def test_scipy_nelder_mead(self):
         res = scipy_minimize(self._quadratic, np.zeros(2), method="Nelder-Mead", maxiter=400)
         assert res.value < 1e-6

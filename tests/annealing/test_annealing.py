@@ -79,6 +79,11 @@ class TestSimulatedAnnealing:
         ss = solver.solve(m, rng=0)
         assert len(ss) >= 1
 
+    @pytest.mark.parametrize("betas", [[0.0, 1.0], [-1.0, 2.0], [1.0, np.inf], [np.nan]])
+    def test_beta_schedule_must_be_positive_and_finite(self, betas):
+        with pytest.raises(ReproError, match="positive and finite"):
+            SimulatedAnnealingSolver(beta_schedule=np.array(betas))
+
     def test_info_fields(self):
         ss = SimulatedAnnealingSolver(num_reads=4, num_sweeps=10).solve(_random_model(0, n=4), rng=0)
         assert ss.info["solver"] == "simulated_annealing"

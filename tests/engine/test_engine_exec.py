@@ -1,12 +1,14 @@
 """Executors and determinism: the full executor x backend matrix, racing."""
 
 import math
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 import repro
-from repro.api import MQOAdapter, SamplerBackend, get_backend
-from repro.engine import SerialExecutor, get_executor, list_executors
+from repro.api import MQOAdapter, SamplerBackend, backends, get_backend, register_backend
+from repro.engine import ProcessExecutor, SerialExecutor, executors, get_executor, list_executors
 from repro.exceptions import ReproError
 from repro.mqo import generate_mqo_problem
 
@@ -42,6 +44,58 @@ class TestExecutorRegistry:
     def test_instance_passthrough(self):
         ex = SerialExecutor()
         assert get_executor(ex) is ex
+
+    def test_by_name_lookup_shares_one_instance(self):
+        assert get_executor("processes") is get_executor("processes")
+        assert get_executor("serial") is get_executor("serial")
+
+
+def _exit_worker(_):
+    os._exit(1)  # the worker process dies mid-task
+
+
+class TestProcessPoolReuse:
+    """A ProcessExecutor builds its pool once and reuses it across runs."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        built = []
+
+        class CountingPool(executors.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", CountingPool)
+        return built
+
+    def test_two_dispatches_build_one_pool(self, pools):
+        ex = ProcessExecutor(max_workers=2)
+        first = repro.solve_many(_mixed_batch(), backend="sa", seed=3, executor=ex, **FAST_SA)
+        second = repro.solve_many(_mixed_batch(), backend="sa", seed=3, executor=ex, **FAST_SA)
+        assert len(pools) == 1
+        assert [r.objective for r in first] == [r.objective for r in second]
+
+    def test_a_registry_change_starts_a_fresh_pool(self, pools):
+        """Workers resolve backends by name, so a pool forked before a
+        registration would not know the new backend."""
+        ex = ProcessExecutor(max_workers=2)
+        assert ex.run(abs, [-1, -2]) == [1, 2]
+        register_backend("sa_again", get_backend("sa").__class__)
+        try:
+            results = repro.solve_many(_mixed_batch(), backend="sa_again", seed=3, executor=ex,
+                                       **FAST_SA)
+        finally:
+            backends._REGISTRY.pop("sa_again", None)
+        assert len(pools) == 2
+        assert len(results) == 4
+
+    def test_a_pool_broken_by_a_dead_worker_is_rebuilt(self, pools):
+        ex = ProcessExecutor(max_workers=2)
+        with pytest.raises(BrokenProcessPool):
+            ex.run(_exit_worker, [0, 1])
+        assert ex.run(abs, [-1, -2, 3]) == [1, 2, 3]
+        assert len(pools) == 2
 
 
 class TestDeterminismMatrix:

@@ -91,7 +91,7 @@ def test_k_job_run_equals_k_one_job_runs(backend, n, kind, coeffs, seeds):
 @settings(max_examples=30, deadline=None)
 @given(
     backend=st.sampled_from(["sa", "tabu", "tabu-stops"]),
-    ns=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+    ns=st.lists(st.integers(0, 12), min_size=2, max_size=5),
     kind=st.sampled_from(["random", "uncoupled", "equal"]),
     coeffs=st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
                     min_size=1, max_size=5),
@@ -99,7 +99,8 @@ def test_k_job_run_equals_k_one_job_runs(backend, n, kind, coeffs, seeds):
 )
 def test_mixed_size_run_equals_one_job_runs(backend, ns, kind, coeffs, seed):
     """Jobs of different sizes share one masked lock-step call: rows padded
-    to the largest n, each row stepping over its own n only."""
+    to the largest n, each row stepping over its own n only.  A 0-variable
+    job may share the call, or every job may have 0 variables."""
     models = [_model(n, kind, coeffs[k % len(coeffs):] + coeffs[:k % len(coeffs)])
               for k, n in enumerate(ns)]
     together, alone = _together_and_alone(backend, models, [seed + k for k in range(len(ns))])
@@ -109,7 +110,7 @@ def test_mixed_size_run_equals_one_job_runs(backend, ns, kind, coeffs, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    ns=st.lists(st.integers(1, 10), min_size=2, max_size=4),
+    ns=st.lists(st.integers(0, 10), min_size=2, max_size=4),
     tenure=st.integers(1, 12),
     kind=st.sampled_from(["random", "uncoupled", "equal"]),
     coeffs=st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
@@ -129,7 +130,7 @@ def test_mixed_size_tabu_equals_one_restart_at_a_time(ns, tenure, kind, coeffs, 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    ns=st.lists(st.integers(1, 10), min_size=2, max_size=4),
+    ns=st.lists(st.integers(0, 10), min_size=2, max_size=4),
     kind=st.sampled_from(["random", "uncoupled", "equal"]),
     coeffs=st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
                     min_size=1, max_size=5),

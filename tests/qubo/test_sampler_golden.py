@@ -36,9 +36,17 @@ def _random_model(seed: int, n: int, density: float = 0.5) -> QuboModel:
     return model
 
 
-def _digest(samples) -> str:
+def _payload(samples):
     rows = [(s.bits, repr(s.energy), s.num_occurrences) for s in samples]
-    payload = repr((rows, sorted(samples.info.items())))
+    return rows, sorted(samples.info.items())
+
+
+def _digest(samples) -> str:
+    """Digest of one sample set, or of a multi-job call's list of them."""
+    if isinstance(samples, list):
+        payload = repr([_payload(s) for s in samples])
+    else:
+        payload = repr(_payload(samples))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -48,6 +56,42 @@ def _sa(seed, n, **opts):
 
 def _tabu(seed, n, **opts):
     return TabuSolver(**opts).solve(_random_model(seed, n), rng=seed)
+
+
+def _sa_shared_generator():
+    """A mixed-size three-job call whose jobs 0 and 2 share one generator:
+    job 0 draws its last half up front, job 2 draws its own lazily."""
+    shared, own = np.random.default_rng(37), np.random.default_rng(38)
+    models = [_random_model(37, 12), _random_model(38, 20), _random_model(39, 7)]
+    solver = SimulatedAnnealingSolver(num_reads=6, num_sweeps=30)
+    return solver.run(list(zip(models, [shared, own, shared])))
+
+
+def _aspirating_moves(seed, n, num_restarts, max_iterations, tenure) -> int:
+    """Tabu moves ``_tabu(seed, n, ...)`` takes because they beat the incumbent,
+    counted by replaying each restart on its own."""
+    model = _random_model(seed, n)
+    a, S = model.symmetric_couplings()
+    rng = np.random.default_rng(seed)
+    taken = 0
+    for _ in range(num_restarts):
+        x = rng.integers(0, 2, size=n)
+        fields, energy = S @ x, model.energy(x)
+        best_e, tabu_until = energy, np.zeros(n, dtype=int)
+        for it in range(max_iterations):
+            deltas = (1 - 2 * x) * (a + fields)
+            free = (tabu_until <= it) | (energy + deltas < best_e - 1e-12)
+            if not free.any():
+                break
+            i = np.flatnonzero(free)[np.argmin(deltas[free])]
+            taken += int(tabu_until[i] > it)
+            energy += deltas[i]
+            fields += S[:, i] * (1 - 2 * x[i])
+            x[i] ^= 1
+            tabu_until[i] = it + tenure
+            if energy < best_e - 1e-12:
+                best_e = energy
+    return taken
 
 
 def _sqa(seed, n):
@@ -72,6 +116,8 @@ def _annealer(seed, n, reuse: bool):
     return device.sample(second, rng=np.random.default_rng(seed + 1), embedding=embedding)
 
 
+ASPIRATION = dict(num_restarts=4, max_iterations=60, tenure=6)
+
 CASES = {
     "sa-portfolio": lambda: _sa(11, 12, num_reads=16, num_sweeps=48),
     "sa-portfolio-n30": lambda: _sa(3, 30, num_reads=8, num_sweeps=24),
@@ -86,6 +132,14 @@ CASES = {
     # iteration.
     "tabu-long-tenure": lambda: _tabu(28, 9, tenure=12, max_iterations=40),
     "sqa": lambda: _sqa(29, 8),
+    "sa-shared-generator": _sa_shared_generator,
+    # beta near 0 accepts almost every flip; a large beta almost none uphill.
+    "sa-hot-schedule": lambda: _sa(43, 14, num_reads=8, num_sweeps=20,
+                                   beta_schedule=np.array([0.01, 0.02])),
+    "sa-cold-schedule": lambda: _sa(47, 14, num_reads=8, num_sweeps=20,
+                                    beta_schedule=np.array([30.0, 60.0])),
+    "tabu-aspiration": lambda: _tabu(65, 12, **ASPIRATION),
+    "tabu-n72": lambda: _tabu(59, 72, num_restarts=4, max_iterations=200),
     "annealer-chains": lambda: _annealer(31, 6, reuse=False),
     "annealer-embedding-hit": lambda: _annealer(31, 6, reuse=True),
 }
@@ -100,6 +154,11 @@ GOLDEN = {
     "tabu-default": "ca1f327d7f1fe96dff3024b54ead27cc055bbaefe8689c521473986bc5374fa2",
     "tabu-long-tenure": "30b19f9767e53d038fab4d725d08ca493c8e6ff5e05590a9ed9b8596c6cac3ce",
     "sqa": "ead134b441d494c6d2781ee6f27b4e3dc064d651c7bef70deb63047b6ae2b17d",
+    "sa-shared-generator": "8d5ded2f83763114d24b4fcedf828a4317063f77417377fe232a70750deff7da",
+    "sa-hot-schedule": "2431e834f6f51cb08d2422b3de599d7edf2e57afcc1c86f2bc69e18d494e3bf1",
+    "sa-cold-schedule": "6836a8494d9133cb7ce4da855e72969fbfcaeb392ec786947181aa5b31b800ce",
+    "tabu-aspiration": "054bdd574f10ed3456bf1c7c7689d9ec73ce46fff97c12a7fc89cbe1b7f41917",
+    "tabu-n72": "44301a9a05b895c75ea864c9eb2a8d51c672c256ac06c2049a9d4d25b6c2b23b",
     "annealer-chains": "6bb92b0c6703b23c524588e0d8065ed8a1eb4f6180d2d8d8cd617a9adebbd003",
     "annealer-embedding-hit": "90e9b895c4c2dd0ca7512d82d06dfce9f05a392513f15def3b43d10d2092eb83",
 }
@@ -116,3 +175,4 @@ def test_cases_exercise_the_paths_they_name():
     assert _annealer(31, 6, reuse=False).info["max_chain_length"] > 1
     portfolio = CASES["sa-portfolio"]()
     assert portfolio.info["schedule_portfolio"] == {"coeff_reads": 8, "field_reads": 8}
+    assert _aspirating_moves(65, 12, **ASPIRATION) > 0
