@@ -1,6 +1,6 @@
 """Engine benchmarks: sharded dispatch, cache reuse, adaptive scheduling.
 
-Eight claims, each asserted on results and on deterministic counts read
+Nine claims, each asserted on results and on deterministic counts read
 from the engine's own spans (``engine.solve`` per solved item,
 ``engine.execute``'s ``shards_dispatched``) — never on wall clock, which
 ``layerbench/`` measures:
@@ -28,7 +28,10 @@ from the engine's own spans (``engine.solve`` per solved item,
 8. a stateless backend samples a whole dispatch in one call: a 32-item
    batch of seven QUBO sizes over the four Table I domains (21 shards)
    makes exactly one ``Backend.run`` on the serial executor, on ``sa`` and
-   on ``tabu``.
+   on ``tabu``;
+9. a stateless backend caches item by item: rerunning claim 2's 32-item
+   ``sa`` batch with one item replaced dispatches exactly that item (one
+   ``engine.solve``, 31 hits), at the objectives of a cold run.
 
 A tracing gate rides along: with no tracer installed, the no-op span cost
 stays under 2% of an untraced batch.
@@ -475,3 +478,21 @@ def test_serial_dispatch_makes_one_run_call(backend, monkeypatch):
     assert len({r.num_variables for r in results}) == 7
     assert (shards, solves) == (21, 32)
     assert calls == [32]
+
+
+# -- claim 9: per-item hits on a stateless backend ---------------------------
+
+
+def test_edited_rerun_dispatches_only_the_changed_item():
+    """Claim 9: stateless items hit one by one, whatever their shard."""
+    problems = _wide_batch()
+    cache = ResultCache(maxsize=4096)
+    solve_many(problems, backend="sa", seed=11, cache=cache, **SA_OPTS)
+    problems[5] = MQOAdapter(generate_mqo_problem(4, 3, sharing_density=0.4, rng=99))
+    edited, solves, shards = engine_counts(
+        lambda: solve_many(problems, backend="sa", seed=11, cache=cache, **SA_OPTS)
+    )
+    assert [r.cache_hit for r in edited] == [k != 5 for k in range(len(problems))]
+    assert (shards, solves) == (1, 1)
+    cold = solve_many(problems, backend="sa", seed=11, **SA_OPTS)
+    assert _objectives(edited) == _objectives(cold)

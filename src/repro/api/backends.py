@@ -9,13 +9,13 @@ engines by string; new engines (real hardware clients, remote dispatchers)
 plug in via :func:`register_backend` without touching any domain code.
 
 Some backends are stateful on purpose: the annealer backend memoises
-hardware embeddings and the gate-model backends memoise optimised angles,
+hardware embeddings and the QAOA backend memoises optimised angles,
 keyed by the QUBO's structural signature, so batch execution
 (:func:`repro.api.facade.solve_many`) amortises the expensive setup across
 structurally identical instances.  The rest declare
 :attr:`Backend.stateful` ``False``: a job's samples depend only on its own
-``(model, rng)``, so the engine packs every uncached shard of such a
-backend into one ``run`` call.
+``(model, rng)``, so the engine caches them item by item and packs every
+uncached one into one ``run`` call.
 """
 
 from __future__ import annotations
@@ -49,11 +49,11 @@ class Backend(abc.ABC):
 
     #: Whether a job's samples may depend on the jobs run before it on this
     #: instance (embedding or warm-start caches).  The engine gives a
-    #: stateful backend a fresh instance and one ``run`` per shard; a
-    #: stateless one (``False``) gets one ``run`` per dispatch, over every
-    #: uncached shard that names it with the same options.  ``True`` is the
-    #: safe default: a stateful backend packed with other shards would
-    #: carry their state into its samples.
+    #: stateful backend a fresh instance, one ``run`` and one cache hit
+    #: or miss per shard; a stateless one (``False``) is cached per item and
+    #: gets one ``run`` per dispatch, over every uncached item that names it
+    #: with the same options.  ``True`` is the safe default: a stateful
+    #: backend packed with other shards would carry their state into its samples.
     stateful: bool = True
 
     @abc.abstractmethod
@@ -294,6 +294,7 @@ class VQEBackend(Backend):
     """Gate-model VQE with the hardware-efficient ansatz."""
 
     name = "vqe"
+    stateful = False  # a fresh VQE per job; nothing carries between jobs
 
     def __init__(self, num_layers: int = 2, maxiter: int = 200, restarts: int = 2, shots: int = 512):
         self.num_layers = num_layers

@@ -14,7 +14,7 @@ runs them as ``Backend.run`` packs, and a content-addressed
 ``solve_portfolio`` races several backends on one instance (optionally
 under a wall-clock deadline) and keeps the best answer; ``solve_many`` runs
 a batch sharded by QUBO structure so embedding / warm-start caches amortise
-within each shard, with every uncached shard of a stateless backend sharing
+within each shard, with every uncached item of a stateless backend sharing
 one sampling call.  Both accept a
 ``scheduler=`` :class:`~repro.engine.scheduler.AdaptiveScheduler`, which
 routes work by observed per-structure quality/latency telemetry instead of
@@ -76,7 +76,7 @@ def solve(
             that :func:`~repro.api.adapters.as_problem` can wrap.
         backend: Registry name (see :func:`~repro.api.backends.list_backends`)
             or a ready :class:`Backend` instance.
-        seed: Int seed, ``numpy`` Generator, or ``None`` for fresh entropy.
+        seed: Int seed ``>= 0``, ``numpy`` Generator, or ``None`` for fresh entropy.
             Identical seeds yield identical results when the backend is
             selected by name (a fresh instance per call); a reused
             stateful ``Backend`` instance deliberately carries its
@@ -135,9 +135,11 @@ def solve(
                     store=store,
                 )
         # A one-item plan: an in-range int seed keeps it content-addressable
-        # (its key is any batch shard leader's); anything else becomes a
+        # (see compile_plan's seeds=); anything else becomes a
         # Generator the item draws from in place, which is never cached.
-        if isinstance(seed, (int, np.integer)) and 0 <= seed < _SEED_RANGE:
+        if isinstance(seed, (int, np.integer)) and seed < 0:
+            raise ReproError(f"seed must be an integer >= 0, a Generator or None, got {seed}")
+        if isinstance(seed, (int, np.integer)) and seed < _SEED_RANGE:
             item_seed = int(seed)
         else:
             item_seed = ensure_rng(seed)
@@ -234,13 +236,13 @@ def solve_many(
     stateful backend gets one instance and one ``Backend.run`` per shard —
     the annealer backend reuses hardware embeddings and the QAOA backend
     warm-starts its angles within a shard, so same-shaped instances pay the
-    expensive setup once — while every uncached shard of a stateless
+    expensive setup once — while every uncached item of a stateless
     backend rides one ``run``.  Each problem gets an independent child RNG
     split from ``seed`` *in batch order*, making the batch reproducible as
     a whole and its objectives identical on both executors.  With its child
     seed (or ``seeds=``), a stateless backend's item equals a standalone
-    ``solve`` bit for bit; a stateful backend's non-leader item also
-    depends on the shard state its predecessors built.
+    ``solve`` bit for bit, cache key included; a stateful backend's
+    non-first item also depends on the shard state its predecessors built.
 
     Args:
         executor: ``"serial"`` (default; one pack after another in this
@@ -253,11 +255,10 @@ def solve_many(
             (true of the built-ins) — and under ``"processes"`` the
             workers operate on pickled copies, so the caller's instance
             does not accumulate caches across the batch.
-        cache: Same spellings as :func:`solve`.  Hits are shard-atomic: a
-            shard is served from cache only when every item hits, which a
-            stateful backend needs because later items' samples depend on
-            state built by earlier ones.  Hits never perturb the RNG
-            stream of neighbouring items.
+        cache: Same spellings as :func:`solve`.  A stateless backend's
+            items hit one by one; a stateful backend's shard hits only when
+            every item does, as later items depend on state earlier ones
+            built.  Hits never perturb the RNG stream of neighbouring items.
         max_shard_size: Split signature groups larger than this into
             several shards (on a stateful backend, more packs to run in
             parallel; setup amortises per split).
@@ -276,11 +277,9 @@ def solve_many(
             a memory miss, and the batch's telemetry is recorded into the
             durable scoreboard at the batch boundary (see the "Durable
             store" section of ``docs/engine.md``).
-        seeds: Explicit per-item child seeds (one integer per problem),
-            overriding the batch split from ``seed``.  Combined with
-            ``max_shard_size=1``, each item becomes its own shard leader
-            and its result (and cache key) is exactly that of a standalone
-            :func:`solve` with the same backend/opts/seed — the contract
+        seeds: Explicit per-item child seeds (see
+            :func:`~repro.engine.plan.compile_plan`), overriding the batch
+            split from ``seed`` — with ``max_shard_size=1``, the contract
             the service tier's request coalescing relies on
             (``docs/service.md``).
         labels: Optional per-item tags (one per problem, ``None`` entries

@@ -27,8 +27,8 @@ The design invariants, relied on throughout:
   within a shard; shards are packed into ``Backend.run`` calls, and packs
   run in parallel on the ``processes`` executor;
 * **content-addressed results** — cache keys hash the canonical QUBO
-  fingerprint, backend, opts, seed, and shard-prefix history, making a hit
-  byte-equivalent to a re-run.
+  fingerprint, backend, opts and seed (plus, on a stateful backend, the
+  shard-prefix history), making a hit byte-equivalent to a re-run.
 """
 
 from repro.engine.cache import ResultCache, default_cache, make_cache_key, resolve_cache

@@ -1,10 +1,10 @@
 """Pluggable pack executors: serial and process-pool.
 
 An executor maps the pack kernel over pack payloads and returns results
-in payload order.  A pack is the shards one ``Backend.run`` serves: every
-uncached shard of a stateless backend, split into at most
-:attr:`Executor.workers` item-balanced packs, or one shard of a stateful
-backend.  Because the planner fixes every item's seed and shard before
+in payload order.  A pack is the items one ``Backend.run`` serves: every
+uncached item of a stateless backend, cut in plan order into at most
+:attr:`Executor.workers` packs of near-equal size, or one shard of a
+stateful backend.  Because the planner fixes every item's seed and shard before
 dispatch, and a stateless backend's job ignores its call-mates, the
 executor choice changes *wall-clock only* — the returned objectives are
 identical on both (the determinism contract the engine tests pin down).
@@ -16,8 +16,8 @@ then recomputes exactly what the shared instance would have.
 ``serial`` runs every pack in the calling process; with a stateless
 backend that is one ``run`` per dispatch.  ``processes`` sidesteps the GIL
 for the CPU-bound simulator backends at the price of pickling packs to
-workers, which pays off for the expensive stateful fleets (annealer, QAOA,
-VQE).  Payloads for the process pool must therefore be picklable — by-name
+workers, which pays off for the expensive gate-model and annealer fleets
+(annealer, QAOA, VQE).  Payloads for the process pool must therefore be picklable — by-name
 backend specs always are, and every built-in adapter/problem pickles
 cleanly.
 """

@@ -10,20 +10,18 @@ can run:
    choice, or cache state, which is what makes serial and parallel runs of
    the same plan return identical objectives;
 3. items are grouped into **shards** by structural signature
-   (:func:`~repro.api.problem.qubo_signature`), the unit of caching and
-   telemetry.  The runner packs shards into ``Backend.run`` calls — all
-   uncached shards of a stateless backend share one, each shard of a
-   stateful backend gets its own instance so embedding / warm-start caches
-   amortise within it — and executors run packs, not shards, in parallel;
-4. when the backend is selected by name, each item gets a
-   content-addressed cache key over ``(QUBO fingerprint, backend, opts,
-   seed)`` **plus its shard-prefix history** — on a stateful backend item
-   *k*'s samples depend on the state built by items ``0..k-1`` (the
-   embedding is searched with the leader's RNG, warm-start angles come
-   from the leader's optimisation), so the key hashes the predecessors'
-   fingerprints and seeds too.  A shard-position-0 key has an empty
-   history, so a standalone ``solve`` — a one-item plan — shares it with
-   every batch shard leader of the same fingerprint/opts/seed.
+   (:func:`~repro.api.problem.qubo_signature`), the unit of telemetry.
+   The runner packs items into ``Backend.run`` calls — all uncached items
+   of a stateless backend share one, each shard of a stateful backend gets
+   its own instance so embedding / warm-start caches amortise within it —
+   and executors run packs, not shards, in parallel;
+4. :func:`cache_keys` derives keys when a cache is in play, after routing,
+   over ``(QUBO fingerprint, backend, opts, seed)``.  A stateful shard's
+   item *k* also hashes its **shard-prefix history**: its samples depend
+   on the state items ``0..k-1`` built (embedding searched with the
+   leader's RNG, warm-start angles from its optimisation).  A stateless
+   item ignores its shard-mates, so in any position it keys like a
+   standalone ``solve`` (a one-item plan) of the same fingerprint/opts/seed.
 
 Backend instances passed by the caller are shared and stateful by design;
 their state is not content-addressable, so instance-backed plans disable
@@ -75,7 +73,6 @@ class PlanItem:
     seed: "int | np.random.Generator"  #: child seed (a live Generator is drawn in place)
     shard: int            #: shard id (items of one shard share a backend instance)
     fingerprint: str      #: canonical content hash of the item's QUBO
-    cache_key: "str | None" = None   #: None when caching cannot be sound
     label: "str | None" = None       #: caller tag, surfaced in telemetry only
 
 
@@ -129,6 +126,17 @@ class ExecutionPlan:
         )
 
 
+def _explicit_seed(index: int, seed) -> "int | np.random.Generator":
+    """One ``seeds=`` entry, validated: a Generator, or an int in range."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+        if 0 <= seed < _SEED_RANGE:
+            return int(seed)
+    raise ReproError(f"seeds[{index}] must be an int in [0, {_SEED_RANGE}) or a Generator, "
+                     f"got {seed!r}")
+
+
 def compile_plan(
     problems: Iterable["Problem | Any"],
     backend: "str | Backend" = "sa",
@@ -157,15 +165,14 @@ def compile_plan(
             split); ``None`` keeps one shard per signature.
         adapter_opts: Extra kwargs for ``as_problems`` coercion.
         seeds: Explicit per-item child seeds, overriding the batch split.
-            One integer per problem, used verbatim; an entry may also be a
-            live ``numpy`` Generator, which the item draws from in place
-            (the plan is then not cacheable).  This is the seam a
+            One ``int`` in ``[0, 2**63 - 1)`` per problem, used verbatim,
+            or a live ``numpy`` Generator, which the item draws from in
+            place (the plan is then not cacheable).  This is the seam a
             caller that aggregates *independently seeded* requests (the
-            service tier's coalescing queue) needs: combined with
-            ``max_shard_size=1``, every item is its own shard leader, so
-            its result — and its cache key — is exactly that of a
-            standalone ``solve`` with the same fingerprint/opts/seed, no
-            matter which batch it rode in.
+            service tier's coalescing queue) needs: a stateless item, or
+            any item with ``max_shard_size=1``, equals — result and cache
+            key — a standalone ``solve`` with the same
+            fingerprint/opts/seed, no matter which batch it rode in.
         labels: Optional per-item tags (one entry per problem, ``None``
             entries allowed).  Labels ride along purely as telemetry —
             they surface in ``info["engine"]["label"]`` but never enter
@@ -205,14 +212,12 @@ def compile_plan(
 
     coerced = as_problems(problems, **(adapter_opts or {}))
     if seeds is not None:
-        child_seeds = [s if isinstance(s, np.random.Generator) else int(s) for s in seeds]
+        child_seeds = [_explicit_seed(i, s) for i, s in enumerate(seeds)]
         if len(child_seeds) != len(coerced):
             raise ReproError(
                 f"seeds= must provide one seed per problem: got {len(child_seeds)} "
                 f"seeds for {len(coerced)} problems"
             )
-        if any(isinstance(s, int) and not 0 <= s < _SEED_RANGE for s in child_seeds):
-            raise ReproError(f"explicit seeds must be integers in [0, {_SEED_RANGE})")
     else:
         base = ensure_rng(seed)
         child_seeds = [int(s) for s in base.integers(0, _SEED_RANGE, size=len(coerced))]
@@ -253,29 +258,26 @@ def compile_plan(
         shards[shard_id].items.append(item)
         items.append(item)
 
-    plan = ExecutionPlan(
+    return ExecutionPlan(
         items=items,
         shards=shards,
         backend_instance=backend_instance,
         refine=refine,
         top_k=top_k,
     )
-    if plan.cacheable:
-        for shard in shards:
-            assign_cache_keys(shard, refine, top_k)
-    return plan
 
 
-def assign_cache_keys(shard: Shard, refine: bool, top_k: int) -> None:
-    """Attach shard-history-aware cache keys to every item of a by-name shard."""
+def cache_keys(shard: Shard, refine: bool, top_k: int) -> list[str]:
+    """A by-name shard's item keys, in shard order; only a stateful shard
+    folds each item's shard-prefix history in."""
     opts_key = _opts_key(shard.backend_opts, refine, top_k)
     history = hashlib.sha256()
+    keys = []
     for item in shard.items:
-        item.cache_key = make_cache_key(
-            item.fingerprint,
-            shard.backend_name,
-            opts_key + "|" + history.hexdigest(),
-            item.seed,
-        )
-        history.update(item.fingerprint.encode("ascii"))
-        history.update(str(item.seed).encode("ascii"))
+        keys.append(make_cache_key(
+            item.fingerprint, shard.backend_name, opts_key + "|" + history.hexdigest(), item.seed
+        ))
+        if shard.stateful:
+            history.update(item.fingerprint.encode("ascii"))
+            history.update(str(item.seed).encode("ascii"))
+    return keys

@@ -5,8 +5,8 @@ This module owns the code that actually runs a compiled
 
 * :func:`_execute_pack` — the pack kernel, Problems -> QUBOs -> one
   ``Backend.run`` -> SolveResults per shard, shared by both executors;
-* :func:`execute_plan` — cache lookup, packing of the uncached shards
-  (:func:`_packs`), dispatch through the ``serial`` or ``processes``
+* :func:`execute_plan` — cache keys and lookup, packing of the uncached
+  items (:func:`_packs`), dispatch through the ``serial`` or ``processes``
   executor, cache fill, and per-result engine metadata.  It is the only
   code that produces engine results: everything below reaches the kernel
   through it;
@@ -17,21 +17,20 @@ This module owns the code that actually runs a compiled
   one-item plan, optionally narrowed by a scheduler and raced under a
   wall-clock deadline.
 
-A pack is the shards one ``Backend.run`` serves.  A stateless backend
+A pack is the items one ``Backend.run`` serves.  A stateless backend
 (:attr:`~repro.api.backends.Backend.stateful` ``False``) returns for each
-job what a one-job call returns, so every uncached shard naming it with
-the same options rides one call (one per process worker).  A stateful
-backend gets a fresh instance and one call per shard.
+job what a one-job call returns, so every uncached item naming it with the
+same options rides one call (one per process worker).  A stateful backend
+gets a fresh instance and one call per shard.
 
-Cache semantics are **shard-atomic**: a shard's items are served from the
-cache only when *every* item hits.  Shard-prefix state is a property of
-stateful backends only: there, item *k* of a shard is solved on backend
-state built by items ``0..k-1`` (embedding searched with the leader's RNG,
-warm-start angles from the leader's optimisation), so skipping a cached
-prefix would hand later misses a fresh instance and silently change their
-samples.  All-or-nothing keeps hits exactly byte-equivalent to a re-run —
-and since per-item child seeds are fixed at plan time, a hit never
-perturbs the RNG stream of neighbouring items.
+Shard state decides caching too.  On a stateful backend item *k* of a
+shard runs on state built by items ``0..k-1`` (embedding searched with the
+leader's RNG, warm-start angles from its optimisation), so its key folds
+in that history and the shard hits **all-or-nothing**: skipping a cached
+prefix would hand later misses a fresh instance and change their samples.
+A stateless item keys, hits and dispatches on its own.  Either way a hit
+is byte-equivalent to a re-run, and since child seeds are fixed at plan
+time, it never perturbs the RNG stream of neighbouring items.
 """
 
 from __future__ import annotations
@@ -40,13 +39,15 @@ import contextvars
 import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from dataclasses import replace
+from itertools import groupby
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.engine.cache import ResultCache, resolve_cache
 from repro.engine.executors import get_executor
-from repro.engine.plan import ExecutionPlan, Shard, compile_plan, signature_key
+from repro.engine.plan import ExecutionPlan, Shard, cache_keys, compile_plan, signature_key
 from repro.engine.scheduler import (
     DEFAULT_ALPHA,
     _candidate_names,
@@ -151,38 +152,41 @@ def _result(problem, backend, model, solution, objective, energy, info, timings,
 # -- pack execution ---------------------------------------------------------
 
 
-def _packs(plan: ExecutionPlan, shard_ids: list[int], workers: int) -> list[list[int]]:
-    """Group the dispatched shards into packs, one ``Backend.run`` each.
+def _packs(plan: ExecutionPlan, dispatched: "list[tuple[int, list[int]]]",
+           workers: int) -> "list[list[tuple[int, list[int]]]]":
+    """Group the dispatched items into packs, one ``Backend.run`` each.
 
-    A stateful backend's shard is a pack of its own.  Shards of a stateless
-    backend are grouped by ``(backend name, options)`` — on an
-    instance-backed plan, all of them — and each group is split into at
-    most ``workers`` packs of nearly equal item counts (largest shard into
-    the lightest pack); a pack keeps its shards in plan order.
+    ``dispatched`` and each pack list ``(shard id, positions)`` in plan
+    order.  A stateful backend's shard is a pack of its own.  A stateless
+    backend's items are grouped by ``(backend name, options)`` — on an
+    instance-backed plan, all of them — and each group is cut into at most
+    ``workers`` contiguous packs whose sizes differ by at most one.
     """
     groups: dict = {}
-    packs: list[list[int]] = []
-    for shard_id in shard_ids:
+    packs: list = []
+    for shard_id, positions in dispatched:
         shard = plan.shards[shard_id]
         if shard.stateful:
-            packs.append([shard_id])
+            packs.append([(shard_id, positions)])
         else:
             key = (shard.backend_name, repr(sorted(shard.backend_opts.items())))
-            groups.setdefault(key, []).append(shard_id)
+            groups.setdefault(key, []).extend((shard_id, pos) for pos in positions)
     for group in groups.values():
-        bins: list[list[int]] = [[] for _ in range(min(workers, len(group)))]
-        loads = [0] * len(bins)
-        for shard_id in sorted(group, key=lambda k: -len(plan.shards[k].items)):
-            lightest = loads.index(min(loads))
-            bins[lightest].append(shard_id)
-            loads[lightest] += len(plan.shards[shard_id].items)
-        packs.extend(sorted(b) for b in bins)
+        count = min(workers, len(group))
+        for k in range(count):
+            cut = group[k * len(group) // count:(k + 1) * len(group) // count]
+            packs.append([(shard_id, [pos for _, pos in run])
+                          for shard_id, run in groupby(cut, key=lambda job: job[0])])
     return packs
 
 
-def _pack_payload(plan: ExecutionPlan, pack: list[int], executor_name: str) -> dict:
+def _pack_payload(plan: ExecutionPlan, pack: list, executor_name: str) -> dict:
+    shards = []  # each trimmed to the positions this pack runs
+    for shard_id, positions in pack:
+        shard = plan.shards[shard_id]
+        shards.append((shard_id, replace(shard, items=[shard.items[pos] for pos in positions])))
     return {
-        "shards": [(shard_id, plan.shards[shard_id]) for shard_id in pack],
+        "shards": shards,
         "backend_instance": plan.backend_instance,
         "refine": plan.refine,
         "top_k": plan.top_k,
@@ -225,14 +229,6 @@ def _engine_info(result, shard_id: int, shard: Shard, pos: int, executor: str,
         engine[key] = timings.get(key, 0.0)
     engine["cache_time"] = cache_time
     result.info["engine"] = engine
-
-
-def _shard_tier(tiers: list) -> "str | None":
-    """The slowest tier a shard-atomic hit touched (store > memory)."""
-    for tier in ("store", "memory"):
-        if tier in tiers:
-            return tier
-    return None
 
 
 def _execute_pack(payload: dict) -> dict:
@@ -345,13 +341,14 @@ def execute_plan(
 ) -> list[SolveResult]:
     """Run a compiled plan as **one** dispatch wave; results in batch order.
 
-    Every uncached shard is handed to the executor together, whichever
+    Every uncached item is handed to the executor together, whichever
     backend it names, so a scheduler-routed batch spread over several
     backends parallelises exactly as widely as a single-backend batch.
     Seeds and shard membership are fixed at compile time, so the executor
     cannot perturb any result.
 
-    Cache hits are taken shard-atomically (see module docstring); every
+    With a cache, each shard's keys are derived once, at probe time, and
+    reused for the fill; hits follow the module docstring's rule.  Every
     result's ``info["engine"]`` records shard, position, structure
     signature, executor, seed, truncated fingerprint, and whether it was
     served from cache — plus, for a routed shard, the scheduler's decision
@@ -365,50 +362,53 @@ def execute_plan(
         cache = None  # instance-backed plans carry opaque state; never cache
     with obs.span("engine.execute", executor=runner.name) as exec_span:
         results: list = [None] * len(plan.items)
-        dispatched: list[tuple[int, float]] = []  # (shard id, cache-probe seconds)
+        keys: dict[int, list[str]] = {}
+        probes = [0.0] * len(plan.shards)  # cache-probe seconds per shard
+        dispatched: list[tuple[int, list[int]]] = []  # (shard id, positions to run)
         for shard_id, shard in enumerate(plan.shards):
-            looked, probe_s = None, 0.0
+            misses = list(range(len(shard.items)))
             if cache is not None:
                 with obs.span(
                     "cache.lookup", shard=shard_id, items=len(shard.items)
                 ) as cache_span:
                     probe_t0 = time.perf_counter()
-                    looked = [cache.lookup(item.cache_key, tier) for item in shard.items]
-                    probe_s = time.perf_counter() - probe_t0
-                    if not all(value is not None for value, _ in looked):
-                        looked = None
-                    cache_span.set(
-                        hit=looked is not None,
-                        tier=_shard_tier([t for _, t in looked]) if looked else None,
-                    )
-            if looked is None:
-                dispatched.append((shard_id, probe_s))
-                continue
-            for pos, (item, (result, label)) in enumerate(zip(shard.items, looked)):
-                _engine_info(result, shard_id, shard, pos, runner.name, probe_s, label)
-                if cache_span.span_id is not None:
-                    result.info["trace"] = {
-                        "trace_id": cache_span.trace_id,
-                        "span_id": cache_span.span_id,
-                    }
-                results[item.index] = result
+                    keys[shard_id] = cache_keys(shard, plan.refine, plan.top_k)
+                    looked = [cache.lookup(key, tier) for key in keys[shard_id]]
+                    probes[shard_id] = time.perf_counter() - probe_t0
+                    hit = [value is not None for value, _ in looked]
+                    if shard.stateful and not all(hit):
+                        hit = [False] * len(hit)  # stateful shards hit all-or-nothing
+                    misses = [pos for pos, h in enumerate(hit) if not h]
+                    served = [pos for pos, h in enumerate(hit) if h]
+                    # The span's tier is the slowest any served item touched.
+                    cache_span.set(hit=bool(served), tier=max(
+                        (looked[pos][1] for pos in served), key=("memory", "store").index,
+                        default=None))
+                for pos in served:
+                    result, label = looked[pos]
+                    _engine_info(result, shard_id, shard, pos, runner.name,
+                                 probes[shard_id], label)
+                    if cache_span.span_id is not None:
+                        result.info["trace"] = {
+                            "trace_id": cache_span.trace_id,
+                            "span_id": cache_span.span_id,
+                        }
+                    results[shard.items[pos].index] = result
+            if misses:
+                dispatched.append((shard_id, misses))
 
-        packs = _packs(plan, [shard_id for shard_id, _ in dispatched], runner.workers)
+        packs = _packs(plan, dispatched, runner.workers)
         payloads = [_pack_payload(plan, pack, runner.name) for pack in packs]
-        probes = dict(dispatched)
         for pack, pack_out in zip(packs, runner.run(_execute_pack, payloads)):
             obs.ingest(pack_out["spans"])
-            for shard_id, shard_results in zip(pack, pack_out["results"]):
+            for (shard_id, positions), shard_results in zip(pack, pack_out["results"]):
                 shard = plan.shards[shard_id]
-                for pos, result in enumerate(shard_results):
+                for pos, result in zip(positions, shard_results):
                     _engine_info(result, shard_id, shard, pos, runner.name, probes[shard_id])
                     results[shard.items[pos].index] = result
+                    if cache is not None:
+                        cache.put(keys[shard_id][pos], result, tier)
 
-        if cache is not None:
-            for item in plan.items:
-                result = results[item.index]
-                if not result.info["engine"]["cache_hit"]:
-                    cache.put(item.cache_key, result, tier)
         # Routing is stamped after the cache fill: a stored entry must not
         # carry the decision of the batch that happened to write it.
         for shard in plan.shards:

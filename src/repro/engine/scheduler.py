@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.engine.plan import ExecutionPlan, assign_cache_keys
+from repro.engine.plan import ExecutionPlan
 from repro.exceptions import ReproError
 from repro.obs import trace as obs
 
@@ -446,13 +446,12 @@ class AdaptiveScheduler:
               stateful: dict) -> None:
         """Route every shard of a compiled plan up front (one decision each).
 
-        Each shard's ``backend_name``/``backend_opts`` are rewritten in
-        place, its ``routing`` records the decision (stamped into
-        ``info["engine"]["scheduler"]`` at execution), and its cache keys
-        are re-derived for the chosen backend.  The plan still runs as
-        *one* dispatch wave, so a cold or exploring batch spread over
-        several backends parallelises as widely as a single-backend batch
-        would.  Items keep their compiled seeds, so routing never perturbs
+        Each shard's ``backend_name``/``backend_opts``/``stateful`` are
+        rewritten in place and its ``routing`` records the decision
+        (stamped into ``info["engine"]["scheduler"]`` at execution).  The
+        plan still runs as *one* dispatch wave, so a cold or exploring
+        batch spread over several backends parallelises as widely as a
+        single-backend batch would.  Items keep their compiled seeds, so routing never perturbs
         a result.  ``opts_map`` holds per-backend factory options and
         ``stateful`` each backend's :attr:`~repro.api.backends.Backend.stateful`,
         both keyed by name (see :func:`_validated_opts_map`).
@@ -471,8 +470,6 @@ class AdaptiveScheduler:
                 "mode": decision.mode,
                 "candidates": list(names),
             }
-            if plan.cacheable:
-                assign_cache_keys(shard, plan.refine, plan.top_k)
 
     def select_contenders(
         self, signature: "str | None", candidates: Sequence[str]

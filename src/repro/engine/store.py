@@ -25,7 +25,7 @@ module makes that knowledge durable:
   handle for the next write to replay.
 * :class:`SharedCacheTier` — a cross-process result tier that slots under
   :class:`~repro.engine.cache.ResultCache` with the same
-  ``(fingerprint, backend, opts, seed, shard-prefix)`` keying, read
+  ``(fingerprint, backend, opts, seed, stateful shard-prefix)`` keying, read
   through per key on a memory miss.  Upserts are atomic (one ``INSERT OR
   REPLACE`` per entry) and eviction is LRU-by-last-access under a byte
   budget.
@@ -329,7 +329,7 @@ class SharedCacheTier:
     Slots beneath :class:`~repro.engine.cache.ResultCache`, passed per call
     as its ``tier=`` argument: the cache consults this tier after its memory
     LRU misses, and writes every ``put`` through.  Keys are the cache's own
-    ``(fingerprint, backend, opts, seed, shard-prefix)`` digests, so an
+    ``(fingerprint, backend, opts, seed, stateful shard-prefix)`` digests, so an
     entry written by any process is a sound hit for every other.
 
     * **atomic upserts** — one ``INSERT OR REPLACE`` per entry inside a

@@ -10,11 +10,11 @@ queue, and the dispatcher task that turns queued submissions into
 ``solve_many`` waves.
 
 **Determinism contract.**  Every wave dispatches with *explicit per-request
-seeds* and ``max_shard_size=1``: each request is its own shard leader, so
-its result is exactly the one a direct ``repro.solve(problem,
-backend=..., seed=...)`` call returns — the same objective, the same
-samples, the same cache key — no matter which wave it rode in or with
-whom.  Coalescing is therefore free of result skew; what it buys is
+seeds* and ``max_shard_size=1`` (stateless items ignore shard-mates; a
+stateful backend needs one-item shards): each request's result is exactly
+the one a direct ``repro.solve(problem, backend=..., seed=...)`` call
+returns — the same objective, samples and cache key — no matter which
+wave it rode in or with whom.  Coalescing is therefore free of result skew; what it buys is
 amortisation: one executor dispatch per wave instead of per request,
 **single-flight dedup** (identical ``(problem fingerprint, seed)``
 submissions in one wave are solved once and fanned out), shared cache and
@@ -621,8 +621,8 @@ class SolverService:
         configured fleet, degraded jobs on their rewritten classical tier.
         Jobs are grouped by effective fleet and each group dispatches as
         its own ``solve_many`` batch — still one worker-thread hop per
-        wave, and each request remains its own shard leader with an
-        explicit seed, so the determinism contract survives degradation.
+        wave, and each request keeps an explicit seed and a one-item shard,
+        so the determinism contract survives degradation.
         Degraded groups stamp the fleet rewrite into every result's
         ``info["admission"]``.
 
@@ -669,8 +669,9 @@ class SolverService:
         so only the first is dispatched and the rest share its result
         object (results are treated as immutable once returned).  The
         survivors go through ``solve_many`` with explicit seeds,
-        single-item shards, and the fleet's scheduler, which records each
-        solve once in the scoreboard and once in the durable store.
+        single-item shards (routed one by one; stateful backends need
+        them), and the fleet's scheduler, which records each solve once in
+        the scoreboard and once in the durable store.
         """
         config = self.config
         order: "dict[tuple[str, int], int]" = {}

@@ -81,6 +81,12 @@ class TestSeeding:
         b = solve(problem, backend="sa", seed=np.random.default_rng(7))
         assert a.solution == b.solution and a.energy == b.energy
 
+    @pytest.mark.parametrize("bad", [-1, np.int64(-5)])
+    def test_negative_seed_is_a_repro_error(self, bad):
+        problem = generate_mqo_problem(3, 2, sharing_density=0.4, rng=1)
+        with pytest.raises(ReproError, match=">= 0"):
+            solve(problem, backend="sa", seed=bad)
+
     def test_portfolio_reproducible(self):
         problem = generate_mqo_problem(3, 2, sharing_density=0.4, rng=2)
         a = solve_portfolio(problem, backends=("sa", "tabu"), seed=5)

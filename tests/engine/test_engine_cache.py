@@ -158,13 +158,14 @@ class TestDispatchCounters:
         assert [r.objective for r in warm] == [r.objective for r in cold]
 
     def test_one_miss_dispatches_its_whole_shard(self, executor):
-        """Shard-atomic hits: a shard with one uncached item re-runs whole,
-        while a fully cached shard beside it is not dispatched."""
+        """Stateful shards hit all-or-nothing: a shard with one uncached
+        item re-runs whole, while a fully cached shard beside it is not
+        dispatched."""
         cache = ResultCache()
 
         def run(problems):
-            return lambda: repro.solve_many(problems, backend="sa", seed=11, cache=cache,
-                                            executor=executor, **FAST_SA)
+            return lambda: repro.solve_many(problems, backend="annealer", seed=11,
+                                            cache=cache, executor=executor, **FAST_SA)
 
         _dispatch_counts(run([_mqo(1), _mqo(5)]))
         # Positions 0 and 1 keep their seeds, so both items' keys are cached;
@@ -172,6 +173,34 @@ class TestDispatchCounters:
         results, shards, solves = _dispatch_counts(run([_mqo(1), _mqo(5), _mqo(1)]))
         assert [r.cache_hit for r in results] == [False, True, False]
         assert (shards, solves) == (1, 2)
+
+    @pytest.mark.parametrize("backend, opts", [
+        ("sa", FAST_SA),
+        ("tabu", dict(num_restarts=2, max_iterations=40)),
+        ("vqe", dict(num_layers=1, maxiter=30, restarts=1, shots=64)),
+    ])
+    def test_one_miss_on_a_stateless_backend_dispatches_only_itself(
+        self, executor, backend, opts
+    ):
+        """Stateless items key and hit one by one: a new item that joins a
+        cached shard is the only item dispatched, and the batch equals a
+        cold run."""
+        cache = ResultCache()
+
+        def run(problems, cache):
+            return lambda: repro.solve_many(problems, backend=backend, seed=11,
+                                            cache=cache, executor=executor, **opts)
+
+        _dispatch_counts(run([_mqo(1), _mqo(5)], cache))
+        batch = [_mqo(1), _mqo(5), _mqo(1)]
+        results, shards, solves = _dispatch_counts(run(batch, cache))
+        assert [r.cache_hit for r in results] == [True, True, False]
+        assert (shards, solves) == (1, 1)
+        assert [r.info["engine"]["shard_pos"] for r in results] == [0, 0, 1]
+        cold = run(batch, None)()
+        assert [(r.objective, r.solution) for r in results] == [
+            (r.objective, r.solution) for r in cold
+        ]
 
 
 class TestSingleSolveCaching:

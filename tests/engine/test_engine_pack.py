@@ -1,12 +1,13 @@
 """Packed dispatch must equal shard-by-shard and item-by-item solving.
 
-The engine hands every uncached shard of a stateless backend to one
+The engine hands every uncached item of a stateless backend to one
 ``Backend.run`` (one per process worker), while a stateful backend keeps a
 fresh instance and one ``run`` per shard.  Packing may change which jobs
 share a call, never a result: on mixed-size batches over the four Table I
 domains and raw QUBOs, ``solve_many`` equals the same batch at
 ``max_shard_size=1`` and equals per-item ``solve`` on every executor, and a
-half-warm cache (some shards hit, the rest packed) equals a cold run.
+half-warm cache (any subset of items hit, the rest packed) equals a cold
+run.
 """
 
 import numpy as np
@@ -106,14 +107,16 @@ def test_packed_batch_equals_one_item_shards_and_single_solves(backend, executor
 
 
 @settings(max_examples=10, deadline=None)
-@given(backend=st.sampled_from(["sa", "tabu"]), specs=SPECS, seed=st.integers(0, 2**31))
-def test_half_warm_cache_equals_cold_run(backend, specs, seed):
-    """Warm the cache with every other shard (whole shards, same seeds, so
-    the same keys); the full batch then hits those and packs the rest."""
+@given(backend=st.sampled_from(["sa", "tabu"]), specs=SPECS, seed=st.integers(0, 2**31),
+       data=st.data())
+def test_half_warm_cache_equals_cold_run(backend, specs, seed, data):
+    """Warm the cache with an arbitrary subset of items (same seeds, and a
+    stateless key ignores shard position, so the same keys); the full
+    batch then hits exactly those and packs the rest."""
     opts = STATELESS[backend]
     cold = repro.solve_many(_batch(specs), backend=backend, seed=seed, **opts)
     seeds = [r.info["engine"]["seed"] for r in cold]
-    warm = [k for k, r in enumerate(cold) if r.info["engine"]["shard"] % 2 == 0]
+    warm = sorted(data.draw(st.sets(st.integers(0, len(specs) - 1)), label="warm"))
     cache = ResultCache()
     batch = _batch(specs)
     repro.solve_many([batch[k] for k in warm], backend=backend, cache=cache,
@@ -209,7 +212,7 @@ def test_stateless_backend_runs_at_most_once_per_process_worker(counting_registr
     packs = _dispatched_packs(lambda: repro.solve_many(
         _mixed_batch(), backend="counting_stateless", seed=1,
         executor=ProcessExecutor(max_workers=2)))
-    # Item-balanced: the 3-item shards go to different packs.
+    # Nine items cut in plan order into packs of 4 and 5 items.
     assert sorted(items for _, items in packs) == [4, 5]
     assert sum(shards for shards, _ in packs) == 5
     packs = _dispatched_packs(lambda: repro.solve_many(
@@ -242,6 +245,20 @@ def test_by_name_dispatch_builds_one_instance_per_pack(counting_registry, backen
     repro.solve_many(_mixed_batch(), backend=backend, seed=1, cache=cache)
     repro.solve_many(_mixed_batch(), backend=backend, seed=1, cache=cache)
     assert BUILDS[backend] == 2 + packs  # the warm rerun dispatches nothing
+
+
+def test_vqe_batch_is_one_dispatch_equal_to_single_solves():
+    """``vqe`` builds a fresh VQE per job, so it is stateless: its shards
+    share one ``run`` and each item equals its own ``solve``."""
+    opts = dict(num_layers=1, maxiter=60, restarts=1, shots=64)
+    batch = _batch([("mqo", 0, 1), ("qubo", 1, 0), ("mqo", 0, 1)])
+    results = []
+    packs = _dispatched_packs(
+        lambda: results.extend(repro.solve_many(batch, backend="vqe", seed=3, **opts)))
+    assert packs == [(2, 3)]
+    singles = [repro.solve(p, backend="vqe", seed=r.info["engine"]["seed"], **opts)
+               for p, r in zip(batch, results)]
+    assert [_outcome(r) for r in results] == [_outcome(r) for r in singles]
 
 
 def test_bruteforce_pack_with_an_empty_qubo_returns_every_result():

@@ -6,6 +6,7 @@ import pytest
 from repro.api import MQOAdapter, get_backend
 from repro.api.adapters import as_problems
 from repro.engine import compile_plan
+from repro.engine.plan import cache_keys
 from repro.exceptions import ReproError
 from repro.mqo import generate_mqo_problem
 from repro.qubo.model import QuboModel
@@ -85,18 +86,60 @@ class TestCompilePlan:
             compile_plan(problems, "sa", seed=0, max_shard_size=0)
 
     def test_cache_keys_depend_on_shard_history(self):
-        plan = compile_plan([_mqo(1), _mqo(1)], "sa", seed=0)
-        leader, follower = plan.shards[0].items
-        assert leader.cache_key != follower.cache_key
+        plan = compile_plan([_mqo(1), _mqo(1)], "annealer", seed=0)
+        (shard,) = plan.shards
+        leader_key, follower_key = cache_keys(shard, plan.refine, plan.top_k)
+        follower = shard.items[1]
+        solo = compile_plan([_mqo(1)], "annealer", seeds=[follower.seed])
+        assert follower_key != cache_keys(solo.shards[0], solo.refine, solo.top_k)[0]
+        assert leader_key != follower_key
         # Same batch recompiled -> identical keys (content-addressed).
-        again = compile_plan([_mqo(1), _mqo(1)], "sa", seed=0)
-        assert [i.cache_key for i in plan.items] == [i.cache_key for i in again.items]
+        again = compile_plan([_mqo(1), _mqo(1)], "annealer", seed=0)
+        assert cache_keys(again.shards[0], again.refine, again.top_k) == [
+            leader_key, follower_key
+        ]
+
+    def test_stateless_follower_key_equals_a_standalone_solve(self):
+        plan = compile_plan([_mqo(1), _mqo(1)], "sa", seed=0)
+        (shard,) = plan.shards
+        follower_key = cache_keys(shard, plan.refine, plan.top_k)[1]
+        solo = compile_plan([_mqo(1)], "sa", seeds=[shard.items[1].seed])
+        assert follower_key == cache_keys(solo.shards[0], solo.refine, solo.top_k)[0]
+
+    def test_keys_of_stateful_shards_and_stateless_leaders_are_stable(self):
+        """Entries stored by stateful shards, stateless shard leaders and
+        standalone solves stay reachable: these hex keys were recorded
+        before stateless keys dropped their shard history."""
+        plan = compile_plan([_mqo(1)] * 3, "annealer", seed=0)
+        assert cache_keys(plan.shards[0], plan.refine, plan.top_k) == [
+            "484286ebd7eea7fa8225381e86bec067deb3d26b3f8ab481cd793ae785cb2156",
+            "697b56494d80ccee5019aa8c456ec1e4ca8601811871105c149b3e28d15b4067",
+            "72e51807f4380d5de56941e0d33fdb7513078251afbce0466beb24d3c3584a92",
+        ]
+        plan = compile_plan([_mqo(1), _mqo(1)], "sa", seed=0)
+        assert cache_keys(plan.shards[0], plan.refine, plan.top_k) == [
+            "f649690b1064ae9a68e07ce1e386c9b4e5c697a62b819eb658605d7427cda390",
+            # The follower now keys as a standalone solve with its seed did.
+            "bb17c22ad278fe123d604ff5fa0c94a29544a1466111f4e9847aea2524c40ef0",
+        ]
+
+    @pytest.mark.parametrize("bad", [1.5, "3", True, np.bool_(True), -1, 2**63 - 1, None])
+    def test_explicit_seeds_must_be_integers_in_range(self, bad):
+        with pytest.raises(ReproError, match=r"seeds\[1\]"):
+            compile_plan([_mqo(1), _mqo(5)], "sa", seeds=[3, bad])
+
+    @pytest.mark.parametrize("good", [0, np.int64(3), 2**63 - 2, np.random.default_rng(0)])
+    def test_explicit_seeds_accept_integers_and_generators(self, good):
+        seed = compile_plan([_mqo(1)], "sa", seeds=[good]).items[0].seed
+        if isinstance(good, np.random.Generator):
+            assert seed is good
+        else:
+            assert type(seed) is int and seed == good
 
     def test_instance_backend_disables_caching(self):
         backend = get_backend("sa", num_reads=4, num_sweeps=40)
         plan = compile_plan([_mqo(1)], backend, seed=0)
         assert not plan.cacheable
-        assert plan.items[0].cache_key is None
         with pytest.raises(ReproError, match="backend_opts"):
             compile_plan([_mqo(1)], backend, seed=0, backend_opts={"num_reads": 2})
 

@@ -24,6 +24,7 @@ from repro.engine import (
     compile_plan,
     signature_key,
 )
+from repro.engine.plan import cache_keys
 from repro.engine.scheduler import portfolio_observations
 from repro.exceptions import ReproError
 from repro.mqo import generate_mqo_problem
@@ -436,7 +437,11 @@ def test_routed_items_equal_unscheduled_runs_on_their_backend(
             batch, name, seed=batch_seed, max_shard_size=max_shard_size,
             backend_opts=ROUTED_OPTS[name],
         )
-        keys[name] = [item.cache_key for item in plan.items]
+        keys[name] = {
+            item.index: key
+            for shard in plan.shards
+            for item, key in zip(shard.items, cache_keys(shard, plan.refine, plan.top_k))
+        }
     assert len(cache) == len(batch)
     for index, result in enumerate(scheduled):
         name = result.engine["scheduler"]["backend"]
