@@ -8,6 +8,9 @@ the exact C_out model — the QUBO optimises a log-cost surrogate.
 
 from __future__ import annotations
 
+import itertools
+import operator
+
 from repro.api.problem import Problem
 from repro.db.cost import CostModel
 from repro.db.dp import dp_optimal_bushy, dp_optimal_leftdeep
@@ -39,25 +42,47 @@ class LeftDeepJoinAdapter(Problem):
     def refine(self, solution: list[str]) -> list[str]:
         """First-improvement pairwise-swap descent on the exact C_out.
 
-        Each candidate swap is costed by the prefix walk behind
-        :meth:`evaluate`, so the accepted moves are the ones full
-        re-evaluation would take.
+        A swap ``(i, j)`` changes only the prefixes ending at positions
+        ``i..j-1``, so its cost restarts from the unchanged prefix's
+        running total, adds the changed prefixes' cardinalities (masks with
+        ``order[i]``'s bit traded for ``order[j]``'s) and then the
+        unchanged tail's: the additions :meth:`evaluate` makes, in the same
+        order.  Cardinalities are positive, so the running total never
+        falls and a swap is dropped as soon as it reaches the acceptance
+        bound.  The accepted moves are the ones full re-evaluation would
+        take.
         """
         order = list(solution)
-        cost = self._cost_model.cost_of_order(order)
-        prefix_cost = self._cost_model.prefix_cost
+        model = self._cost_model
+        cost = model.cost_of_order(order)
+        card = model.mask_cardinality
+        n = len(order)
         improved = True
         while improved:
             improved = False
-            for i in range(len(order) - 1):
-                for j in range(i + 1, len(order)):
-                    candidate = list(order)
-                    candidate[i], candidate[j] = candidate[j], candidate[i]
-                    c = prefix_cost(candidate)
-                    if c < cost - 1e-12:
-                        order, cost = candidate, c
-                        improved = True
-                        break
+            limit = cost - 1e-12
+            bits = model.relation_bits(order)
+            masks = list(itertools.accumulate(bits, operator.or_))
+            cards = [0.0] + [card(m) for m in masks[1:]]
+            totals = list(itertools.accumulate(cards))  # totals[k]: prefixes 2..k+1
+            for i in range(n - 1):
+                for j in range(i + 1, n):
+                    trade = bits[i] | bits[j]
+                    c = totals[i - 1] if i else 0.0
+                    for k in range(max(i, 1), j):
+                        c += card(masks[k] ^ trade)
+                        if not c < limit:
+                            break
+                    else:
+                        for k in range(j, n):
+                            c += cards[k]
+                            if not c < limit:
+                                break
+                        else:
+                            order[i], order[j] = order[j], order[i]
+                            cost = c
+                            improved = True
+                            break
                 if improved:
                     break
         return order

@@ -8,7 +8,6 @@ surveys ([55]-[57], [23]-[26]).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.db.plans import JoinTree, check_join_order
@@ -17,11 +16,42 @@ from repro.exceptions import ReproError
 
 
 class CostModel:
-    """Independence-assumption cardinality estimates over a join graph."""
+    """Independence-assumption cardinality estimates over a join graph.
+
+    The graph is read once, on first use: relation ``k`` of the sorted
+    relation list is bit ``k`` of a relation-set mask, and one cache keyed
+    on that mask holds every cardinality computed.
+    """
 
     def __init__(self, graph: JoinGraph):
         self.graph = graph
-        self._card_cache: dict[frozenset, float] = {}
+        self._tables = None  # built by _lookup_tables
+        self._card_cache: dict[int, float] = {}
+
+    def _lookup_tables(self):
+        """``(bit of each relation, cardinalities, selectivity rows)`` in sorted order.
+
+        Row ``k`` lists ``(m, selectivity)`` for every join of relation ``k``
+        with a later relation ``m``, in ascending ``m``.
+        """
+        if self._tables is None:
+            rels = self.graph.relations
+            has_join, selectivity = self.graph.has_join, self.graph.selectivity
+            self._tables = (
+                {r: k for k, r in enumerate(rels)},
+                [self.graph.cardinality(r) for r in rels],
+                [[(m, selectivity(u, v)) for m, v in enumerate(rels) if m > k and has_join(u, v)]
+                 for k, u in enumerate(rels)],
+            )
+        return self._tables
+
+    def relation_bits(self, relations: Iterable[str]) -> list[int]:
+        """The mask bit of each relation, in the given order."""
+        bits = self._lookup_tables()[0]
+        try:
+            return [1 << bits[r] for r in relations]
+        except KeyError as missing:
+            raise ReproError(f"unknown relation {missing.args[0]!r}") from None
 
     def set_cardinality(self, relations: Iterable[str]) -> float:
         """Estimated cardinality of joining the given relation set.
@@ -29,20 +59,31 @@ class CostModel:
         ``|S| = prod card(r) * prod_{edges inside S} sel(e)`` — every
         applicable predicate is applied once.
         """
-        key = frozenset(relations)
-        if not key:
+        mask = 0
+        for bit in self.relation_bits(set(relations)):
+            mask |= bit
+        if not mask:
             raise ReproError("cardinality of the empty set is undefined")
-        if key in self._card_cache:
-            return self._card_cache[key]
-        card = 1.0
-        rels = sorted(key)
-        for r in rels:
-            card *= self.graph.cardinality(r)
-        for i, u in enumerate(rels):
-            for v in rels[i + 1 :]:
-                if self.graph.has_join(u, v):
-                    card *= self.graph.selectivity(u, v)
-        self._card_cache[key] = card
+        return self.mask_cardinality(mask)
+
+    def mask_cardinality(self, mask: int) -> float:
+        """:meth:`set_cardinality` of the relation set a non-zero mask names.
+
+        Multiplies the cardinalities, then the selectivities of the joins
+        inside the set, both in sorted relation order.
+        """
+        card = self._card_cache.get(mask)
+        if card is None:
+            _, cards, rows = self._lookup_tables()
+            members = [k for k in range(mask.bit_length()) if mask >> k & 1]
+            card = 1.0
+            for k in members:
+                card *= cards[k]
+            for k in members:
+                for m, sel in rows[k]:
+                    if mask >> m & 1:
+                        card *= sel
+            self._card_cache[mask] = card
         return card
 
     def tree_cardinality(self, tree: JoinTree) -> float:
@@ -81,8 +122,9 @@ class CostModel:
         adds them.
         """
         total = 0.0
-        prefix = frozenset(order[:1])
-        for rel in order[1:]:
-            prefix = prefix | {rel}
-            total += self.set_cardinality(prefix)
+        bits = self.relation_bits(order)
+        mask = bits[0] if bits else 0
+        for bit in bits[1:]:
+            mask |= bit
+            total += self.mask_cardinality(mask)
         return total

@@ -84,6 +84,27 @@ class ResultCache:
         tier — a damaged entry must never surface as a result, and dropping
         it lets the next ``put`` heal the cache.
         """
+        return self._count([key], [self._read(key, tier)])[0]
+
+    def lookup_all(
+        self, keys: "list[str]", tier: "SharedCacheTier | None" = None
+    ) -> "list[tuple[object | None, str | None]]":
+        """All-or-nothing :meth:`lookup` of a stateful shard's keys.
+
+        Stops reading at the first miss; then every key is a miss, in the
+        returned pairs and in :attr:`stats`, and no tier hit is promoted, so
+        a partial hit the caller must discard never counts as served.
+        """
+        found = []
+        for key in keys:
+            found.append(self._read(key, tier))
+            if found[-1][1] is None:
+                found = [(None, None, None)] * len(keys)
+                break
+        return self._count(keys, found)
+
+    def _read(self, key: str, tier: "SharedCacheTier | None"):
+        """``(value, label, blob)`` for ``key``, uncounted; ``label`` is ``None`` on a miss."""
         label = None
         with self._lock:
             blob = self._entries.get(key)
@@ -94,24 +115,29 @@ class ResultCache:
             blob = tier.get(key)
             if blob is not None:
                 label = "store"
-        if blob is not None:
-            try:
-                value = pickle.loads(blob)
-            except Exception:
-                with self._lock:
-                    self._entries.pop(key, None)
-                if tier is not None:
-                    tier.evict(key)
-                blob = label = None
+        if blob is None:
+            return None, None, None
+        try:
+            return pickle.loads(blob), label, blob
+        except Exception:
+            with self._lock:
+                self._entries.pop(key, None)
+            if tier is not None:
+                tier.evict(key)
+            return None, None, None
+
+    def _count(self, keys, found) -> "list[tuple[object | None, str | None]]":
+        """Count the reads of :meth:`_read` and promote their tier hits into memory."""
         with self._lock:
-            if blob is None:
-                self.misses += 1
-                return None, None
-            self.hits += 1
-            if label == "store":
-                self.store_hits += 1
-                self._store_memory(key, blob)
-        return value, label
+            for key, (_, label, blob) in zip(keys, found):
+                if label is None:
+                    self.misses += 1
+                    continue
+                self.hits += 1
+                if label == "store":
+                    self.store_hits += 1
+                    self._store_memory(key, blob)
+        return [(value, label) for value, label, _ in found]
 
     def put(self, key: str, result, tier: "SharedCacheTier | None" = None) -> None:
         """Store ``result`` under ``key`` (overwrites an existing entry),

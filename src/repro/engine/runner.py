@@ -373,11 +373,12 @@ def execute_plan(
                 ) as cache_span:
                     probe_t0 = time.perf_counter()
                     keys[shard_id] = cache_keys(shard, plan.refine, plan.top_k)
-                    looked = [cache.lookup(key, tier) for key in keys[shard_id]]
+                    if shard.stateful:  # stateful shards hit all-or-nothing
+                        looked = cache.lookup_all(keys[shard_id], tier)
+                    else:
+                        looked = [cache.lookup(key, tier) for key in keys[shard_id]]
                     probes[shard_id] = time.perf_counter() - probe_t0
                     hit = [value is not None for value, _ in looked]
-                    if shard.stateful and not all(hit):
-                        hit = [False] * len(hit)  # stateful shards hit all-or-nothing
                     misses = [pos for pos, h in enumerate(hit) if not h]
                     served = [pos for pos, h in enumerate(hit) if h]
                     # The span's tier is the slowest any served item touched.

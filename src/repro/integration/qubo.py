@@ -18,7 +18,7 @@ from collections import defaultdict
 import numpy as np
 
 from repro.integration.schema import Schema
-from repro.integration.similarity import combined_similarity
+from repro.integration.similarity import name_profile, profile_similarity
 from repro.qubo.model import QuboModel
 from repro.qubo.penalty import add_at_most_one
 
@@ -26,12 +26,15 @@ MatchKey = tuple[str, str]
 
 
 def similarity_matrix(source: Schema, target: Schema) -> dict[MatchKey, float]:
-    """Similarity of every cross-schema attribute pair."""
-    return {
-        (a.name, b.name): combined_similarity(a, b)
-        for a in source
-        for b in target
-    }
+    """:func:`~repro.integration.similarity.combined_similarity` of every
+    cross-schema attribute pair; each name is profiled once, not per pair."""
+    targets = [(b, name_profile(b.name)) for b in target]
+    sims = {}
+    for a in source:
+        profile = name_profile(a.name)
+        for b, b_profile in targets:
+            sims[(a.name, b.name)] = profile_similarity(a, profile, b, b_profile)
+    return sims
 
 
 def matching_to_qubo(

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from repro.exceptions import ReproError
 from repro.mqo.problem import MQOProblem
 from repro.utils.rngtools import ensure_rng
@@ -49,47 +51,52 @@ def _descend(
     Scans queries in sorted order and each query's plans in insertion
     order, takes the first swap that lowers :meth:`MQOProblem.total_cost`
     by more than ``1e-12``, and rescans from the start, stopping at a local
-    optimum or after ``max_moves`` swaps.  A swap is scored from the
-    :meth:`MQOProblem.swap_index` as ``cost(new) - cost(old) + active
-    savings(old) - active savings(new)``, touching only the swapped
-    query's savings.  A delta within the index's rounding slack of the
-    tolerance is re-decided on two full sums, so the descent takes exactly
+    optimum or after ``max_moves`` swaps.
+
+    Each scan scores every swap at once from the
+    :meth:`MQOProblem.swap_index`: one ``np.bincount`` over the savings
+    whose other plan is selected gives each plan's active savings, and a
+    swap's delta is ``(cost(new) - active(new)) - (cost(old) - active(old))``
+    (exactly 0 for the selected plan).  A delta rounds in at most
+    ``2 * degree + 3`` operations and a difference of two full sums in at
+    most ``2 * (queries + savings) + 1``, each off by at most half an ulp
+    of the index's ``mass``, which bounds every partial result (the
+    savings around two plans of one query are disjoint); the index's
+    ``slack`` covers them all.  A delta within that slack of the tolerance
+    is therefore re-decided on two full sums, so the descent takes exactly
     the swaps full re-evaluation would.
     """
     problem.validate_selection(selection)
-    queries, plans, costs, neighbours, slack = problem.swap_index()
+    index = problem.swap_index()
+    queries, names, owner, costs = index.queries, index.names, index.owner, index.costs
+    tails, heads, amounts, slack = index.tails, index.heads, index.amounts, index.slack
     selection = dict(selection)
-    at = [plans[i].index(selection[q]) for i, q in enumerate(queries)]
+    at = np.array([index.ids[(q, selection[q])] for q in queries], dtype=np.int64)
+    chosen = np.zeros(len(names), dtype=bool)
+    chosen[at] = True
     full = None  # total_cost of ``selection`` when known
     moves = 0
-    improved = True
-    while improved and (max_moves is None or moves < max_moves):
-        improved = False
-        for i, q in enumerate(queries):
-            old, row, plan_costs = at[i], neighbours[i], costs[i]
-            keep = sum(amount for j, b, amount in row[old] if at[j] == b) - plan_costs[old]
-            for a, cost in enumerate(plan_costs):
-                if a == old:
+    while max_moves is None or moves < max_moves:
+        net = costs - np.bincount(tails, weights=amounts * chosen[heads], minlength=len(names))
+        delta = net - net[at][owner]
+        for new in np.flatnonzero(~(delta > -1e-12 + slack)).tolist():
+            i = int(owner[new])
+            if new == at[i]:
+                continue
+            new_full = None
+            if not delta[new] < -1e-12 - slack:  # not clearly improving (or NaN)
+                if full is None:
+                    full = problem._selection_cost(selection)
+                new_full = problem._selection_cost({**selection, queries[i]: names[new]})
+                if not new_full < full - 1e-12:
                     continue
-                delta = cost + keep - sum(amount for j, b, amount in row[a] if at[j] == b)
-                new_full = None
-                if not delta < -1e-12 - slack:  # not clearly improving (or NaN)
-                    if delta > -1e-12 + slack:
-                        continue
-                    if full is None:
-                        full = problem._selection_cost(selection)
-                    candidate = dict(selection)
-                    candidate[q] = plans[i][a]
-                    new_full = problem._selection_cost(candidate)
-                    if not new_full < full - 1e-12:
-                        continue
-                selection[q] = plans[i][a]
-                at[i], full = a, new_full
-                moves += 1
-                improved = True
-                break
-            if improved:
-                break
+            selection[queries[i]] = names[new]
+            chosen[at[i]], chosen[new] = False, True
+            at[i], full = new, new_full
+            moves += 1
+            break
+        else:
+            break  # a local optimum
     if full is None:
         full = problem._selection_cost(selection)
     return selection, full

@@ -12,6 +12,8 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
+import numpy as np
+
 from repro.exceptions import InfeasibleError, ReproError
 
 PlanKey = tuple[str, str]  # (query_id, plan_id)
@@ -31,25 +33,39 @@ class PlanChoice:
 
 
 class SwapIndex(NamedTuple):
-    """Per-query tables for scoring single-query plan swaps incrementally.
+    """Flat tables for scoring every single-query plan swap in one pass.
 
-    ``plans[i]``, ``costs[i]`` and ``neighbours[i]`` list query
-    ``queries[i]``'s plans in :meth:`MQOProblem.plans_of` order;
-    ``neighbours[i][a]`` holds ``(j, b, amount)`` for every saving between
-    plan ``a`` of query ``i`` and plan ``b`` of query ``j``.  ``slack``
-    bounds the rounding gap between a swap's incremental delta and the
-    difference of two :meth:`MQOProblem.total_cost` sums.
+    Plans are numbered query by query (``queries`` sorted, each query's
+    plans in :meth:`MQOProblem.plans_of` order): ``ids`` maps a plan key to
+    its number, and ``names``, ``owner`` and ``costs`` hold each number's
+    plan name, position in ``queries`` and cost.  For ``S`` savings,
+    entry ``s < S`` of ``tails``, ``heads`` and ``amounts`` is saving ``s``
+    in insertion order and entry ``S + s`` the same saving reversed, so one
+    ``np.bincount(tails, amounts * chosen[heads])`` sums every plan's
+    active savings.  ``slack`` bounds the rounding gap between a swap's
+    incremental delta and the difference of two
+    :meth:`MQOProblem.total_cost` sums.
     """
 
     queries: list[str]
-    plans: list[list[str]]
-    costs: list[list[float]]
-    neighbours: list[list[list[tuple[int, int, float]]]]
+    ids: dict[PlanKey, int]
+    names: list[str]
+    owner: np.ndarray
+    costs: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
+    amounts: np.ndarray
     slack: float
 
 
 class MQOProblem:
-    """Queries, candidate plans and pairwise savings."""
+    """Queries, candidate plans and pairwise savings.
+
+    :meth:`total_cost` and the plan-swap descents of
+    :mod:`repro.mqo.classical` read the flat :class:`SwapIndex` tables,
+    built on first use and dropped by :meth:`add_plan` and
+    :meth:`add_saving`.
+    """
 
     def __init__(self):
         self._plans: dict[str, list[PlanChoice]] = {}
@@ -127,12 +143,20 @@ class MQOProblem:
         return self._selection_cost(selection)
 
     def _selection_cost(self, selection: Mapping[str, str]) -> float:
-        """:meth:`total_cost` of an already validated selection."""
+        """:meth:`total_cost` of an already validated selection.
+
+        Subtracts the active savings (both plans selected) one by one, in
+        insertion order.
+        """
         by_key = self._by_key
-        cost = sum(by_key[(q, p)].cost for q, p in selection.items())
-        for ((qa, pa), (qb, pb)), amount in self._savings.items():
-            if selection.get(qa) == pa and selection.get(qb) == pb:
-                cost -= amount
+        cost = sum(by_key[key].cost for key in selection.items())
+        index = self.swap_index()
+        chosen = np.zeros(len(index.names), dtype=bool)
+        chosen[[index.ids[key] for key in selection.items()]] = True
+        saved = len(index.amounts) // 2
+        active = chosen[index.tails[:saved]] & chosen[index.heads[:saved]]
+        for amount in index.amounts[:saved][active].tolist():
+            cost -= amount
         return cost
 
     def swap_index(self) -> SwapIndex:
@@ -143,24 +167,28 @@ class MQOProblem:
         """
         if self._swap_index is None:
             queries = self.queries
-            row = {q: i for i, q in enumerate(queries)}
-            col = {p.key: (row[p.query], a) for q in queries for a, p in enumerate(self._plans[q])}
-            neighbours = [[[] for _ in self._plans[q]] for q in queries]
-            for (ka, kb), amount in self._savings.items():
-                (i, a), (j, b) = col[ka], col[kb]
-                neighbours[i][a].append((j, b, amount))
-                neighbours[j][b].append((i, a, amount))
-            # Each of the <= 2 * (queries + savings) + 2 * degree + 6 rounded
+            plans = [p for q in queries for p in self._plans[q]]
+            ids = {p.key: k for k, p in enumerate(plans)}
+            ends = np.array([(ids[a], ids[b]) for a, b in self._savings],
+                            dtype=np.int64).reshape(-1, 2)
+            amounts = np.fromiter(self._savings.values(), np.float64, len(self._savings))
+            tails = np.concatenate([ends[:, 0], ends[:, 1]])
+            # Each of the <= 2 * (queries + savings) + 2 * degree + 4 rounded
             # operations behind a delta and a total_cost difference errs by
-            # at most half an ulp of ``mass``, which bounds every partial sum.
+            # at most half an ulp of ``mass``, which bounds every partial sum
+            # (see mqo.classical._descend).
             mass = sum(p.cost for p in self._by_key.values()) + sum(self._savings.values())
-            degree = max((len(n) for rows in neighbours for n in rows), default=0)
+            degree = int(np.bincount(tails).max()) if len(tails) else 0
             terms = 2 * (len(queries) + len(self._savings)) + 2 * degree + 6
             self._swap_index = SwapIndex(
                 queries=queries,
-                plans=[[p.plan for p in self._plans[q]] for q in queries],
-                costs=[[p.cost for p in self._plans[q]] for q in queries],
-                neighbours=neighbours,
+                ids=ids,
+                names=[p.plan for p in plans],
+                owner=np.repeat(np.arange(len(queries)), [len(self._plans[q]) for q in queries]),
+                costs=np.array([p.cost for p in plans], dtype=np.float64),
+                tails=tails,
+                heads=np.concatenate([ends[:, 1], ends[:, 0]]),
+                amounts=np.concatenate([amounts, amounts]),
                 slack=terms * sys.float_info.epsilon * mass,
             )
         return self._swap_index

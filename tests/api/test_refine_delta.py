@@ -94,6 +94,18 @@ def reference_hill_climbing_mqo(problem, restarts=8, max_iterations=200, rng=Non
     return best_sel, best_cost
 
 
+def reference_set_cardinality(graph, relations):
+    card = 1.0
+    rels = sorted(frozenset(relations))
+    for r in rels:
+        card *= graph.cardinality(r)
+    for i, u in enumerate(rels):
+        for v in rels[i + 1 :]:
+            if graph.has_join(u, v):
+                card *= graph.selectivity(u, v)
+    return card
+
+
 def reference_join_cost(graph, order):
     return CostModel(graph).cost(leftdeep_tree_from_order(order))
 
@@ -178,14 +190,12 @@ def tie_prone_mqo(num_queries, plans, seed, scale=10.0):
 def swap_delta(problem, selection, query, plan):
     """A swap's delta read off the swap index, the way the descent scores it."""
     index = problem.swap_index()
-    at = [index.plans[i].index(selection[q]) for i, q in enumerate(index.queries)]
-    i = index.queries.index(query)
-    old, new = at[i], index.plans[i].index(plan)
-
-    def active(a):
-        return sum(amount for j, b, amount in index.neighbours[i][a] if at[j] == b)
-
-    return index.costs[i][new] - index.costs[i][old] + active(old) - active(new)
+    chosen = np.zeros(len(index.names), dtype=bool)
+    chosen[[index.ids[(q, p)] for q, p in selection.items()]] = True
+    active = np.bincount(index.tails, weights=index.amounts * chosen[index.heads],
+                         minlength=len(index.names))
+    old, new = index.ids[(query, selection[query])], index.ids[(query, plan)]
+    return index.costs[new] - index.costs[old] + active[old] - active[new]
 
 
 def workload_mqo():
@@ -270,6 +280,42 @@ class TestMQODescent:
                                                max_iterations=iterations, rng=rng_seed)
             assert got == want
 
+    @settings(max_examples=8, deadline=None)
+    @given(SEEDS, SEEDS)
+    def test_equals_reference_at_benchmark_size(self, seed, start):
+        # The batch benchmark's MQO size: 12 queries x 6 plans, ~950 savings.
+        problem = generate_mqo_problem(12, 6, sharing_density=0.4, rng=seed)
+        selection = random_selection(problem, start)
+        refined, cost = local_search_from(problem, selection)
+        assert (refined, cost) == reference_local_search_from(problem, selection)
+        assert cost == problem.total_cost(refined)
+
+    @settings(max_examples=6, deadline=None)
+    @given(SEEDS, st.sampled_from([10.0, 1e5]), SEEDS)
+    def test_equals_reference_on_tie_prone_instances_at_benchmark_size(self, seed, scale, start):
+        problem = tie_prone_mqo(12, 6, seed, scale)
+        selection = random_selection(problem, start)
+        assert local_search_from(problem, selection) == reference_local_search_from(
+            problem, selection
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(SEEDS, SEEDS, st.data())
+    def test_swap_delta_matches_full_evaluation_at_benchmark_size(self, seed, start, data):
+        problem = generate_mqo_problem(12, 6, sharing_density=0.4, rng=seed)
+        selection = random_selection(problem, start)
+        query = data.draw(st.sampled_from(problem.queries))
+        plan = data.draw(st.sampled_from([p.plan for p in problem.plans_of(query)]))
+        full = problem.total_cost({**selection, query: plan}) - problem.total_cost(selection)
+        delta = swap_delta(problem, selection, query, plan)
+        assert abs(delta - full) <= problem.swap_index().slack
+
+    def test_hill_climbing_keeps_its_rng_draws_at_benchmark_size(self):
+        problem = generate_mqo_problem(12, 6, sharing_density=0.4, rng=5)
+        got = hill_climbing_mqo(problem, restarts=2, max_iterations=200, rng=9)
+        assert got == reference_hill_climbing_mqo(problem, restarts=2, max_iterations=200,
+                                                  rng=9)
+
     def test_workload_instance_from_every_start(self):
         problem = workload_mqo()
         plan_lists = [problem.plans_of(q) for q in problem.queries]
@@ -303,7 +349,7 @@ class TestMQODescent:
 
 class TestLeftDeepDescent:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(3, 8), st.sampled_from([chain_query, star_query]), SEEDS, st.data())
+    @given(st.integers(3, 9), st.sampled_from([chain_query, star_query]), SEEDS, st.data())
     def test_equals_reference(self, n, topology, seed, data):
         graph = topology(n, rng=seed)
         adapter = LeftDeepJoinAdapter(graph)
@@ -313,12 +359,34 @@ class TestLeftDeepDescent:
         assert adapter.evaluate(refined) <= adapter.evaluate(start)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(3, 8), st.sampled_from([chain_query, star_query]), SEEDS, st.data())
+    @given(st.integers(3, 9), st.sampled_from([chain_query, star_query]), SEEDS, st.data())
     def test_prefix_walk_is_bit_identical_to_the_tree_cost(self, n, topology, seed, data):
         graph = topology(n, rng=seed)
         order = data.draw(st.permutations(graph.relations))
         assert LeftDeepJoinAdapter(graph).evaluate(order) == reference_join_cost(graph, order)
         assert CostModel(graph).prefix_cost(order) == reference_join_cost(graph, order)
+
+    @pytest.mark.parametrize("topology", [chain_query, star_query])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_reference_at_benchmark_size(self, topology, seed):
+        # The batch benchmark's join size (8 relations) and one more.
+        for n in (8, 9):
+            graph = topology(n, rng=seed)
+            adapter = LeftDeepJoinAdapter(graph)
+            for k in range(3):
+                start = list(np.random.default_rng(100 * seed + k).permutation(graph.relations))
+                refined = adapter.refine(start)
+                assert refined == reference_join_refine(graph, start)
+                assert adapter.evaluate(refined) == reference_join_cost(graph, refined)
+
+    def test_cardinality_cache_is_keyed_on_the_set(self):
+        graph = star_query(7, rng=3)
+        model, fresh = CostModel(graph), CostModel(graph)
+        rels = graph.relations
+        for size in range(1, len(rels) + 1):
+            for subset in itertools.combinations(reversed(rels), size):
+                assert model.set_cardinality(subset) == fresh.set_cardinality(list(subset))
+                assert model.set_cardinality(subset) == reference_set_cardinality(graph, subset)
 
     @pytest.mark.parametrize("order", [[], ["R0", "R1", "R0"]])
     def test_evaluate_rejects_empty_and_duplicate_orders(self, order):

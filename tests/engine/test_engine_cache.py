@@ -119,6 +119,28 @@ class TestBatchCaching:
                                  num_reads=4, num_sweeps=40)
         assert [r.cache_hit for r in again] == [True, True]
 
+    @pytest.mark.parametrize("tier", ["memory", "store"])
+    def test_discarded_partial_hit_counts_as_misses(self, tmp_path, tier):
+        """A stateful shard's cached leader is not served when a follower
+        misses, so it counts as a miss too: the stats (and the service's
+        cache gauge built on them) report only what was served."""
+        p = _mqo(1)
+        store = EngineStore(tmp_path / "store.db")
+        cache = ResultCache()
+        opts = dict(backend="annealer", cache=cache, store=store, num_reads=4, num_sweeps=40)
+        assert not repro.solve(p, seed=7, **opts).cache_hit
+        if tier == "store":
+            cache.clear()  # the leader's entry now lives in the store tier only
+        before = cache.stats
+        pair = repro.solve_many([p, _mqo(1)], seeds=[7, 8], **opts)
+        assert [r.cache_hit for r in pair] == [False, False]
+        after = cache.stats
+        assert (after["hits"], after["store_hits"]) == (before["hits"], before["store_hits"])
+        assert after["misses"] == before["misses"] + 2
+        again = repro.solve_many([p, _mqo(1)], seeds=[7, 8], **opts)
+        assert [r.cache_hit for r in again] == [True, True]
+        assert cache.stats["hits"] == before["hits"] + 2
+
     def test_instance_backend_never_cached(self):
         from repro.api import get_backend
 

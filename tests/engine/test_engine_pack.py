@@ -112,11 +112,21 @@ def test_packed_batch_equals_one_item_shards_and_single_solves(backend, executor
 def test_half_warm_cache_equals_cold_run(backend, specs, seed, data):
     """Warm the cache with an arbitrary subset of items (same seeds, and a
     stateless key ignores shard position, so the same keys); the full
-    batch then hits exactly those and packs the rest."""
+    batch then hits exactly those and packs the rest.
+
+    The batch repeats one spec at its end: the same structure under its
+    own child seed, so every example holds a multi-item shard.  The repeat
+    is always warmed and its original never is, so the repeat hits only if
+    its key ignores the shard-mates before it.
+    """
+    twin = data.draw(st.integers(0, len(specs) - 1), label="twin")
+    specs = specs + [specs[twin]]
     opts = STATELESS[backend]
     cold = repro.solve_many(_batch(specs), backend=backend, seed=seed, **opts)
+    assert cold[-1].info["engine"]["shard_pos"] > 0
     seeds = [r.info["engine"]["seed"] for r in cold]
-    warm = sorted(data.draw(st.sets(st.integers(0, len(specs) - 1)), label="warm"))
+    drawn = data.draw(st.sets(st.integers(0, len(specs) - 1)), label="warm")
+    warm = sorted((drawn - {twin}) | {len(specs) - 1})
     cache = ResultCache()
     batch = _batch(specs)
     repro.solve_many([batch[k] for k in warm], backend=backend, cache=cache,

@@ -1,6 +1,8 @@
 """Tests for the schema-matching (data integration) package."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.annealing.simulated_annealing import SimulatedAnnealingSolver
 from repro.exceptions import ReproError
@@ -13,7 +15,7 @@ from repro.integration.qubo import (
     matching_to_qubo,
     similarity_matrix,
 )
-from repro.integration.schema import Attribute, Schema
+from repro.integration.schema import ATTRIBUTE_TYPES, Attribute, Schema
 from repro.integration.similarity import (
     combined_similarity,
     jaccard_ngrams,
@@ -74,6 +76,93 @@ class TestSimilarity:
         same = Attribute("customer_id", "int")
         other = Attribute("zzz", "date")
         assert combined_similarity(a, same) > combined_similarity(a, other)
+
+
+# -- references: the per-pair similarity the profiled matrix replaces ---------
+
+
+def reference_levenshtein_distance(a, b):
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def _reference_normalise(name):
+    return "".join(c for c in name.lower() if c.isalnum())
+
+
+def reference_combined_similarity(a, b, name_weight=0.8):
+    na, nb = _reference_normalise(a.name), _reference_normalise(b.name)
+    if not na and not nb:
+        lev = 1.0
+    else:
+        lev = 1.0 - reference_levenshtein_distance(na, nb) / max(len(na), len(nb))
+
+    def grams(s, n=3):
+        padded = f"#{s}#"
+        if len(padded) < n:
+            return {padded}
+        return {padded[i : i + n] for i in range(len(padded) - n + 1)}
+
+    ga, gb = grams(na), grams(nb)
+    union = ga | gb
+    jac = 1.0 if not union else len(ga & gb) / len(union)
+    lexical = 0.5 * lev + 0.5 * jac
+    return name_weight * lexical + (1.0 - name_weight) * type_compatibility(a.dtype, b.dtype)
+
+
+#: Short alphabets make matches and near-misses likely; the unicode one
+#: holds letters and digits outside ASCII (``isalnum`` keeps them).
+NAMES = st.one_of(
+    st.text(alphabet="ab_", max_size=12),
+    st.text(alphabet="abcdeé1_ß", max_size=80),
+    st.text(alphabet="xyzΣσ٣九Ⅻ-", max_size=70),
+    st.text(max_size=20),
+)
+
+
+class TestSimilarityOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(NAMES, NAMES)
+    def test_levenshtein_equals_the_dynamic_program(self, a, b):
+        assert levenshtein_distance(a, b) == reference_levenshtein_distance(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        ("", ""), ("", "é九"), ("Σσ", ""), ("x" * 64, "x" * 63 + "y"),
+        ("ab" * 40, "ba" * 40), ("a" * 65, "a" * 130), ("九" * 70 + "ß", "ß" + "九" * 70),
+    ])
+    def test_levenshtein_edge_cases(self, a, b):
+        assert levenshtein_distance(a, b) == reference_levenshtein_distance(a, b)
+        assert levenshtein_distance(b, a) == reference_levenshtein_distance(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(NAMES, st.sampled_from(ATTRIBUTE_TYPES)), min_size=1, max_size=5,
+                    unique_by=lambda t: t[0]),
+           st.lists(st.tuples(NAMES, st.sampled_from(ATTRIBUTE_TYPES)), min_size=1, max_size=5,
+                    unique_by=lambda t: t[0]))
+    def test_matrix_equals_per_pair_similarity(self, left, right):
+        source = Schema("s", [Attribute(n, t) for n, t in left])
+        target = Schema("t", [Attribute(n, t) for n, t in right])
+        want = {(a.name, b.name): combined_similarity(a, b) for a in source for b in target}
+        got = similarity_matrix(source, target)
+        assert list(got.items()) == list(want.items())
+        assert got == {(a.name, b.name): reference_combined_similarity(a, b)
+                       for a in source for b in target}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matrix_on_generated_schemas(self, seed):
+        source, target, _ = generate_schema_pair(8, rng=seed)
+        assert similarity_matrix(source, target) == {
+            (a.name, b.name): reference_combined_similarity(a, b) for a in source for b in target
+        }
 
 
 class TestQuboMatching:
