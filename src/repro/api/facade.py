@@ -11,14 +11,14 @@ These entry points are thin front-ends over one engine path in
 (``solve`` is a one-item plan), the ``serial`` or ``processes`` executor
 runs them as ``Backend.run`` packs, and a content-addressed
 :class:`~repro.engine.cache.ResultCache` skips repeat work.
-``solve_portfolio`` races several backends on one instance (optionally
-under a wall-clock deadline) and keeps the best answer; ``solve_many`` runs
+``solve_portfolio`` runs several backends on one instance as one plan and
+keeps the best answer; ``solve_many`` runs
 a batch sharded by QUBO structure so embedding / warm-start caches amortise
 within each shard, with every uncached item of a stateless backend sharing
 one sampling call.  Both accept a
 ``scheduler=`` :class:`~repro.engine.scheduler.AdaptiveScheduler`, which
 routes work by observed per-structure quality/latency telemetry instead of
-racing or fixing one backend.
+running every backend or fixing one.
 """
 
 from __future__ import annotations
@@ -157,37 +157,34 @@ def solve(
 
 def solve_portfolio(
     problem: "Problem | Any",
-    backends: Sequence["str | Backend"] = ("sa", "tabu"),
+    backends: "str | Backend | Sequence[str | Backend]" = ("sa", "tabu"),
     seed: "int | None" = None,
     refine: bool = True,
     top_k: int = DEFAULT_TOP_K,
     backend_opts: "Mapping[str, dict] | None" = None,
-    deadline_s: "float | None" = None,
     scheduler: "AdaptiveScheduler | None" = None,
     store: "Any | None" = None,
 ) -> SolveResult:
-    """Race several backends on one instance; return the best result.
+    """Run several backends on one instance; return the best result.
 
-    Each backend gets an independent child RNG split from ``seed``, so a
-    deadline-free portfolio is reproducible as a whole.  The winner's
-    result carries an ``info["portfolio"]`` breakdown of every contender
-    and an ``info["portfolio_meta"]`` scheduling summary.
+    The contenders run as one engine plan, one shard each, in order.  Each
+    gets an independent child seed split from ``seed``, so the portfolio is
+    reproducible as a whole and each contender equals a standalone
+    :func:`solve` with its seed.  The winner's result carries an
+    ``info["portfolio"]`` breakdown of every contender and an
+    ``info["portfolio_meta"]`` summary.
 
     Args:
+        backends: Registry names and/or :class:`Backend` instances; a lone
+            name or instance is a one-contender portfolio.
         backend_opts: Per-backend factory options keyed by registry name,
             e.g. ``{"sa": {"num_reads": 64}, "qaoa": {"num_layers": 3}}``.
             Keys must name a string contender (instances configure
             themselves).
-        deadline_s: Wall-clock budget in seconds.  When set, contenders run
-            concurrently and only those finishing inside the deadline
-            compete; stragglers are abandoned (marked
-            ``"deadline_exceeded"`` in the breakdown).  At least one
-            contender is always awaited.  Racing trades determinism for
-            latency — leave ``None`` when exact reproducibility matters.
         scheduler: An :class:`~repro.engine.scheduler.AdaptiveScheduler`.
-            When set, race-everything becomes route-then-race-top-k: the
+            When set, run-everything becomes route-then-race-top-k: the
             scheduler's scoreboard ranks the candidates for this instance's
-            QUBO structure and only the top ``scheduler.race_top_k`` race
+            QUBO structure and only the top ``scheduler.race_top_k`` run
             (epsilon-greedy swap-ins keep colder backends measured).  All
             raced outcomes feed the scoreboard; contenders must then be
             registry names.
@@ -196,7 +193,7 @@ def solve_portfolio(
             with a scheduler, its scoreboard is additionally hydrated from
             the store so ranking starts warm.
     """
-    backends = list(backends)
+    backends = [backends] if isinstance(backends, (str, Backend)) else list(backends)
     with obs.span(
         "facade.solve_portfolio",
         contenders=len(backends),
@@ -209,7 +206,6 @@ def solve_portfolio(
             refine=refine,
             top_k=top_k,
             backend_opts=backend_opts,
-            deadline_s=deadline_s,
             store=store,
             scheduler=scheduler,
         )

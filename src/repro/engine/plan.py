@@ -24,8 +24,8 @@ can run:
    standalone ``solve`` (a one-item plan) of the same fingerprint/opts/seed.
 
 Backend instances passed by the caller are shared and stateful by design;
-their state is not content-addressable, so instance-backed plans disable
-caching rather than risk wrong hits.
+their state is not content-addressable, so a plan with any instance-backed
+shard disables caching rather than risk wrong hits.
 """
 
 from __future__ import annotations
@@ -78,19 +78,19 @@ class PlanItem:
 
 @dataclass
 class Shard:
-    """Items of one structure that run in order on one backend instance.
+    """Items of one structure that run in order on one backend.
 
-    ``backend_name``/``backend_opts`` name the backend each dispatch builds
-    fresh; both are ``None``/``{}`` when the plan carries a shared
-    ``backend_instance`` instead.  ``stateful`` is that backend's
-    :attr:`~repro.api.backends.Backend.stateful`, read off the instance the
-    planner (or the scheduler) already built.  The adaptive scheduler
-    rewrites all three in place and records why in ``routing``.
+    ``backend`` is a registry name, built fresh with ``backend_opts`` by
+    each dispatch, or a caller's :class:`~repro.api.backends.Backend`
+    instance (``backend_opts`` then ``{}``).  ``stateful`` is that
+    backend's :attr:`~repro.api.backends.Backend.stateful`, read off the
+    instance the planner (or the scheduler) already built.  The adaptive
+    scheduler rewrites all three in place and records why in ``routing``.
     """
 
     items: list[PlanItem]  #: in shard order (position 0 is the shard leader)
     signature: str         #: 16-hex structure key (scoreboard / store index)
-    backend_name: "str | None"
+    backend: "str | Backend"
     backend_opts: dict
     stateful: bool         #: whether the backend needs a pack of its own
     routing: "dict | None" = None  #: the scheduler's decision; None unless routed
@@ -98,32 +98,44 @@ class Shard:
 
 @dataclass
 class ExecutionPlan:
-    """A compiled batch: items in batch order, grouped into shards.
-
-    By-name plans give every shard its own backend name and options (each
-    dispatch builds a fresh instance); ``backend_instance`` carries a
-    caller-supplied instance shared across shards instead.
-    """
+    """A compiled batch: items in batch order, grouped into shards."""
 
     items: list[PlanItem]
     shards: list[Shard]
-    backend_instance: "Backend | None"
     refine: bool
     top_k: int
 
     @property
     def cacheable(self) -> bool:
-        # A live Generator's position cannot be content-addressed.
-        return self.backend_instance is None and all(
+        # An instance's state and a live Generator's position cannot be
+        # content-addressed.
+        return all(isinstance(shard.backend, str) for shard in self.shards) and all(
             isinstance(item.seed, int) for item in self.items
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        backend = self.backend_instance or sorted({s.backend_name for s in self.shards})
+        backends = sorted({str(getattr(s.backend, "name", s.backend)) for s in self.shards})
         return (
             f"ExecutionPlan({len(self.items)} items, {len(self.shards)} shards, "
-            f"backend={backend!r})"
+            f"backend={backends!r})"
         )
+
+
+def shard_backend(backend: "str | Backend",
+                  backend_opts: "dict | None" = None) -> "tuple[str | Backend, dict, bool]":
+    """A shard's ``(backend, backend_opts, stateful)`` fields.
+
+    A registry name is built once and dropped, so a bad name or bad options
+    fail here, at compile time, rather than inside a worker.
+    """
+    from repro.api.backends import Backend, get_backend
+
+    backend_opts = dict(backend_opts or {})
+    if isinstance(backend, Backend):
+        if backend_opts:
+            raise ReproError("backend_opts only apply when selecting a backend by name")
+        return backend, {}, backend.stateful
+    return str(backend), backend_opts, get_backend(str(backend), **backend_opts).stateful
 
 
 def _explicit_seed(index: int, seed) -> "int | np.random.Generator":
@@ -184,29 +196,19 @@ def compile_plan(
     # Lazy imports: repro.api.facade imports this package at module load,
     # so engine modules must not import repro.api back at module level.
     from repro.api.adapters import as_problems
-    from repro.api.backends import Backend, get_backend
     from repro.api.problem import qubo_signature
 
-    backend_opts = dict(backend_opts or {})
-    if isinstance(backend, Backend):
-        if backend_opts:
-            raise ReproError("backend_opts only apply when selecting a backend by name")
-        if max_shard_size is not None:
-            # Splitting one signature group across shards is only sound when
-            # each shard gets a fresh instance: split shards sharing a live
-            # instance would reuse (or race on) each other's signature-keyed
-            # caches depending on scheduling.
-            raise ReproError(
-                "max_shard_size requires selecting the backend by name; shards "
-                "sharing a live Backend instance cannot split a signature group "
-                "deterministically"
-            )
-        backend_name, backend_instance, stateful = None, backend, backend.stateful
-    else:
-        # Built once and dropped: a bad name or bad options fail here, at
-        # compile time, rather than inside a worker.
-        backend_name, backend_instance = str(backend), None
-        stateful = get_backend(backend_name, **backend_opts).stateful
+    backend, backend_opts, stateful = shard_backend(backend, backend_opts)
+    if max_shard_size is not None and not isinstance(backend, str):
+        # Splitting one signature group across shards is only sound when
+        # each shard gets a fresh instance: split shards sharing a live
+        # instance would reuse (or race on) each other's signature-keyed
+        # caches depending on scheduling.
+        raise ReproError(
+            "max_shard_size requires selecting the backend by name; shards "
+            "sharing a live Backend instance cannot split a signature group "
+            "deterministically"
+        )
     if max_shard_size is not None and max_shard_size < 1:
         raise ReproError("max_shard_size must be >= 1")
 
@@ -245,8 +247,7 @@ def compile_plan(
         ):
             shard_id = len(shards)
             open_shard[signature] = shard_id
-            shards.append(Shard([], signature_key(signature), backend_name,
-                                dict(backend_opts), stateful))
+            shards.append(Shard([], signature_key(signature), backend, backend_opts, stateful))
         item = PlanItem(
             index=index,
             problem=problem,
@@ -258,13 +259,7 @@ def compile_plan(
         shards[shard_id].items.append(item)
         items.append(item)
 
-    return ExecutionPlan(
-        items=items,
-        shards=shards,
-        backend_instance=backend_instance,
-        refine=refine,
-        top_k=top_k,
-    )
+    return ExecutionPlan(items=items, shards=shards, refine=refine, top_k=top_k)
 
 
 def cache_keys(shard: Shard, refine: bool, top_k: int) -> list[str]:
@@ -275,7 +270,7 @@ def cache_keys(shard: Shard, refine: bool, top_k: int) -> list[str]:
     keys = []
     for item in shard.items:
         keys.append(make_cache_key(
-            item.fingerprint, shard.backend_name, opts_key + "|" + history.hexdigest(), item.seed
+            item.fingerprint, shard.backend, opts_key + "|" + history.hexdigest(), item.seed
         ))
         if shard.stateful:
             history.update(item.fingerprint.encode("ascii"))

@@ -1,4 +1,4 @@
-"""Plan execution: the pack kernel, pack workers, caching, and racing.
+"""Plan execution: the pack kernel, pack workers, caching, and portfolios.
 
 This module owns the code that actually runs a compiled
 :class:`~repro.engine.plan.ExecutionPlan`:
@@ -13,15 +13,19 @@ This module owns the code that actually runs a compiled
 * :func:`solve_batch` — compile, optionally route (adaptive scheduler),
   execute, record: the one path behind ``solve`` (a one-item plan),
   ``solve_many`` and the service's waves;
-* :func:`run_portfolio` — several backends on one instance, each a
-  one-item plan, optionally narrowed by a scheduler and raced under a
-  wall-clock deadline.
+* :func:`run_portfolio` — several backends on one instance: one plan with
+  one shard per contender (optionally narrowed by a scheduler), run
+  through one :func:`execute_plan`, best objective wins.
 
 A pack is the items one ``Backend.run`` serves.  A stateless backend
 (:attr:`~repro.api.backends.Backend.stateful` ``False``) returns for each
 job what a one-job call returns, so every uncached item naming it with the
-same options rides one call (one per process worker).  A stateful backend
-gets a fresh instance and one call per shard.
+same options, or on the same caller's instance, rides one call (one per
+process worker).  A stateful backend gets one call per shard, on a fresh
+instance when named.
+
+Every backend holds the GIL while it samples, so the engine runs no
+threads of its own: parallelism is the ``processes`` executor's.
 
 Shard state decides caching too.  On a stateful backend item *k* of a
 shard runs on state built by items ``0..k-1`` (embedding searched with the
@@ -35,10 +39,8 @@ time, it never perturbs the RNG stream of neighbouring items.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import replace
 from itertools import groupby
 from typing import TYPE_CHECKING, Sequence
@@ -47,18 +49,26 @@ import numpy as np
 
 from repro.engine.cache import ResultCache, resolve_cache
 from repro.engine.executors import get_executor
-from repro.engine.plan import ExecutionPlan, Shard, cache_keys, compile_plan, signature_key
+from repro.engine.plan import (
+    _SEED_RANGE,
+    ExecutionPlan,
+    PlanItem,
+    Shard,
+    cache_keys,
+    compile_plan,
+    shard_backend,
+    signature_key,
+)
 from repro.engine.scheduler import (
     DEFAULT_ALPHA,
     _candidate_names,
     _validated_opts_map,
-    portfolio_observations,
     result_observation,
 )
 from repro.engine.store import record_best_effort, resolve_store
 from repro.exceptions import ReproError
 from repro.obs import trace as obs
-from repro.utils.rngtools import ensure_rng, spawn
+from repro.utils.rngtools import ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.api.backends import Backend
@@ -158,9 +168,9 @@ def _packs(plan: ExecutionPlan, dispatched: "list[tuple[int, list[int]]]",
 
     ``dispatched`` and each pack list ``(shard id, positions)`` in plan
     order.  A stateful backend's shard is a pack of its own.  A stateless
-    backend's items are grouped by ``(backend name, options)`` — on an
-    instance-backed plan, all of them — and each group is cut into at most
-    ``workers`` contiguous packs whose sizes differ by at most one.
+    backend's items are grouped by ``(backend name, options)``, or by
+    instance (two instances never share a pack), and each group is cut into
+    at most ``workers`` contiguous packs whose sizes differ by at most one.
     """
     groups: dict = {}
     packs: list = []
@@ -169,7 +179,8 @@ def _packs(plan: ExecutionPlan, dispatched: "list[tuple[int, list[int]]]",
         if shard.stateful:
             packs.append([(shard_id, positions)])
         else:
-            key = (shard.backend_name, repr(sorted(shard.backend_opts.items())))
+            backend = shard.backend if isinstance(shard.backend, str) else id(shard.backend)
+            key = (backend, repr(sorted(shard.backend_opts.items())))
             groups.setdefault(key, []).extend((shard_id, pos) for pos in positions)
     for group in groups.values():
         count = min(workers, len(group))
@@ -187,7 +198,6 @@ def _pack_payload(plan: ExecutionPlan, pack: list, executor_name: str) -> dict:
         shards.append((shard_id, replace(shard, items=[shard.items[pos] for pos in positions])))
     return {
         "shards": shards,
-        "backend_instance": plan.backend_instance,
         "refine": plan.refine,
         "top_k": plan.top_k,
         "executor": executor_name,
@@ -259,10 +269,9 @@ def _execute_pack(payload: dict) -> dict:
     lead = shards[0][1]
     items = [item for _, shard in shards for item in shard.items]
     refine, top_k = payload["refine"], payload["top_k"]
-    if lead.backend_name is not None:
-        backend = get_backend(lead.backend_name, **lead.backend_opts)
-    else:
-        backend = payload["backend_instance"]
+    backend = lead.backend
+    if isinstance(backend, str):
+        backend = get_backend(backend, **lead.backend_opts)
     tracer = obs.collector_for(payload.get("trace"))
     dispatch_span = None
     if tracer is not None:
@@ -359,7 +368,7 @@ def execute_plan(
     runner = get_executor(executor)
     cache = resolve_cache(cache)
     if not plan.cacheable:
-        cache = None  # instance-backed plans carry opaque state; never cache
+        cache = None  # instances carry opaque state; live Generators move
     with obs.span("engine.execute", executor=runner.name) as exec_span:
         results: list = [None] * len(plan.items)
         keys: dict[int, list[str]] = {}
@@ -532,7 +541,7 @@ def solve_batch(
     return results
 
 
-# -- portfolio racing -------------------------------------------------------
+# -- portfolios --------------------------------------------------------------
 
 
 def run_portfolio(
@@ -542,130 +551,73 @@ def run_portfolio(
     refine: bool = True,
     top_k: int = 8,
     backend_opts: "dict | None" = None,
-    deadline_s: "float | None" = None,
     store=None,
     scheduler: "AdaptiveScheduler | None" = None,
 ) -> SolveResult:
-    """Race several backends on one instance; return the best finisher.
+    """Run several backends on one instance; return the best result.
 
-    Each contender runs as a one-item plan through :func:`execute_plan` on
-    an independent child RNG split from ``seed`` in contender order, so a
-    deadline-free portfolio is reproducible as a whole.  With
-    ``deadline_s`` set, contenders run concurrently in a thread pool and
-    only those that finish inside the deadline compete (stragglers are
-    abandoned, not interrupted — their entry is marked
-    ``"deadline_exceeded"``); at least one contender is always awaited so
-    the call never returns empty-handed.  Which contenders beat a wall-
-    clock deadline is inherently machine-dependent, so deadline racing
-    trades determinism for latency — leave ``deadline_s=None`` when exact
-    reproducibility matters.
+    The portfolio is one plan with one shard per contender, in contender
+    order, run through one :func:`execute_plan` on the ``serial`` executor
+    without a cache.  The problem is formulated, signed and fingerprinted
+    once; contender *i* gets child seed *i* of ``seed`` (the split
+    ``compile_plan`` makes), so the portfolio is reproducible as a whole
+    and each contender equals a standalone ``solve`` with its seed.  A lone
+    name or instance is a one-contender portfolio; a failing contender
+    raises.
 
-    With an :class:`~repro.engine.scheduler.AdaptiveScheduler` the race is
-    narrowed first
+    With an :class:`~repro.engine.scheduler.AdaptiveScheduler` the
+    portfolio is narrowed first
     (:meth:`~repro.engine.scheduler.AdaptiveScheduler.select_contenders`):
     only the scoreboard's top ``race_top_k`` candidates for this
-    instance's structure race — contenders must then be registry names —
-    and the winner's ``info["portfolio_meta"]["scheduler"]`` records the
-    ranking, the raced subset, and the exploration flag.  The scheduler's
-    ``deadline_s`` shapes routing feasibility only; it is never promoted
-    into a race deadline.
+    instance's structure get a shard — contenders must then be registry
+    names — and the winner's ``info["portfolio_meta"]["scheduler"]``
+    records the ranking, the raced subset, and the exploration flag.  The
+    scheduler's ``deadline_s`` shapes routing feasibility only.
 
     A durable ``store`` is used by this call only, as in
     :func:`solve_batch`: a scheduler's scoreboard hydrates from it before
-    contenders are selected, and every raced contender's outcome is
-    recorded into it once.  ``store=False`` records nothing durable.
+    contenders are selected, and every contender's outcome is recorded
+    into it once.  ``store=False`` records nothing durable.
     """
-    from repro.api.backends import Backend, get_backend
+    from repro.api.backends import Backend
     from repro.api.problem import qubo_signature
 
     durable = resolve_store(store)
-    backends = list(backends)
+    backends = [backends] if isinstance(backends, (str, Backend)) else list(backends)
     if not backends:
         raise ReproError("portfolio needs at least one backend")
     opts_map = dict(backend_opts or {})
-    names = {b for b in backends if isinstance(b, str)}
-    unknown = set(opts_map) - names
+    unknown = set(opts_map) - {b for b in backends if isinstance(b, str)}
     if unknown:
         raise ReproError(
             f"backend_opts for {sorted(unknown)} match no named backend in the portfolio"
         )
-    signature = routing = None
-    if scheduler is not None or durable is not None:
-        signature = signature_key(qubo_signature(problem.to_qubo()))
-    if scheduler is not None:
-        if durable is not None:
-            scheduler.scoreboard.hydrate(durable)
-        backends, routing = scheduler.select_contenders(signature, backends)
-
-    contenders = []
-    for b in backends:
-        if isinstance(b, Backend):
-            contenders.append((b.name, b))
-        else:
-            contenders.append((b, get_backend(b, **opts_map.get(b, {}))))
-    rngs = spawn(ensure_rng(seed), len(contenders))
-
-    def _run(idx: int) -> SolveResult:
-        plan = compile_plan(
-            [problem], contenders[idx][1], seeds=[rngs[idx]], refine=refine, top_k=top_k
-        )
-        return execute_plan(plan)[0]
-
-    if deadline_s is None:
-        results = [_run(i) for i in range(len(contenders))]
-        entries = [
-            {"method": r.method, "objective": r.objective, "wall_time": r.wall_time,
-             "status": "completed"}
-            for r in results
-        ]
-        completed = results
-    else:
-        pool = ThreadPoolExecutor(
-            max_workers=len(contenders), thread_name_prefix="portfolio"
-        )
-        # Each contender runs in a copy of the caller's context, so its
-        # engine spans nest under the caller's trace.
-        futures = {
-            pool.submit(contextvars.copy_context().run, _run, i): i
-            for i in range(len(contenders))
-        }
-        done, pending = wait(futures, timeout=deadline_s)
-        if not done:
-            done, pending = wait(futures, return_when=FIRST_COMPLETED)
-        # Abandon stragglers: cancel queued work, never block on running threads.
-        pool.shutdown(wait=False, cancel_futures=True)
-        entries = [None] * len(contenders)
-        completed = []
-        errors = []
-        for future in done:
-            idx = futures[future]
-            label = contenders[idx][0]
-            exc = future.exception()
-            if exc is not None:
-                errors.append(exc)
-                entries[idx] = {"method": label, "objective": math.nan,
-                                "wall_time": math.nan, "status": "error"}
-                continue
-            r = future.result()
-            completed.append(r)
-            entries[idx] = {"method": r.method, "objective": r.objective,
-                            "wall_time": r.wall_time, "status": "completed"}
-        for future in pending:
-            idx = futures[future]
-            entries[idx] = {"method": contenders[idx][0], "objective": math.nan,
-                            "wall_time": math.nan, "status": "deadline_exceeded"}
-        if not completed:
-            raise errors[0] if errors else ReproError("portfolio produced no results")
-
-    best = min(completed, key=lambda r: r.objective)
-    best.info["portfolio"] = entries
-    best.info["portfolio_meta"] = {
-        "deadline_s": deadline_s,
-        "contenders": len(contenders),
-        "completed": len(completed),
-        "raced": deadline_s is not None,
-    }
-    _record_observations(portfolio_observations(best, signature=signature), scheduler, durable)
+    if scheduler is not None and durable is not None:
+        scheduler.scoreboard.hydrate(durable)
+    with obs.span("engine.plan_compile") as plan_span:
+        model = problem.to_qubo()
+        signature = signature_key(qubo_signature(model))
+        routing = None
+        if scheduler is not None:
+            backends, routing = scheduler.select_contenders(signature, backends)
+        seeds = ensure_rng(seed).integers(0, _SEED_RANGE, size=len(backends))
+        fingerprint = model.fingerprint()
+        plan = ExecutionPlan([], [], refine, top_k)
+        for index, (backend, child_seed) in enumerate(zip(backends, seeds)):
+            item = PlanItem(index, problem, int(child_seed), index, fingerprint)
+            opts = opts_map.get(backend) if isinstance(backend, str) else None
+            plan.items.append(item)
+            plan.shards.append(Shard([item], signature, *shard_backend(backend, opts)))
+        plan_span.set(items=len(plan.items), shards=len(plan.shards))
+    results = execute_plan(plan)
+    _record_observations([result_observation(r) for r in results], scheduler, durable)
+    best = min(results, key=lambda r: r.objective)
+    best.info["portfolio"] = [
+        {"method": r.method, "objective": r.objective, "wall_time": r.wall_time,
+         "status": "completed"}
+        for r in results
+    ]
+    best.info["portfolio_meta"] = {"contenders": len(results)}
     if scheduler is not None:
         best.info["portfolio_meta"]["scheduler"] = routing
     return best

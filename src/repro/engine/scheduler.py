@@ -3,9 +3,10 @@
 The engine's executors answer *how* shards run; this module answers *where*.
 A :class:`BackendScoreboard` keeps online per-``(backend, QUBO-structure)``
 statistics — observed objective quality, wall latency, cache-hit rate — fed
-by the ``info["engine"]`` and ``info["portfolio"]`` telemetry every engine
-result already carries.  An :class:`AdaptiveScheduler` turns those stats
-into routing decisions for the engine's one execution path:
+by the ``info["engine"]`` telemetry every engine result already carries
+(one ``"observe"`` op per result, :func:`result_observation`).  An
+:class:`AdaptiveScheduler` turns those stats into routing decisions for the
+engine's one execution path:
 
 * :meth:`AdaptiveScheduler.route` — the step ``solve_many(...,
   scheduler=...)`` adds between plan compile and dispatch: each shard of a
@@ -13,9 +14,9 @@ into routing decisions for the engine's one execution path:
   quality-under-deadline for its structure, epsilon-greedy so colder
   backends keep getting sampled;
 * :meth:`AdaptiveScheduler.select_contenders` — the step
-  ``solve_portfolio(..., scheduler=...)`` adds before the race: instead of
-  racing *every* backend, the scoreboard ranks them and only the top-k
-  race.
+  ``solve_portfolio(..., scheduler=...)`` adds before its plan is built:
+  instead of running *every* backend, the scoreboard ranks them and only
+  the top-k get a shard.
 
 Routing happens **before** dispatch and the scoreboard updates **after**
 the whole batch returns, so a scheduled batch stays deterministic for a
@@ -94,8 +95,6 @@ class BackendStats:
     latency: float = math.nan    #: EWMA of wall seconds per real (uncached) solve
     best_objective: float = math.inf
     cache_hits: int = 0
-    timeouts: int = 0
-    errors: int = 0
 
     def observe(self, objective: float, wall_time: float, alpha: float,
                 cache_hit: bool = False) -> None:
@@ -123,8 +122,6 @@ class BackendStats:
             "latency": self.latency,
             "best_objective": self.best_objective,
             "cache_hit_rate": self.cache_hit_rate,
-            "timeouts": self.timeouts,
-            "errors": self.errors,
         }
 
 
@@ -137,27 +134,15 @@ def apply_observation(
     :class:`BackendScoreboard` and the durable
     :class:`~repro.engine.store.ScoreboardStore` replay, so the two cannot
     drift apart.  ``stats_for(backend, signature)`` returns the mutable
-    stats row to update (``signature=None`` is the aggregate).  Ops:
-
-    * ``("observe", backend, signature, objective, wall_time, cache_hit)``
-      — quality + latency (:meth:`BackendStats.observe`);
-    * ``("timeout", backend, signature, deadline_s)`` — a timeout, plus a
-      latency observation at the deadline when one is known;
-    * ``("error", backend, signature)`` — an error and nothing else.
+    stats row to update (``signature=None`` is the aggregate).  The one op
+    is ``("observe", backend, signature, objective, wall_time, cache_hit)``:
+    quality + latency (:meth:`BackendStats.observe`).
     """
     kind, backend, signature = op[0], op[1], op[2]
-    if kind not in ("observe", "timeout", "error"):
+    if kind != "observe":
         raise ReproError(f"unknown scoreboard observation kind: {kind!r}")
     for target in {signature, None}:
-        stats = stats_for(backend, target)
-        if kind == "observe":
-            stats.observe(op[3], op[4], alpha, cache_hit=op[5])
-        elif kind == "timeout":
-            stats.timeouts += 1
-            if op[3] is not None:
-                stats.observe(math.nan, op[3], alpha)
-        else:
-            stats.errors += 1
+        stats_for(backend, target).observe(op[3], op[4], alpha, cache_hit=op[5])
 
 
 def result_observation(result: "SolveResult") -> tuple:
@@ -171,36 +156,6 @@ def result_observation(result: "SolveResult") -> tuple:
         result.wall_time,
         bool(engine.get("cache_hit", False)),
     )
-
-
-def portfolio_observations(result: "SolveResult", signature: "str | None" = None) -> list[tuple]:
-    """The ops of every contender in an ``info["portfolio"]`` breakdown.
-
-    Completed contenders observe quality + latency; ``deadline_exceeded``
-    counts a timeout with a latency observation at the deadline itself
-    (the pessimism floor deadline routing needs); ``error`` counts an
-    error and nothing else, which leaves the backend "seen" but ranked
-    behind everyone that ever produced a result.
-    """
-    entries = result.info.get("portfolio")
-    if not entries:
-        return []
-    deadline = (result.info.get("portfolio_meta") or {}).get("deadline_s")
-    observations = []
-    for entry in entries:
-        if entry is None:
-            continue
-        status = entry.get("status")
-        if status == "completed":
-            observations.append(
-                ("observe", entry["method"], signature, entry["objective"],
-                 entry["wall_time"], False)
-            )
-        elif status == "deadline_exceeded":
-            observations.append(("timeout", entry["method"], signature, deadline))
-        elif status == "error":
-            observations.append(("error", entry["method"], signature))
-    return observations
 
 
 class BackendScoreboard:
@@ -294,13 +249,11 @@ class BackendScoreboard:
 
             {"sa": {"count": 37, "quality": ..., "latency": ...,
                     "best_objective": ..., "cache_hit_rate": 0.4,
-                    "timeouts": 0, "errors": 0, "timeout_rate": 0.0,
-                    "error_rate": 0.0, "structures": 5}, ...}
+                    "structures": 5}, ...}
 
         ``latency`` is the EWMA wall seconds per real (uncached) solve —
         the expected-service-time signal a capacity model or readiness
-        probe needs; ``timeout_rate``/``error_rate`` are per observed
-        solve.  Values are plain floats/ints (NaN where never observed),
+        probe needs.  Values are plain floats/ints (NaN where never observed),
         safe to serialise after NaN-scrubbing.  This is the queryable
         seam the service's ``/metrics`` and ``/readyz`` endpoints read,
         and the one the ROADMAP's admission-control item builds on.
@@ -314,9 +267,6 @@ class BackendScoreboard:
                 else:
                     structures[backend] = structures.get(backend, 0) + 1
             for backend, row in rows.items():
-                count = row["count"]
-                row["timeout_rate"] = row["timeouts"] / count if count else 0.0
-                row["error_rate"] = row["errors"] / count if count else 0.0
                 row["structures"] = structures.get(backend, 0)
             return rows
 
@@ -446,7 +396,7 @@ class AdaptiveScheduler:
               stateful: dict) -> None:
         """Route every shard of a compiled plan up front (one decision each).
 
-        Each shard's ``backend_name``/``backend_opts``/``stateful`` are
+        Each shard's ``backend``/``backend_opts``/``stateful`` are
         rewritten in place and its ``routing`` records the decision
         (stamped into ``info["engine"]["scheduler"]`` at execution).  The
         plan still runs as *one* dispatch wave, so a cold or exploring
@@ -462,7 +412,7 @@ class AdaptiveScheduler:
             ) as route_span:
                 decision = self.choose(shard.signature, names)
                 route_span.set(backend=decision.backend, mode=decision.mode)
-            shard.backend_name = decision.backend
+            shard.backend = decision.backend
             shard.backend_opts = dict(opts_map.get(decision.backend, {}))
             shard.stateful = stateful[decision.backend]
             shard.routing = {
@@ -476,7 +426,8 @@ class AdaptiveScheduler:
     ) -> "tuple[list[str], dict]":
         """Narrow a portfolio to the scoreboard's top ``race_top_k`` backends.
 
-        An epsilon draw swaps the last raced slot for a random unraced
+        Only the raced names get a shard in the portfolio's plan.  An
+        epsilon draw swaps the last raced slot for a random unraced
         candidate so the scoreboard keeps sampling backends that looked bad
         early.  Returns the raced names and the routing record the winner
         carries in ``info["portfolio_meta"]["scheduler"]``.

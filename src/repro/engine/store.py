@@ -64,6 +64,12 @@ STORE_ENV_VAR = "REPRO_STORE"
 #: (SQLite primary keys cannot contain NULL).
 _GLOBAL_SIG = ""
 
+#: The scoreboard columns the engine reads and writes.  ``timeouts`` and
+#: ``errors`` stay in the schema so files written before the portfolio
+#: deadline race was removed still open; new rows hold 0 there and updates
+#: leave them as stored.
+_LIVE_COLUMNS = ("count", "quality", "latency", "best_objective", "cache_hits")
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS scoreboard (
     backend        TEXT    NOT NULL,
@@ -191,7 +197,7 @@ class ScoreboardStore:
     """Durable ``(backend, structure-signature)`` statistics.
 
     The write API is *observation replay*: callers hand over the raw
-    observations (solves, timeouts, errors) and the store applies them to
+    observations and the store applies them to
     the stored rows inside one transaction, using
     :meth:`~repro.engine.scheduler.BackendStats.observe` — the same
     arithmetic, in the same order, the in-memory scoreboard ran.  Replay is
@@ -199,11 +205,8 @@ class ScoreboardStore:
     count-weighted interleave for concurrent ones; writing *merged*
     statistics instead would double-count every observation already stored.
 
-    Observation tuples (see :meth:`record`):
-
-    * ``("observe", backend, signature, objective, wall_time, cache_hit)``
-    * ``("timeout", backend, signature, deadline_s)``
-    * ``("error",   backend, signature)``
+    Observation tuples (see :meth:`record`) are
+    ``("observe", backend, signature, objective, wall_time, cache_hit)``.
 
     ``signature=None`` targets only the backend-global aggregate; a real
     signature updates both the exact pair and the aggregate, mirroring
@@ -254,8 +257,8 @@ class ScoreboardStore:
                 found = loaded.get((backend, column))
                 if found is None:
                     row = conn.execute(
-                        "SELECT count, quality, latency, best_objective, cache_hits, "
-                        "timeouts, errors FROM scoreboard WHERE backend=? AND signature=?",
+                        f"SELECT {', '.join(_LIVE_COLUMNS)} FROM scoreboard "
+                        "WHERE backend=? AND signature=?",
                         (backend, column),
                     ).fetchone()
                     found = _row_to_stats(row) if row is not None else BackendStats()
@@ -266,9 +269,10 @@ class ScoreboardStore:
                 apply_observation(stats_for, op, alpha)
 
             conn.executemany(
-                "INSERT OR REPLACE INTO scoreboard "
-                "(backend, signature, count, quality, latency, best_objective, "
-                " cache_hits, timeouts, errors) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                f"INSERT INTO scoreboard (backend, signature, {', '.join(_LIVE_COLUMNS)}, "
+                "timeouts, errors) VALUES (?, ?, ?, ?, ?, ?, ?, 0, 0) "
+                "ON CONFLICT (backend, signature) DO UPDATE SET "
+                + ", ".join(f"{c}=excluded.{c}" for c in _LIVE_COLUMNS),
                 [
                     (
                         backend,
@@ -278,8 +282,6 @@ class ScoreboardStore:
                         _to_column(stats.latency),
                         _to_column(stats.best_objective),
                         stats.cache_hits,
-                        stats.timeouts,
-                        stats.errors,
                     )
                     for (backend, column), stats in loaded.items()
                 ],
@@ -291,8 +293,7 @@ class ScoreboardStore:
         """Every stored pair as live :class:`BackendStats` (hydration feed)."""
         with self._store._connection() as conn:
             rows = conn.execute(
-                "SELECT backend, signature, count, quality, latency, best_objective, "
-                "cache_hits, timeouts, errors FROM scoreboard"
+                f"SELECT backend, signature, {', '.join(_LIVE_COLUMNS)} FROM scoreboard"
             ).fetchall()
         return {
             (row[0], None if row[1] == _GLOBAL_SIG else row[1]): _row_to_stats(row[2:])
@@ -308,15 +309,13 @@ class ScoreboardStore:
 
 
 def _row_to_stats(row) -> "BackendStats":
-    count, quality, latency, best, cache_hits, timeouts, errors = row
+    count, quality, latency, best, cache_hits = row
     return BackendStats(
         count=count,
         quality=math.nan if quality is None else quality,
         latency=math.nan if latency is None else latency,
         best_objective=math.inf if best is None else best,
         cache_hits=cache_hits,
-        timeouts=timeouts,
-        errors=errors,
     )
 
 

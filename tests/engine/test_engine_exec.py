@@ -1,4 +1,4 @@
-"""Executors and determinism: the full executor x backend matrix, racing."""
+"""Executors and determinism: the full executor x backend matrix, portfolios."""
 
 import math
 import os
@@ -181,41 +181,11 @@ class TestPortfolio:
             backend_opts={"sa": {"num_reads": 2, "num_sweeps": 30}},
         )
         assert {e["method"] for e in result.info["portfolio"]} == {"sa", "tabu"}
-        assert result.info["portfolio_meta"]["raced"] is False
 
     def test_unknown_backend_opts_key_rejected(self):
         problem = generate_mqo_problem(2, 2, rng=0)
         with pytest.raises(ReproError, match="no named backend"):
             repro.solve_portfolio(problem, backends=("sa",), backend_opts={"qaoa": {}})
-
-    def test_deadline_race_returns_at_least_one(self):
-        problem = generate_mqo_problem(3, 2, sharing_density=0.4, rng=2)
-        # A vanishing deadline still awaits the first finisher.
-        result = repro.solve_portfolio(
-            problem,
-            backends=("sa", "tabu"),
-            seed=5,
-            backend_opts={"sa": {"num_reads": 2, "num_sweeps": 20}},
-            deadline_s=1e-6,
-        )
-        statuses = [e["status"] for e in result.info["portfolio"]]
-        assert statuses.count("completed") >= 1
-        assert result.info["portfolio_meta"]["deadline_s"] == 1e-6
-        assert not math.isnan(result.objective)
-
-    def test_generous_deadline_completes_everyone(self):
-        problem = generate_mqo_problem(3, 2, sharing_density=0.4, rng=2)
-        result = repro.solve_portfolio(
-            problem,
-            backends=("sa", "tabu", "bruteforce"),
-            seed=5,
-            backend_opts={"sa": {"num_reads": 4, "num_sweeps": 40}},
-            deadline_s=60.0,
-        )
-        assert result.info["portfolio_meta"]["completed"] == 3
-        assert result.objective == min(
-            e["objective"] for e in result.info["portfolio"]
-        )
 
     def test_deadline_free_portfolio_reproducible_with_opts(self):
         problem = generate_mqo_problem(3, 2, sharing_density=0.4, rng=2)
@@ -230,6 +200,50 @@ class TestPortfolio:
         assert [(e["method"], e["objective"], e["status"]) for e in a.info["portfolio"]] == [
             (e["method"], e["objective"], e["status"]) for e in b.info["portfolio"]
         ]
+
+    @pytest.mark.parametrize("lone", ["sa", get_backend("tabu", num_restarts=2)])
+    def test_lone_backend_is_a_one_contender_portfolio(self, lone):
+        problem = generate_mqo_problem(3, 2, sharing_density=0.4, rng=2)
+        result = repro.solve_portfolio(problem, backends=lone, seed=5)
+        (entry,) = result.info["portfolio"]
+        assert entry["method"] == result.method == getattr(lone, "name", lone)
+        assert result.info["portfolio_meta"] == {"contenders": 1}
+        single = repro.solve(problem, backend=lone, seed=result.info["engine"]["seed"])
+        assert (result.objective, result.solution) == (single.objective, single.solution)
+
+    def test_portfolio_runs_as_one_plan(self, monkeypatch):
+        from repro.engine import runner
+
+        plans = []
+
+        def spy(plan, *args, **kwargs):
+            plans.append(plan)
+            return execute_plan(plan, *args, **kwargs)
+
+        execute_plan = runner.execute_plan
+        monkeypatch.setattr(runner, "execute_plan", spy)
+        problem = generate_mqo_problem(3, 2, sharing_density=0.4, rng=2)
+        instance = get_backend("sa", **FAST_SA)
+        result = repro.solve_portfolio(problem, backends=("tabu", instance, "bruteforce"),
+                                       seed=5)
+        (plan,) = plans
+        assert [len(shard.items) for shard in plan.shards] == [1, 1, 1]
+        assert [shard.backend for shard in plan.shards] == ["tabu", instance, "bruteforce"]
+        assert len({shard.signature for shard in plan.shards}) == 1
+        assert all(isinstance(item.seed, int) for item in plan.items)
+        assert not plan.cacheable  # one shard runs on a caller's instance
+        winner = [e["method"] for e in result.info["portfolio"]].index(result.method)
+        assert result.info["engine"]["shard"] == winner
+        assert result.info["engine"]["seed"] == plan.items[winner].seed
+
+    def test_failing_contender_raises(self):
+        class Broken:
+            def solve(self, model, rng=None):
+                raise RuntimeError("contender failed")
+
+        problem = generate_mqo_problem(2, 2, rng=0)
+        with pytest.raises(RuntimeError, match="contender failed"):
+            repro.solve_portfolio(problem, backends=("sa", SamplerBackend(Broken())), seed=1)
 
     def test_instance_contender_keeps_label(self):
         problem = generate_mqo_problem(2, 2, rng=0)

@@ -12,7 +12,7 @@ run.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -137,6 +137,42 @@ def test_half_warm_cache_equals_cold_run(backend, specs, seed, data):
 
 
 # -- counting: one run per dispatch, or per shard -----------------------------
+
+
+#: Portfolio contenders: stateless ones (``sa`` may appear twice and share a
+#: pack) and the stateful ``annealer`` (a pack of its own).
+PORTFOLIO = {
+    "sa": dict(num_reads=4, num_sweeps=16),
+    "tabu": dict(num_restarts=3, max_iterations=30),
+    "bruteforce": dict(keep=4),
+    "annealer": dict(num_reads=4, num_sweeps=32),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    spec=st.tuples(st.sampled_from(["mqo", "join", "schema", "txn", "qubo"]),
+                   st.integers(0, 3), st.integers(0, 2)),
+    contenders=st.lists(st.sampled_from(sorted(PORTFOLIO)), min_size=1, max_size=4),
+    seed=st.integers(0, 2**31),
+)
+@example(spec=("mqo", 1, 0), contenders=["sa", "sa"], seed=5)
+@example(spec=("qubo", 2, 1), contenders=["annealer", "sa", "annealer"], seed=6)
+def test_portfolio_contenders_equal_single_solves(spec, contenders, seed):
+    """Contender *i* of a portfolio is ``solve`` on its backend with child
+    seed *i* of the portfolio seed, and the winner is the first best."""
+    result = repro.solve_portfolio(_instance(*spec), backends=contenders, seed=seed,
+                                   backend_opts={name: PORTFOLIO[name] for name in contenders})
+    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(contenders))
+    singles = [repro.solve(_instance(*spec), backend=name, seed=int(s), **PORTFOLIO[name])
+               for name, s in zip(contenders, seeds)]
+    assert [(e["method"], e["objective"]) for e in result.info["portfolio"]] == [
+        (r.method, r.objective) for r in singles]
+    winner = min(range(len(singles)), key=lambda i: singles[i].objective)
+    assert (result.method, result.objective, result.solution) == (
+        singles[winner].method, singles[winner].objective, singles[winner].solution)
+    assert (result.info["engine"]["shard"], result.info["engine"]["seed"]) == (
+        winner, int(seeds[winner]))
 
 
 class CountingBackend(Backend):
@@ -284,3 +320,20 @@ def test_bruteforce_pack_with_an_empty_qubo_returns_every_result():
     singles = [repro.solve(p, backend="bruteforce", seed=r.info["engine"]["seed"], keep=4)
                for p, r in zip(batch, results)]
     assert [_outcome(r) for r in results] == [_outcome(r) for r in singles]
+
+
+def test_instance_backed_stateless_batch_is_one_run():
+    backend = StatelessCounting("counting_instance")
+    StatelessCounting.calls = []
+    repro.solve_many(_mixed_batch(), backend=backend, seed=1)
+    assert StatelessCounting.calls == [(backend, 9)]
+
+
+def test_two_instances_never_share_a_pack():
+    """Portfolio shards on different instances of one stateless class run
+    on their own instance; shards on the same instance share its one run."""
+    left, right = StatelessCounting("left"), StatelessCounting("right")
+    StatelessCounting.calls = []
+    result = repro.solve_portfolio(_instance("mqo", 0, 1), backends=(left, right, left), seed=2)
+    assert [e["method"] for e in result.info["portfolio"]] == ["left", "right", "left"]
+    assert StatelessCounting.calls == [(left, 2), (right, 1)]

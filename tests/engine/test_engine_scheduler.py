@@ -16,7 +16,6 @@ import repro
 from repro.api import register_backend
 from repro.api.backends import Backend
 from repro.api.problem import Problem
-from repro.api.result import SolveResult
 from repro.engine import (
     AdaptiveScheduler,
     BackendScoreboard,
@@ -25,7 +24,6 @@ from repro.engine import (
     signature_key,
 )
 from repro.engine.plan import cache_keys
-from repro.engine.scheduler import portfolio_observations
 from repro.exceptions import ReproError
 from repro.mqo import generate_mqo_problem
 from repro.qubo.model import QuboModel
@@ -103,18 +101,6 @@ def _toy_batch():
     return [ToyProblem(n) for n in (4, 5, 4, 6, 5, 4)]
 
 
-def _fake_result(method: str, signature: str, objective: float, wall_time: float,
-                 cache_hit: bool = False) -> SolveResult:
-    return SolveResult(
-        problem="toy",
-        method=method,
-        solution=(),
-        objective=objective,
-        wall_time=wall_time,
-        info={"engine": {"signature": signature, "cache_hit": cache_hit}},
-    )
-
-
 class TestBackendScoreboard:
     def test_ewma_tracks_quality_and_latency(self):
         board = BackendScoreboard(alpha=0.5)
@@ -139,38 +125,6 @@ class TestBackendScoreboard:
         board.observe("b", "sig-a", 3.0, 0.1)
         fallback = board.stats("b", "sig-never-seen")
         assert fallback is not None and fallback.quality == pytest.approx(3.0)
-
-    def test_portfolio_feed_records_timeouts(self):
-        board = BackendScoreboard()
-        result = _fake_result("sa", "sig", 1.0, 0.1)
-        result.info["portfolio"] = [
-            {"method": "sa", "objective": 1.0, "wall_time": 0.1, "status": "completed"},
-            {"method": "qaoa", "objective": math.nan, "wall_time": math.nan,
-             "status": "deadline_exceeded"},
-        ]
-        result.info["portfolio_meta"] = {"deadline_s": 0.5}
-        board.apply(portfolio_observations(result, signature="sig"))
-        assert board.stats("sa", "sig").quality == pytest.approx(1.0)
-        slow = board.stats("qaoa", "sig")
-        assert slow.timeouts == 1
-        assert slow.latency == pytest.approx(0.5)  # pessimistic floor at the deadline
-
-    def test_error_contenders_are_no_longer_cold(self):
-        """A backend that errored must not be re-prioritised as unseen on
-        every subsequent routing decision — it ranks behind everyone that
-        ever produced a result instead."""
-        board = BackendScoreboard()
-        result = _fake_result("sa", "sig", 1.0, 0.1)
-        result.info["portfolio"] = [
-            {"method": "sa", "objective": 1.0, "wall_time": 0.1, "status": "completed"},
-            {"method": "flaky", "objective": math.nan, "wall_time": math.nan,
-             "status": "error"},
-        ]
-        board.apply(portfolio_observations(result, signature="sig"))
-        assert board.seen("flaky")
-        assert board.stats("flaky", "sig").errors == 1
-        scheduler = AdaptiveScheduler(epsilon=0.0, scoreboard=board)
-        assert scheduler.rank("sig", ["flaky", "sa"]) == ["sa", "flaky"]
 
     def test_alpha_validated(self):
         with pytest.raises(ReproError, match="alpha"):

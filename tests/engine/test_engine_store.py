@@ -32,7 +32,6 @@ from repro.engine import (
     engine_store,
     resolve_store,
 )
-from repro.engine.scheduler import portfolio_observations
 from repro.engine.store import STORE_ENV_VAR
 from repro.exceptions import ReproError
 from repro.mqo import generate_mqo_problem
@@ -140,35 +139,55 @@ class TestScoreboardStore:
             ("observe", "sa", "sig-a", 2.0, 0.1, False),
             ("observe", "sa", "sig-a", 2.0, 0.0, True),  # cache hit: latency untouched
             ("observe", "tabu", None, 1.0, 0.05, False),
+            ("observe", "sa", "sig-a", 1.0, 0.1, False),
         ]
-        # Timeout with a deadline floor and an error, via the portfolio feed.
-        from repro.api.result import SolveResult
-
-        result = SolveResult(
-            problem="toy", method="sa", solution=(), objective=1.0, wall_time=0.1,
-            info={
-                "portfolio": [
-                    {"method": "sa", "objective": 1.0, "wall_time": 0.1,
-                     "status": "completed"},
-                    {"method": "qaoa", "objective": math.nan, "wall_time": math.nan,
-                     "status": "deadline_exceeded"},
-                    {"method": "flaky", "objective": math.nan, "wall_time": math.nan,
-                     "status": "error"},
-                ],
-                "portfolio_meta": {"deadline_s": 0.5},
-            },
-        )
-        ops += portfolio_observations(result, signature="sig-a")
         board.apply(ops)
         assert store.scoreboard.record(ops, alpha=0.5) > 0
 
         hydrated = BackendScoreboard(alpha=0.5)
         hydrated.hydrate(EngineStore(tmp_path / "engine.db"))
         assert_stats_equal(hydrated._stats, board._stats)
-        # The error contender is durable knowledge too: not cold, ranked last.
-        assert hydrated.seen("flaky")
-        assert hydrated.stats("qaoa", "sig-a").timeouts == 1
-        assert hydrated.stats("qaoa", "sig-a").latency == pytest.approx(0.5)
+
+    def test_old_store_rows_with_timeouts_and_errors_still_serve(self, tmp_path):
+        """Files written while the portfolio still raced carry non-zero
+        ``timeouts``/``errors`` columns: such a row hydrates and ranks like
+        the same history without them, and later records leave the two
+        columns as stored."""
+        ops = [("observe", "sa", "sig", 3.0, 0.2, False),
+               ("observe", "tabu", "sig", 1.0, 0.4, False),
+               ("observe", "sa", "sig", 2.0, 0.1, False)]
+        fresh = EngineStore(tmp_path / "fresh.db")
+        fresh.scoreboard.record(ops)
+        with contextlib.closing(sqlite3.connect(fresh.path)) as conn:
+            rows = conn.execute("SELECT * FROM scoreboard").fetchall()
+        old_path = tmp_path / "old.db"
+        EngineStore(old_path)  # the schema, unchanged since the race existed
+        with contextlib.closing(sqlite3.connect(old_path)) as conn:
+            # The same rows with non-zero trailing timeouts and errors columns.
+            conn.executemany("INSERT INTO scoreboard VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                             [row[:7] + (4, 2) for row in rows])
+            conn.commit()
+        old = EngineStore(old_path)
+
+        boards = {}
+        for name, store in (("fresh", fresh), ("old", old)):
+            boards[name] = AdaptiveScheduler(epsilon=0.0, seed=0)
+            boards[name].scoreboard.hydrate(store)
+        assert_stats_equal(boards["old"].scoreboard._stats, boards["fresh"].scoreboard._stats)
+        assert boards["old"].rank("sig", ["sa", "tabu"]) == ["tabu", "sa"]
+        assert boards["old"].rank("sig", ["sa", "tabu"]) == boards["fresh"].rank(
+            "sig", ["sa", "tabu"])
+
+        old.scoreboard.record([("observe", "sa", "sig", 1.0, 0.1, False),
+                               ("observe", "qaoa", "sig", 5.0, 1.0, False)])
+        with contextlib.closing(sqlite3.connect(old_path)) as conn:
+            rows = {(b, s): (count, timeouts, errors) for b, s, count, timeouts, errors in
+                    conn.execute("SELECT backend, signature, count, timeouts, errors "
+                                 "FROM scoreboard")}
+        assert rows[("sa", "sig")] == (3, 4, 2)
+        assert rows[("sa", "")] == (3, 4, 2)
+        assert rows[("tabu", "sig")] == (1, 4, 2)
+        assert rows[("qaoa", "sig")] == (1, 0, 0)  # a new row writes 0 there
 
     def test_hydration_never_overwrites_live_stats(self, tmp_path):
         store = EngineStore(tmp_path / "engine.db")

@@ -98,6 +98,50 @@ class TestTraceInvariance:
         names = [s["name"] for s in collector.drain()]
         assert "facade.solve" in names and "engine.solve" in names
 
+    def test_portfolio_traced_matches_untraced_as_one_plan(self, monkeypatch):
+        """A portfolio is one plan: one compile (the problem signed and
+        fingerprinted once) and one execute under the facade span, and one
+        ``engine.solve`` per contender."""
+        import repro.api.problem as problem_module
+
+        calls = {"signature": 0, "fingerprint": 0}
+        signature, fingerprint = problem_module.qubo_signature, QuboModel.fingerprint
+
+        def counted_signature(model):
+            calls["signature"] += 1
+            return signature(model)
+
+        def counted_fingerprint(model, *args, **kwargs):
+            calls["fingerprint"] += 1
+            return fingerprint(model, *args, **kwargs)
+
+        monkeypatch.setattr(problem_module, "qubo_signature", counted_signature)
+        monkeypatch.setattr(QuboModel, "fingerprint", counted_fingerprint)
+        kwargs = dict(backends=("sa", "tabu", "sa"), seed=5, backend_opts=MATRIX_BACKENDS)
+
+        def problem():
+            return MQOAdapter(generate_mqo_problem(3, 2, sharing_density=0.4, rng=2))
+
+        def pinned(result):
+            return (_signature([result]), result.method,
+                    [(e["method"], e["objective"]) for e in result.info["portfolio"]])
+
+        baseline = repro.solve_portfolio(problem(), **kwargs)
+        assert calls == {"signature": 1, "fingerprint": 1}
+        collector = obs.SpanCollector()
+        with obs.activate(collector):
+            traced = repro.solve_portfolio(problem(), **kwargs)
+        assert calls == {"signature": 2, "fingerprint": 2}
+        assert pinned(traced) == pinned(baseline)
+        spans = collector.drain()
+        (facade,) = [s for s in spans if s["name"] == "facade.solve_portfolio"]
+        for name in ("engine.plan_compile", "engine.execute"):
+            (span,) = [s for s in spans if s["name"] == name]
+            assert span["parent_id"] == facade["span_id"]
+        solves = [s for s in spans if s["name"] == "engine.solve"]
+        assert len(solves) == 3
+        assert traced.info["trace"]["span_id"] in {s["span_id"] for s in solves}
+
 
 class TestWorkerPropagation:
     """The payload-carried TraceContext: spans survive pool boundaries."""
