@@ -18,6 +18,13 @@ one rides an earlier wave — and the flood is shed (429 + ``Retry-After``)
 or degraded to the classical tier, never timed out, with every admitted
 result (degraded or not) bit-identical to its direct ``solve()``
 counterpart.
+
+A third scenario pins the adaptive hold, on the traffic ``service-steady``
+does not have: a trickle of requests spaced ten windows apart dispatches
+one wave per request without holding the window after the first (no
+companion is coming), and a burst right after it still coalesces into
+at least 4x fewer waves than requests, every result identical to its
+direct ``solve()``.
 """
 
 import asyncio
@@ -207,5 +214,60 @@ def test_overload_flood_sheds_while_interactive_stays_ahead():
         assert direct.solution == job.result.solution
     for job in admitted_floods[:6]:
         direct = solve(problem_from_spec(job.spec), backend="tabu", seed=job.seed)
+        assert direct.objective == job.result.objective
+        assert direct.solution == job.result.solution
+
+
+# -- adaptive hold: a trickle, then a burst ----------------------------------
+
+TRICKLE_WINDOW = 0.02
+TRICKLE_REQUESTS = 6
+TRICKLE_BURST = 16
+
+
+def _mqo_spec(instance):
+    return {"kind": "mqo", "num_queries": 4, "plans_per_query": 3,
+            "sharing_density": 0.4, "instance_seed": instance}
+
+
+def test_trickle_skips_the_hold_and_a_burst_still_coalesces():
+    async def trickle_then_burst():
+        service = SolverService(
+            ServiceConfig(
+                window_s=TRICKLE_WINDOW,
+                max_wave=TRICKLE_BURST,
+                backends=("sa",),
+                backend_opts={"sa": dict(SA_OPTS)},
+            )
+        )
+        holds = service._m["holds"]
+        await service.start()
+        trickle, decisions = [], []
+        for i in range(TRICKLE_REQUESTS):
+            await asyncio.sleep(10 * TRICKLE_WINDOW)
+            before = holds.value(decision="held")
+            job = service.submit(_mqo_spec(60 + i), seed=i)
+            await job.future
+            trickle.append(job)
+            decisions.append("held" if holds.value(decision="held") > before else "skipped")
+        trickle_waves = service._m["waves"].value()
+        await asyncio.sleep(10 * TRICKLE_WINDOW)
+        burst = [service.submit(_mqo_spec(80 + i), seed=i) for i in range(TRICKLE_BURST)]
+        await asyncio.gather(*[job.future for job in burst])
+        burst_waves = service._m["waves"].value() - trickle_waves
+        await service.shutdown()
+        return trickle, decisions, trickle_waves, burst, burst_waves
+
+    trickle, decisions, trickle_waves, burst, burst_waves = asyncio.run(trickle_then_burst())
+
+    # The trickle: one wave per request, and no hold once a gap is known.
+    assert trickle_waves == TRICKLE_REQUESTS
+    assert len({job.wave for job in trickle}) == TRICKLE_REQUESTS
+    assert decisions[1:] == ["skipped"] * (TRICKLE_REQUESTS - 1), decisions
+    # The burst still coalesces.
+    assert burst_waves <= len(burst) / 4, f"{burst_waves} waves for {len(burst)} requests"
+    for job in trickle + burst:
+        assert job.status == "done"
+        direct = solve(problem_from_spec(job.spec), backend="sa", seed=job.seed, **SA_OPTS)
         assert direct.objective == job.result.objective
         assert direct.solution == job.result.solution

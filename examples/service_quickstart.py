@@ -32,7 +32,8 @@ SA_OPTS = {"num_reads": 16, "num_sweeps": 200}
 
 async def main() -> None:
     service = SolverService(ServiceConfig(
-        window_s=0.25,          # hold the first request 250 ms for companions
+        window_s=0.25,          # hold the first request up to 250 ms for companions
+                                # (skipped once recent gaps outlast the window)
         max_wave=16,            # ...or dispatch the moment 16 are pending
         backends=("sa",),
         backend_opts={"sa": dict(SA_OPTS)},

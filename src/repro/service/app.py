@@ -161,6 +161,11 @@ class SolverService:
             "repro_service_deduped_requests_total",
             "Requests served by another identical request in the same wave.",
         )
+        m["holds"] = reg.counter(
+            "repro_service_coalesce_holds_total",
+            "Collected waves by whether the coalescing window was held.",
+            labelnames=("decision",),
+        )
         m["wave_size"] = reg.histogram(
             "repro_service_wave_size",
             "Requests per dispatched wave.",
@@ -457,8 +462,10 @@ class SolverService:
                 if self.queue.closed:
                     return
                 continue
+            held = self.queue.last_held
+            self._m["holds"].inc(decision="held" if held else "skipped")
             await self._inflight.acquire()
-            task = asyncio.create_task(self._run_wave(wave))
+            task = asyncio.create_task(self._run_wave(wave, held))
             self._wave_tasks.add(task)
 
             def _done(finished: asyncio.Task) -> None:
@@ -467,7 +474,7 @@ class SolverService:
 
             task.add_done_callback(_done)
 
-    async def _run_wave(self, jobs: "list[Job]") -> None:
+    async def _run_wave(self, jobs: "list[Job]", held: bool) -> None:
         self._wave_counter += 1
         wave_id = self._wave_counter
         now = time.time()
@@ -480,7 +487,7 @@ class SolverService:
             if self.tracer is not None:
                 queue_span = getattr(job, "_queue_span", None)
                 if queue_span is not None:
-                    queue_span["attrs"]["wave"] = wave_id
+                    queue_span["attrs"].update(wave=wave_id, held=held)
                     self.tracer.end(queue_span)
                     job._queue_span = None
                 ctx = getattr(job, "_trace_ctx", None)

@@ -6,11 +6,25 @@ interactive clients submit one problem at a time.  This queue is the
 adapter between the two: concurrent submissions accumulate, and the
 dispatcher collects them into **waves** under a two-trigger policy:
 
-* **window** — the first pending submission opens a window of
+* **window** — the first pending submission opens a window of up to
   ``window_s`` seconds; companions arriving inside it ride the same wave
   (bounded added latency, tunable to the deployment's traffic);
 * **size** — the moment ``max_wave`` submissions are pending the wave
   dispatches immediately, window notwithstanding (a burst never waits).
+
+The window hold is **adaptive** — the group-commit trade-off between
+batching and latency.  :meth:`CoalescingQueue.put` records the gap
+between each enqueued submission and the one before it, and a wave holds
+the full window only while the median of the last :data:`GAP_HISTORY`
+gaps is at most ``window_s`` (or there is no gap yet): then a companion
+is expected inside it.  When recent traffic is sparser than that, the
+hold is zero and a lone submission dispatches as soon as it is
+collected, instead of waiting out a window no companion arrives in.  On
+the open-loop 5 req/s ``service-steady`` workload (gaps of 200 ms, the
+default 50 ms window) this took the median ``service.queue_wait`` from
+51.1 ms to 0.42 ms on a shared 2-core VM.  Each wave's decision is kept
+in :attr:`CoalescingQueue.last_held` for the service's metrics and
+traces.
 
 Submissions land in **priority lanes** (one FIFO per priority class, see
 :data:`~repro.service.admission.DEFAULT_LANE_WEIGHTS`), and a wave drains
@@ -38,11 +52,16 @@ the dispatcher.
 from __future__ import annotations
 
 import asyncio
+import statistics
 from collections import deque
 from typing import Any
 
 from repro.exceptions import ReproError
 from repro.service.admission import DEFAULT_LANE_WEIGHTS
+
+
+#: Enqueue gaps the adaptive hold estimates the next gap from (their median).
+GAP_HISTORY = 4
 
 
 class QueueFull(ReproError):
@@ -85,6 +104,10 @@ class CoalescingQueue:
         self._default_lane = next(iter(weights))
         self._arrived = asyncio.Event()
         self._closed = False
+        self._last_put: "float | None" = None
+        self._gaps: "deque[float]" = deque(maxlen=GAP_HISTORY)
+        #: Whether the last collected wave held its window for companions.
+        self.last_held = False
 
     @property
     def depth(self) -> int:
@@ -112,8 +135,11 @@ class CoalescingQueue:
             raise ReproError(
                 f"unknown lane {target!r} (known: {sorted(self._lanes)})"
             )
-        loop = asyncio.get_running_loop()
-        self._lanes[target].append((loop.time(), item))
+        now = asyncio.get_running_loop().time()
+        if self._last_put is not None:
+            self._gaps.append(now - self._last_put)
+        self._last_put = now
+        self._lanes[target].append((now, item))
         self._arrived.set()
 
     def close(self) -> None:
@@ -125,13 +151,22 @@ class CoalescingQueue:
         heads = [items[0][0] for items in self._lanes.values() if items]
         return min(heads) if heads else None
 
+    def _hold(self) -> float:
+        """The window to hold: all of it unless recent gaps outlast it."""
+        if self._gaps and statistics.median(self._gaps) > self.window_s:
+            return 0.0
+        return self.window_s
+
     async def collect_wave(self) -> "list[Any]":
         """Block until a wave is due; return its items (``[]`` = shut down).
 
         The window anchors on the *arrival time of the wave's earliest
         item* (across lanes), not on when the dispatcher got around to
         asking — a slow previous wave must not extend the next wave's
-        collection past what the latency budget promised.  After
+        collection past what the latency budget promised.  It is held
+        only while recent enqueue gaps say a companion is likely inside
+        it (see the module docstring); :attr:`last_held` records the
+        decision.  After
         :meth:`close`, pending items are released immediately (in
         ``max_wave``-sized waves) and the empty list is returned once
         drained, which is the dispatcher's signal to exit.
@@ -147,7 +182,9 @@ class CoalescingQueue:
                 continue
             await self._arrived.wait()
 
-        deadline = self._first_arrival() + self.window_s
+        hold = self._hold()
+        self.last_held = hold > 0 and not self._closed
+        deadline = self._first_arrival() + hold
         while self.depth < self.max_wave and not self._closed:
             remaining = deadline - loop.time()
             if remaining <= 0:

@@ -130,9 +130,13 @@ class ServiceConfig:
             are rejected with 429 (backpressure, not unbounded memory).
         job_retention: Finished jobs kept for ``GET /v1/jobs/<id>``;
             oldest finished jobs are evicted past this count.
-        window_s: Coalescing window — how long the queue holds the first
-            pending submission open for companions before dispatching the
-            wave.  Latency-vs-amortisation knob.
+        window_s: Coalescing window — the longest the queue holds the
+            first pending submission open for companions before
+            dispatching the wave.  The hold is adaptive: the full window
+            while the median of the recent enqueue gaps is at most
+            ``window_s`` (or there is no gap yet), none when traffic is
+            sparser, so a lone request is not held for companions that
+            will not come.  Latency-vs-amortisation knob.
         max_wave: A wave dispatches immediately once this many
             submissions are pending, window notwithstanding.
         max_inflight_waves: Concurrent ``solve_many`` waves; further

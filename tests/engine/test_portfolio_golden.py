@@ -7,7 +7,8 @@ routing record in ``info["portfolio_meta"]["scheduler"]``.  Wall times are
 left out: they are the only part of a deadline-free portfolio that may
 differ between runs.
 
-The cases cover one generated instance of each Table I domain, a portfolio
+The cases cover one generated instance of each Table I domain (refined
+with the default samplers, and unrefined with weak ones), a portfolio
 that mixes a caller's instance with registry names, a scheduled portfolio
 that races two of three candidates, and a portfolio recording into a
 durable store (whose scoreboard rows are pinned too, latency aside).  The
@@ -43,8 +44,8 @@ def _mqo(seed):
     return MQOAdapter(generate_mqo_problem(4, 3, sharing_density=0.4, rng=seed))
 
 
-def _schema(seed):
-    source, target, _ = generate_schema_pair(4, rng=seed)
+def _schema(seed, num_attributes=4):
+    source, target, _ = generate_schema_pair(num_attributes, rng=seed)
     return SchemaMatchingAdapter(source, target)
 
 
@@ -60,6 +61,12 @@ DOMAINS = {
     "txn": (_txn, 104, ("sa", "tabu"), 10),
 }
 
+#: The unrefined cases (weak samplers, ``refine=False``) pin each contender's
+#: own seeded samples.  They reuse DOMAINS except for schema: its 4-attribute
+#: pair has 8 variables, where the weak samplers reach the same answer under
+#: any seed, so this case matches 8 attributes (14 variables) instead.
+UNREFINED = dict(DOMAINS, schema=(lambda s: _schema(s, 8), 103, ("sa", "tabu"), 9))
+
 GOLDEN = {
     "mqo": "29df82e76d4c5c3889f6e7d76f3353c28f3f5e60a4c41812f8d3abce90a491c3",
     "join": "b90c7dc5054c868e7b5e5745b080ea526e712ce1e3e41e5c1206ee2e74c1a0eb",
@@ -68,6 +75,10 @@ GOLDEN = {
     "instance-plus-name": "35d937cb6671fda42712d8d8c54a05f003d5b010fcfba7919380d4db0dce6bf2",
     "scheduled": "9cf2db7e8d974c598a7f2de98e7716bdd5d3c3f0c30ec1954c34dace37103139",
     "store": "af5d223851741e10f69a6310146a6bde397857374ffe55e1dcb4901239040e14",
+    "mqo-unrefined": "e27b698d2170a661dc80083e3708b3360099537128ee5304d54177abfbc35502",
+    "join-unrefined": "1c138bbef4a27b8e45fa9d8844ba96f7ea23deecfd8bdf7e8170692e435e2bab",
+    "schema-unrefined": "32c535c720c011fcfbf54531fda60e8e10c4da480edba5714c49c0f7686110b1",
+    "txn-unrefined": "aabc3a826abad3096bf9c7619cab8888211b746fd30309d41bca68ec17474643",
 }
 
 
@@ -98,6 +109,14 @@ def test_golden_domain_portfolio(case):
     result = solve_portfolio(factory(instance_seed), backends=contenders, seed=seed,
                              backend_opts={"sa": SA_OPTS})
     _check(case, [_pin(result)])
+
+
+@pytest.mark.parametrize("case", sorted(UNREFINED))
+def test_golden_domain_portfolio_unrefined(case):
+    factory, instance_seed, contenders, seed = UNREFINED[case]
+    result = solve_portfolio(factory(instance_seed), backends=contenders, seed=seed,
+                             refine=False, backend_opts=WEAK_OPTS)
+    _check(f"{case}-unrefined", [_pin(result)])
 
 
 def test_golden_instance_plus_name_portfolio():

@@ -10,7 +10,7 @@ import asyncio
 import pytest
 
 from repro.exceptions import ReproError
-from repro.service.coalesce import CoalescingQueue, QueueClosed, QueueFull
+from repro.service.coalesce import GAP_HISTORY, CoalescingQueue, QueueClosed, QueueFull
 
 
 def run(coro):
@@ -188,5 +188,98 @@ def test_window_anchors_on_earliest_item_across_lanes():
         wave = await asyncio.wait_for(collector, timeout=5.0)
         # Interactive drains first even though best_effort arrived first.
         assert wave == ["late", "slow"]
+
+    run(scenario())
+
+
+# -- adaptive hold -----------------------------------------------------------
+#
+# The hold decision is read from ``last_held``, never from wall clock.  The
+# window is short and every sleep is at least ten times it, so a gap the
+# scenario means as "long" always is.
+
+WINDOW = 0.01
+QUIET = 10 * WINDOW
+
+
+async def _trickle(queue, items):
+    """One collected wave per item, with a quiet spell before each arrival."""
+    waves, held = [], []
+    for item in items:
+        await asyncio.sleep(QUIET)
+        collector = asyncio.create_task(queue.collect_wave())
+        queue.put(item)
+        waves.append(await asyncio.wait_for(collector, timeout=5.0))
+        held.append(queue.last_held)
+    return waves, held
+
+
+def test_trickle_of_long_gaps_releases_lone_items_without_holding():
+    async def scenario():
+        queue = CoalescingQueue(window_s=WINDOW, max_wave=64)
+        return await _trickle(queue, range(5))
+
+    waves, held = run(scenario())
+    assert waves == [[0], [1], [2], [3], [4]]
+    # No gap yet: the first wave holds; every later gap outlasts the window.
+    assert held == [True, False, False, False, False]
+
+
+def test_synchronous_burst_after_a_trickle_is_one_wave():
+    async def scenario():
+        queue = CoalescingQueue(window_s=WINDOW, max_wave=64)
+        _, held = await _trickle(queue, range(4))
+        assert held[-1] is False
+        await asyncio.sleep(QUIET)
+        collector = asyncio.create_task(queue.collect_wave())
+        for item in range(8):
+            queue.put(f"b{item}")
+        wave = await asyncio.wait_for(collector, timeout=5.0)
+        return wave, queue.last_held
+
+    wave, held = run(scenario())
+    assert wave == [f"b{item}" for item in range(8)]
+    assert held is True
+
+
+def test_quiet_spell_after_a_burst_stops_holding_within_the_history():
+    async def scenario():
+        queue = CoalescingQueue(window_s=WINDOW, max_wave=64)
+        for item in range(8):
+            queue.put(f"b{item}")
+        burst = await queue.collect_wave()
+        assert queue.last_held is True
+        waves, held = await _trickle(queue, range(GAP_HISTORY))
+        return burst, waves, held
+
+    burst, waves, held = run(scenario())
+    assert len(burst) == 8
+    assert waves == [[item] for item in range(GAP_HISTORY)]
+    # Once the long gaps are the median, the hold is skipped and stays so.
+    assert held[-1] is False
+    assert held == sorted(held, reverse=True)
+
+
+def test_rejected_puts_leave_the_gap_history_untouched():
+    async def scenario():
+        queue = CoalescingQueue(window_s=WINDOW, max_wave=64, max_depth=1)
+        await _trickle(queue, range(GAP_HISTORY + 1))
+        await asyncio.sleep(QUIET)
+        queue.put("pending")
+        history = (list(queue._gaps), queue._last_put)
+        # Back-to-back rejected puts: counted, their ~0 gaps would make
+        # the median short enough to hold the window.
+        for _ in range(GAP_HISTORY + 1):
+            with pytest.raises(QueueFull):
+                queue.put("over")
+            with pytest.raises(ReproError):
+                queue.put("lost", lane="urgent")
+        assert (list(queue._gaps), queue._last_put) == history
+        wave = await queue.collect_wave()
+        assert (wave, queue.last_held) == (["pending"], False)
+        queue.close()
+        with pytest.raises(QueueClosed):
+            queue.put("late")
+        assert (list(queue._gaps), queue._last_put) == history
 
     run(scenario())

@@ -102,6 +102,28 @@ class TestTraceEndpoints:
 
         _run_with_server(handler)
 
+    def test_queue_wait_span_and_metrics_record_the_hold_decision(self):
+        async def handler(server):
+            port = server.bound_port
+            first = await asyncio.to_thread(_solve, port)
+            await asyncio.sleep(0.5)  # ten windows: the next gap outlasts it
+            second = await asyncio.to_thread(_solve, port)
+            held = []
+            for body in (first, second):
+                _, trace = await asyncio.to_thread(
+                    _get, port, f"/v1/traces/{body['job_id']}"
+                )
+                (span,) = [s for s in trace["spans"] if s["name"] == "service.queue_wait"]
+                assert span["attrs"]["wave"] == body["wave"]
+                held.append(span["attrs"]["held"])
+            # No gap before the first submission: its wave holds the window.
+            assert held == [True, False]
+            metrics = server.service.render_metrics()
+            assert 'repro_service_coalesce_holds_total{decision="held"} 1' in metrics
+            assert 'repro_service_coalesce_holds_total{decision="skipped"} 1' in metrics
+
+        _run_with_server(handler)
+
     def test_listing_filters_by_tenant_and_validates_params(self):
         async def handler(server):
             port = server.bound_port
