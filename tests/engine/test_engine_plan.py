@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.api import MQOAdapter, get_backend
-from repro.api.adapters import as_problems
-from repro.engine import compile_plan
+from repro.api.adapters import LeftDeepJoinAdapter, as_problems
+from repro.api.problem import qubo_signature
+from repro.db.generator import chain_query
+from repro.engine import compile_plan, signature_key
 from repro.engine.plan import cache_keys
 from repro.exceptions import ReproError
 from repro.mqo import generate_mqo_problem
@@ -56,6 +58,46 @@ class TestFingerprint:
     def test_stable_bytes_roundtrip_stability(self):
         m = self._model()
         assert m.to_stable_bytes() == m.copy().to_stable_bytes()
+
+
+def _zero_coupling_model():
+    model = QuboModel(3)
+    model.add_quadratic(1, 2, 1.0)
+    model.add_quadratic(0, 1, 0.0)
+    return model
+
+
+def _labelled_model():
+    model = QuboModel()
+    for label in ("c", "a", "b"):
+        model.variable(label)
+    model.add_quadratic("a", "c", 2.0)
+    model.add_quadratic("b", "a", -1.0)
+    model.add_linear("b", 1.0)
+    return model
+
+
+class TestSignatureKey:
+    """Stored scoreboard rows are keyed on these hex values, so they must not
+    move: a store file written by an older build keeps routing."""
+
+    PINNED = {
+        "empty": (lambda: QuboModel(0), "6f5ff886b9ad57ab"),
+        # A stored zero coupling is part of the structure.
+        "zero-coupling": (_zero_coupling_model, "4cfcadd03be749fa"),
+        # Labels do not enter the signature: same pairs, same key.
+        "labelled": (_labelled_model, "4cfcadd03be749fa"),
+        "mqo": (lambda: MQOAdapter(generate_mqo_problem(3, 3, sharing_density=0.4,
+                                                         rng=5)).to_qubo(), "395dcc221e3cd22c"),
+        "join": (lambda: LeftDeepJoinAdapter(chain_query(4, rng=2)).to_qubo(), "b23863980b518446"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_signature_key_is_pinned(self, case):
+        build, key = self.PINNED[case]
+        model = build()
+        assert signature_key(qubo_signature(model)) == key
+        assert qubo_signature(model) == (model.num_variables, tuple(sorted(model.quadratic)))
 
 
 class TestCompilePlan:

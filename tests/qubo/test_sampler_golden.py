@@ -20,6 +20,8 @@ import pytest
 from repro.annealing.device import AnnealerDevice
 from repro.annealing.simulated_annealing import SimulatedAnnealingSolver
 from repro.annealing.sqa import SimulatedQuantumAnnealingSolver
+from repro.api.backends import get_backend
+from repro.qubo.bruteforce import BruteForceSolver
 from repro.qubo.model import QuboModel
 from repro.qubo.tabu import TabuSolver
 
@@ -116,6 +118,15 @@ def _annealer(seed, n, reuse: bool):
     return device.sample(second, rng=np.random.default_rng(seed + 1), embedding=embedding)
 
 
+def _gate(name, seed, n, **opts):
+    """Two same-structure jobs on a gate-model backend: for ``qaoa`` the
+    second one warm-starts from the first one's angles."""
+    models = [_random_model(seed, n), _random_model(seed, n)]
+    models[1].scale(-1.0)
+    backend = get_backend(name, num_layers=1, maxiter=20, restarts=1, shots=64, **opts)
+    return backend.run([(models[0], seed), (models[1], seed + 1)])
+
+
 ASPIRATION = dict(num_restarts=4, max_iterations=60, tenure=6)
 
 CASES = {
@@ -142,6 +153,11 @@ CASES = {
     "tabu-n72": lambda: _tabu(59, 72, num_restarts=4, max_iterations=200),
     "annealer-chains": lambda: _annealer(31, 6, reuse=False),
     "annealer-embedding-hit": lambda: _annealer(31, 6, reuse=True),
+    "bruteforce": lambda: BruteForceSolver().solve(_random_model(67, 9), keep=12),
+    # Every assignment ties at energy 0: the bits alone order the rows.
+    "bruteforce-ties": lambda: BruteForceSolver().solve(QuboModel(4), keep=6),
+    "qaoa": lambda: _gate("qaoa", 71, 5),
+    "vqe": lambda: _gate("vqe", 73, 4),
 }
 
 GOLDEN = {
@@ -161,6 +177,10 @@ GOLDEN = {
     "tabu-n72": "44301a9a05b895c75ea864c9eb2a8d51c672c256ac06c2049a9d4d25b6c2b23b",
     "annealer-chains": "6bb92b0c6703b23c524588e0d8065ed8a1eb4f6180d2d8d8cd617a9adebbd003",
     "annealer-embedding-hit": "90e9b895c4c2dd0ca7512d82d06dfce9f05a392513f15def3b43d10d2092eb83",
+    "bruteforce": "f938546339e4e5f25f4a125895c466f2a93c646100bce1150f685335bdf672e3",
+    "bruteforce-ties": "125d0b8c83b87cb2575c9cd416ed8da8053be9cebad5a12e273919cd0701703b",
+    "qaoa": "4e52b1a47b58b89bfaab407eb37128ec80a8076da45866ba7c04ea17a0585589",
+    "vqe": "29fbf7fc963dceaacabab0291a15de5d44b45bce0ceb507ec7cac9a40e0e9692",
 }
 
 
@@ -176,3 +196,5 @@ def test_cases_exercise_the_paths_they_name():
     portfolio = CASES["sa-portfolio"]()
     assert portfolio.info["schedule_portfolio"] == {"coeff_reads": 8, "field_reads": 8}
     assert _aspirating_moves(65, 12, **ASPIRATION) > 0
+    assert [s.info["warm_started"] for s in CASES["qaoa"]()] == [False, True]
+    assert max(s.num_occurrences for s in CASES["vqe"]()[0]) > 1
