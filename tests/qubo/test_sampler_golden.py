@@ -20,7 +20,9 @@ import pytest
 from repro.annealing.device import AnnealerDevice
 from repro.annealing.simulated_annealing import SimulatedAnnealingSolver
 from repro.annealing.sqa import SimulatedQuantumAnnealingSolver
+from repro.api import MQOAdapter
 from repro.api.backends import get_backend
+from repro.mqo import generate_mqo_problem
 from repro.qubo.bruteforce import BruteForceSolver
 from repro.qubo.model import QuboModel
 from repro.qubo.tabu import TabuSolver
@@ -151,6 +153,10 @@ CASES = {
                                     beta_schedule=np.array([30.0, 60.0])),
     "tabu-aspiration": lambda: _tabu(65, 12, **ASPIRATION),
     "tabu-n72": lambda: _tabu(59, 72, num_restarts=4, max_iterations=200),
+    # A Table I model with ~900 couplings: a start energy summed in another
+    # order moves every energy tabu reports from it, in the last bits.
+    "tabu-mqo-12x6": lambda: TabuSolver(num_restarts=4, max_iterations=100).solve(
+        MQOAdapter(generate_mqo_problem(12, 6, rng=3)).to_qubo(), rng=3),
     "annealer-chains": lambda: _annealer(31, 6, reuse=False),
     "annealer-embedding-hit": lambda: _annealer(31, 6, reuse=True),
     "bruteforce": lambda: BruteForceSolver().solve(_random_model(67, 9), keep=12),
@@ -175,6 +181,7 @@ GOLDEN = {
     "sa-cold-schedule": "6836a8494d9133cb7ce4da855e72969fbfcaeb392ec786947181aa5b31b800ce",
     "tabu-aspiration": "054bdd574f10ed3456bf1c7c7689d9ec73ce46fff97c12a7fc89cbe1b7f41917",
     "tabu-n72": "44301a9a05b895c75ea864c9eb2a8d51c672c256ac06c2049a9d4d25b6c2b23b",
+    "tabu-mqo-12x6": "f85bbb309a3f0bc667c5dada26cd8d09f9905e1b1f1a1ced1b3e413c0a28ff15",
     "annealer-chains": "6bb92b0c6703b23c524588e0d8065ed8a1eb4f6180d2d8d8cd617a9adebbd003",
     "annealer-embedding-hit": "90e9b895c4c2dd0ca7512d82d06dfce9f05a392513f15def3b43d10d2092eb83",
     "bruteforce": "f938546339e4e5f25f4a125895c466f2a93c646100bce1150f685335bdf672e3",
