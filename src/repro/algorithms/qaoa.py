@@ -20,7 +20,7 @@ from repro.quantum.pauli import IsingHamiltonian
 from repro.quantum.simulator import StatevectorSimulator
 from repro.qubo.model import QuboModel
 from repro.qubo.sampleset import SampleSet
-from repro.utils.bits import index_to_bits
+from repro.utils.bits import indices_to_bit_rows
 from repro.utils.rngtools import ensure_rng
 
 
@@ -126,14 +126,9 @@ class QAOA:
         rng = ensure_rng(rng)
         state = self.simulator.run(self.circuit(params))
         counts = state.sample_counts(shots, rng=rng)
-        from repro.qubo.sampleset import Sample
-
-        samples = []
-        for bitstring, c in counts.items():
-            idx = int(bitstring, 2)
-            bits = index_to_bits(idx, self.num_qubits)
-            samples.append(Sample(bits, float(self._energies[idx]), num_occurrences=c))
-        return SampleSet(samples, info={"solver": "qaoa", "shots": shots})
+        idx = np.array([int(bitstring, 2) for bitstring in counts], dtype=np.int64)
+        return SampleSet(indices_to_bit_rows(idx, self.num_qubits), self._energies[idx],
+                         list(counts.values()), info={"solver": "qaoa", "shots": shots})
 
     def run(
         self,

@@ -17,8 +17,8 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.pauli import IsingHamiltonian, PauliSum
 from repro.quantum.simulator import StatevectorSimulator
 from repro.qubo.model import QuboModel
-from repro.qubo.sampleset import Sample, SampleSet
-from repro.utils.bits import index_to_bits
+from repro.qubo.sampleset import SampleSet
+from repro.utils.bits import indices_to_bit_rows
 from repro.utils.rngtools import ensure_rng
 
 
@@ -132,11 +132,9 @@ class VQE:
         counts = state.sample_counts(shots, rng=rng)
         if self._diagonal is None:
             raise ReproError("sampling assignments requires a diagonal Hamiltonian")
-        samples = [
-            Sample(index_to_bits(int(b, 2), self.num_qubits), float(self._diagonal[int(b, 2)]), c)
-            for b, c in counts.items()
-        ]
-        return SampleSet(samples, info={"solver": "vqe", "shots": shots})
+        idx = np.array([int(bitstring, 2) for bitstring in counts], dtype=np.int64)
+        return SampleSet(indices_to_bit_rows(idx, self.num_qubits), self._diagonal[idx],
+                         list(counts.values()), info={"solver": "vqe", "shots": shots})
 
     def run(
         self,

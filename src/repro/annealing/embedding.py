@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.exceptions import EmbeddingError
 from repro.qubo.model import QuboModel
-from repro.qubo.sampleset import Sample, SampleSet
+from repro.qubo.sampleset import SampleSet
 from repro.utils.rngtools import ensure_rng
 
 Embedding = dict[int, list[int]]
@@ -236,23 +236,14 @@ def unembed_sampleset(
     The returned set reports logical energies; ``info['chain_break_fraction']``
     records how often chains disagreed internally.
     """
-    logical_vars = sorted(embedding.keys())
+    bits = np.zeros((len(hardware_samples), logical_model.num_variables), dtype=np.uint8)
     breaks = 0
-    total_chains = 0
-    samples = []
-    for s in hardware_samples:
-        bits = np.zeros(logical_model.num_variables, dtype=int)
-        for v in logical_vars:
-            chain = embedding[v]
-            values = [s.bits[hardware_model.index_of(q)] for q in chain]
-            ones = sum(values)
-            total_chains += 1
-            if 0 < ones < len(values):
-                breaks += 1
-            bits[v] = 1 if ones * 2 >= len(values) else 0
-        samples.append(
-            Sample(tuple(int(b) for b in bits), logical_model.energy(bits), s.num_occurrences)
-        )
+    for v, chain in embedding.items():
+        ones = hardware_samples.bits[:, hardware_model.indices_of(chain)].sum(axis=1)
+        breaks += int(np.count_nonzero((ones > 0) & (ones < len(chain))))
+        bits[:, v] = ones * 2 >= len(chain)
     info = dict(hardware_samples.info)
-    info["chain_break_fraction"] = breaks / max(total_chains, 1)
-    return SampleSet(samples, info=info)
+    info["chain_break_fraction"] = breaks / max(len(bits) * len(embedding), 1)
+    # One energy call per row: a batched call may round the last bit apart.
+    energies = [logical_model.energy(row) for row in bits]
+    return SampleSet(bits, energies, hardware_samples.counts, info=info)

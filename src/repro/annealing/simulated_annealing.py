@@ -228,16 +228,17 @@ class SimulatedAnnealingSolver:
 
             X = _greedy_quench(X, owner, couplings)
 
-        out: list[list[SampleSet]] = [[] for _ in models]
-        info = {"solver": "simulated_annealing", "reads": self.num_reads, "sweeps": self.num_sweeps}
+        # One set per job over its halves' rows; energies go half by half.
+        parts: list[list[tuple]] = [[] for _ in models]
         for h, (j, _, _) in enumerate(halves):
             rows = X[spans[h], :dims[h]]
-            out[j].append(SampleSet.from_arrays(rows, models[j].energies(rows), info=info))
+            parts[j].append((rows, models[j].energies(rows)))
+        info = {"solver": "simulated_annealing", "reads": self.num_reads, "sweeps": self.num_sweeps}
         half = self.num_reads // 2
         portfolio = {"coeff_reads": self.num_reads - half, "field_reads": half}
-        return [parts[0] if len(parts) == 1 else
-                SampleSet([*parts[0], *parts[1]], info={**info, "schedule_portfolio": portfolio})
-                for parts in out]
+        return [SampleSet(*map(np.concatenate, zip(*p)),
+                          info=info if len(p) == 1 else {**info, "schedule_portfolio": portfolio})
+                for p in parts]
 
     def _halves(self, model: QuboModel) -> list[tuple[np.ndarray, int]]:
         """``(beta schedule, reads)`` per schedule half of one job."""

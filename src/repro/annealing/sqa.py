@@ -154,7 +154,7 @@ class SimulatedQuantumAnnealingSolver:
         rows = X.reshape(R, P, n)[np.arange(R), best_slice]
         rows = _greedy_quench(rows, np.zeros(R, dtype=int), [model.symmetric_couplings()])
         best_energies = model.energies(rows)
-        return SampleSet.from_arrays(
+        return SampleSet(
             rows,
             best_energies,
             info={

@@ -38,7 +38,7 @@ class RawQuboProblem(Problem):
         return self.model
 
     def decode(self, bits) -> tuple[int, ...]:
-        return tuple(int(b) for b in bits)
+        return tuple(np.asarray(bits, dtype=int).tolist())
 
     def evaluate(self, solution) -> float:
         return self.model.energy(np.asarray(solution, dtype=float))

@@ -91,5 +91,7 @@ def qubo_signature(model: QuboModel) -> Hashable:
     Two models with the same signature share an interaction graph, so
     hardware embeddings (and warm-start parameters) computed for one are
     valid for the other — the key the backends' batch caches hash on.
+    The COO store is sorted by ``(i, j)``, so its pairs come in order.
     """
-    return (model.num_variables, tuple(sorted(model.quadratic)))
+    _, _, quad_i, quad_j, _ = model.coo_terms()
+    return (model.num_variables, tuple(zip(quad_i.tolist(), quad_j.tolist())))

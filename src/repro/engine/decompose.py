@@ -209,7 +209,7 @@ def solve_decomposed(
                 break
         decompose_span.set(rounds=len(rounds_meta), energy=energy)
 
-    bits = tuple(int(b) for b in x)
+    bits = tuple(x.astype(int).tolist())
     solution = problem.decode(bits)
     if refine:
         solution = problem.refine(solution)

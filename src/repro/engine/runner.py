@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import replace
-from itertools import groupby
+from itertools import groupby, islice
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -117,7 +117,7 @@ def _best_of(problem: Problem, backend: Backend, model, samples, refine: bool, t
     start = time.perf_counter()
     solution, objective = None, math.inf
     decode_s = refine_s = evaluate_s = 0.0
-    for sample in samples.truncate(max(top_k, 1)):
+    for sample in islice(samples, max(top_k, 1)):
         t0 = time.perf_counter()
         candidate = problem.decode(sample.bits)
         t1 = time.perf_counter()

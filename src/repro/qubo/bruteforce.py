@@ -7,6 +7,7 @@ import numpy as np
 from repro.exceptions import ReproError
 from repro.qubo.model import QuboModel
 from repro.qubo.sampleset import SampleSet
+from repro.utils.bits import indices_to_bit_rows
 
 
 class BruteForceSolver:
@@ -33,12 +34,10 @@ class BruteForceSolver:
         assignments = self._all_assignments(n)
         energies = model.energies(assignments)
         order = np.argsort(energies, kind="stable")[:keep]
-        return SampleSet.from_arrays(
+        return SampleSet(
             assignments[order], energies[order], info={"solver": "bruteforce", "evaluated": 2**n}
         )
 
     @staticmethod
     def _all_assignments(n: int) -> np.ndarray:
-        indices = np.arange(2**n)
-        shifts = np.arange(n - 1, -1, -1)
-        return ((indices[:, None] >> shifts[None, :]) & 1).astype(int)
+        return indices_to_bit_rows(np.arange(2**n), n)

@@ -413,17 +413,12 @@ class QuboModel:
         return a, S
 
     def interaction_graph(self) -> nx.Graph:
-        """Graph with one node per variable and edges for nonzero couplings."""
+        """Graph with one node per variable and an edge per stored coupling, zero or not."""
         self._flush()
         g = nx.Graph()
         g.add_nodes_from(range(self.num_variables))
-        mask = self._quad_val != 0.0
         g.add_weighted_edges_from(
-            zip(
-                self._quad_i[mask].tolist(),
-                self._quad_j[mask].tolist(),
-                self._quad_val[mask].tolist(),
-            )
+            zip(self._quad_i.tolist(), self._quad_j.tolist(), self._quad_val.tolist())
         )
         return g
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Hashable, Iterator
 
 import numpy as np
 
@@ -16,73 +16,84 @@ class Sample:
     energy: float
     num_occurrences: int = 1
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=int)
-
 
 class SampleSet:
-    """Energy-sorted collection of :class:`Sample` records.
+    """Energy-sorted samples held as a ``(rows, n)`` bit matrix, energies and counts.
 
-    Mirrors the result object shape of real annealer SDKs: iterate lowest
-    energy first, aggregate duplicates, and optionally decode assignments
-    back to the model's variable labels.
+    Equal rows merge into the first one's energy with their counts summed
+    (``counts`` defaults to 1 per row); rows sort by ``(energy, bits)``.
+    Mirrors the result object shape of real annealer SDKs: iteration,
+    indexing and :attr:`best` yield :class:`Sample` rows, built on demand.
     """
 
-    def __init__(self, samples: Sequence[Sample], info: "dict | None" = None):
-        merged: dict[tuple[int, ...], Sample] = {}
-        for s in samples:
-            if s.bits in merged:
-                old = merged[s.bits]
-                merged[s.bits] = Sample(s.bits, old.energy, old.num_occurrences + s.num_occurrences)
-            else:
-                merged[s.bits] = s
-        self._samples = sorted(merged.values(), key=lambda s: (s.energy, s.bits))
+    def __init__(self, bits, energies, counts=None, info: "dict | None" = None):
+        energies = np.asarray(energies, dtype=float).reshape(-1)
+        bits = np.asarray(bits, dtype=np.uint8)
+        bits = bits.reshape(0, 0) if bits.size == 0 and bits.ndim < 2 else bits  # [] is no rows
+        if bits.ndim != 2 or len(bits) != energies.size:
+            raise ValueError(f"bits of shape {bits.shape} do not match {energies.size} energies")
+        counts = [1] * energies.size if counts is None else np.asarray(counts, dtype=np.int64).tolist()
+        # Packed rows compare as bytes the way the bit tuples compare, so
+        # they serve as both the merge key and the sort tie-break.
+        keys = list(map(bytes, np.packbits(bits, axis=1)))
+        first: dict[bytes, int] = {}
+        for r, key in enumerate(keys):
+            kept = first.setdefault(key, r)
+            if kept != r:
+                counts[kept] += counts[r]
+        e = energies.tolist()
+        order = sorted(first.values(), key=lambda r: (e[r], keys[r]))
+        self._bits = bits[order]
+        self._energies = energies[order]
+        self._counts = np.array([counts[r] for r in order], dtype=np.int64)
+        for array in (self._bits, self._energies, self._counts):
+            array.flags.writeable = False
         self.info = dict(info or {})
-
-    @classmethod
-    def from_arrays(cls, assignments: np.ndarray, energies: np.ndarray, info: "dict | None" = None) -> "SampleSet":
-        samples = [
-            Sample(tuple(int(b) for b in row), float(e))
-            for row, e in zip(np.asarray(assignments, dtype=int), energies)
-        ]
-        return cls(samples, info=info)
 
     # -- access ----------------------------------------------------------------
 
     @property
+    def bits(self) -> np.ndarray:
+        """The ``(rows, n)`` bit matrix, lowest energy first (read-only)."""
+        return self._bits
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Each row's number of occurrences (read-only)."""
+        return self._counts
+
+    def energies(self) -> np.ndarray:
+        """Each row's energy, ascending (read-only)."""
+        return self._energies
+
+    @property
     def best(self) -> Sample:
         """The lowest-energy sample."""
-        if not self._samples:
+        if not len(self):
             raise IndexError("empty sample set")
-        return self._samples[0]
+        return self[0]
 
     def best_energy(self) -> float:
         return self.best.energy
-
-    def best_bits(self) -> np.ndarray:
-        return self.best.as_array()
 
     def decode_best(self, model) -> dict[Hashable, int]:
         """Best assignment as ``{label: bit}`` for the given model."""
         return model.decode(self.best.bits)
 
     def __iter__(self) -> Iterator[Sample]:
-        return iter(self._samples)
+        return map(self.__getitem__, range(len(self)))
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self._energies)
 
     def __getitem__(self, i: int) -> Sample:
-        return self._samples[i]
+        return Sample(tuple(self._bits[i].tolist()), float(self._energies[i]), int(self._counts[i]))
 
     def truncate(self, k: int) -> "SampleSet":
         """Keep only the ``k`` lowest-energy samples."""
-        return SampleSet(self._samples[:k], info=self.info)
-
-    def energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self._samples])
+        return SampleSet(self._bits[:k], self._energies[:k], self._counts[:k], info=self.info)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if not self._samples:
+        if not len(self):
             return "SampleSet(empty)"
-        return f"SampleSet({len(self._samples)} samples, best={self.best.energy:.6g})"
+        return f"SampleSet({len(self)} samples, best={self.best.energy:.6g})"

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.qubo.lockstep import coupling_table, padded_linear
 from repro.qubo.model import QuboModel
-from repro.qubo.sampleset import Sample, SampleSet
+from repro.qubo.sampleset import SampleSet
 from repro.utils.rngtools import ensure_rng
 
 
@@ -118,10 +118,8 @@ class TabuSolver:
             best_z[better] = spins[better]
         best_x = best_z < 0
         return [
-            SampleSet(
-                [Sample(tuple(int(b) for b in best_x[r, :dims[j]]), float(best_e[r]))
-                 for r in range(j * restarts, (j + 1) * restarts)],
-                info={"solver": "tabu", "restarts": restarts},
-            )
+            SampleSet(best_x[j * restarts:(j + 1) * restarts, :dims[j]],
+                      best_e[j * restarts:(j + 1) * restarts],
+                      info={"solver": "tabu", "restarts": restarts})
             for j in range(len(models))
         ]

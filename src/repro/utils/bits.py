@@ -7,6 +7,8 @@ integer index ``sum(q_j * 2**(n-1-j))``.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def index_to_bits(index: int, n: int) -> tuple[int, ...]:
     """Return the ``n``-bit tuple ``(q0, ..., q(n-1))`` for a basis index.
@@ -17,6 +19,12 @@ def index_to_bits(index: int, n: int) -> tuple[int, ...]:
     if index < 0 or index >= (1 << n):
         raise ValueError(f"index {index} out of range for {n} bits")
     return tuple((index >> (n - 1 - j)) & 1 for j in range(n))
+
+
+def indices_to_bit_rows(indices: np.ndarray, n: int) -> np.ndarray:
+    """Vectorised :func:`index_to_bits`: one ``n``-bit ``uint8`` row per index."""
+    shifts = np.arange(n - 1, -1, -1)
+    return ((np.asarray(indices)[:, None] >> shifts) & 1).astype(np.uint8)
 
 
 def bits_to_index(bits: tuple[int, ...] | list[int]) -> int:

@@ -22,7 +22,7 @@ from repro.db.generator import chain_query
 from repro.exceptions import ReproError
 from repro.mqo import generate_mqo_problem
 from repro.qubo.model import QuboModel
-from repro.qubo.sampleset import Sample, SampleSet
+from repro.qubo.sampleset import SampleSet
 from repro.qubo.tabu import TabuSolver
 
 #: label -> (backend, small settings so a hypothesis example stays fast).
@@ -196,7 +196,7 @@ def test_fixed_batch_equals_one_job_runs(backend):
 def _reference_tabu(model, rng, restarts, max_iterations, tenure):
     """Tabu search one restart at a time, each with its own loop and ``break``."""
     a, S = model.symmetric_couplings()
-    samples = []
+    rows, energies = [], []
     for _ in range(restarts):
         x = rng.integers(0, 2, size=model.num_variables)
         fields, energy = S @ x, model.energy(x)
@@ -216,8 +216,9 @@ def _reference_tabu(model, rng, restarts, max_iterations, tenure):
             tabu_until[i] = it + tenure
             if energy < best_e - 1e-12:
                 best_x, best_e = x.copy(), energy
-        samples.append(Sample(tuple(int(b) for b in best_x), float(best_e)))
-    return SampleSet(samples, info={"solver": "tabu", "restarts": restarts})
+        rows.append(best_x)
+        energies.append(best_e)
+    return SampleSet(rows, energies, info={"solver": "tabu", "restarts": restarts})
 
 
 @settings(max_examples=25, deadline=None)

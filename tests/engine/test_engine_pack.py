@@ -31,7 +31,7 @@ from repro.engine import ProcessExecutor, ResultCache
 from repro.integration.generator import generate_schema_pair
 from repro.mqo import generate_mqo_problem
 from repro.qubo.model import QuboModel
-from repro.qubo.sampleset import Sample, SampleSet
+from repro.qubo.sampleset import SampleSet
 from repro.txn.generator import generate_transactions
 
 #: The stateless backends, with settings small enough for many examples.
@@ -158,6 +158,8 @@ PORTFOLIO = {
 )
 @example(spec=("mqo", 1, 0), contenders=["sa", "sa"], seed=5)
 @example(spec=("qubo", 2, 1), contenders=["annealer", "sa", "annealer"], seed=6)
+# A stored zero coupling: the embedding must give it a coupler too.
+@example(spec=("qubo", 0, 1), contenders=["annealer"], seed=0)
 def test_portfolio_contenders_equal_single_solves(spec, contenders, seed):
     """Contender *i* of a portfolio is ``solve`` on its backend with child
     seed *i* of the portfolio seed, and the winner is the first best."""
@@ -175,6 +177,24 @@ def test_portfolio_contenders_equal_single_solves(spec, contenders, seed):
         winner, int(seeds[winner]))
 
 
+def test_annealer_batch_shares_an_embedding_across_zero_and_nonzero_couplings():
+    """Two same-signature QUBOs, one storing 0.0 at ``(0, 1)`` and one 1.0:
+    the annealer's signature-keyed embedding serves both."""
+    models = []
+    for value in (0.0, 1.0):
+        model = QuboModel(3)
+        model.add_linear(2, -1.0)
+        model.add_quadratic(0, 1, value)
+        model.add_quadratic(1, 2, -1.0)
+        models.append(model)
+    results = repro.solve_many([RawQuboProblem(m) for m in models], backend="annealer",
+                               seed=3, **PORTFOLIO["annealer"])
+    singles = [repro.solve(RawQuboProblem(m), backend="annealer", seed=int(r.info["engine"]["seed"]),
+                           **PORTFOLIO["annealer"]) for m, r in zip(models, results)]
+    assert [r.objective for r in results] == [s.objective for s in singles] == [-2.0, -2.0]
+    assert [r.info["embedding_cached"] for r in results] == [False, True]
+
+
 class CountingBackend(Backend):
     """Returns each model's all-zero assignment; logs ``(instance, jobs)`` per call."""
 
@@ -185,7 +205,7 @@ class CountingBackend(Backend):
 
     def run(self, jobs):
         type(self).calls.append((self, len(jobs)))
-        return [SampleSet([Sample((0,) * m.num_variables, m.energy((0,) * m.num_variables))])
+        return [SampleSet([(0,) * m.num_variables], [m.energy((0,) * m.num_variables)])
                 for m, _ in jobs]
 
 

@@ -27,7 +27,7 @@ from repro.engine.plan import cache_keys
 from repro.exceptions import ReproError
 from repro.mqo import generate_mqo_problem
 from repro.qubo.model import QuboModel
-from repro.qubo.sampleset import Sample, SampleSet
+from repro.qubo.sampleset import SampleSet
 from repro.txn import generate_transactions
 
 
@@ -68,7 +68,7 @@ class ScriptedBackend(Backend):
             if self.delay_s:
                 time.sleep(self.delay_s)
             bits = tuple(self._bit for _ in range(model.num_variables))
-            out.append(SampleSet([Sample(bits, model.energy(bits))]))
+            out.append(SampleSet([bits], [model.energy(bits)]))
         return out
 
 

@@ -16,7 +16,7 @@ from repro.qubo.penalty import (
     add_implication,
     suggest_penalty_weight,
 )
-from repro.qubo.sampleset import Sample, SampleSet
+from repro.qubo.sampleset import SampleSet
 from repro.qubo.tabu import TabuSolver
 
 
@@ -34,28 +34,28 @@ def _random_model(seed, n=6):
 
 class TestSampleSet:
     def test_sorted_by_energy(self):
-        ss = SampleSet([Sample((0,), 2.0), Sample((1,), -1.0)])
+        ss = SampleSet([(0,), (1,)], [2.0, -1.0])
         assert ss.best.energy == -1.0
         assert [s.energy for s in ss] == [-1.0, 2.0]
 
     def test_merges_duplicates(self):
-        ss = SampleSet([Sample((1, 0), 1.0), Sample((1, 0), 1.0, num_occurrences=2)])
+        ss = SampleSet([(1, 0), (1, 0)], [1.0, 1.0], counts=[1, 2])
         assert len(ss) == 1
         assert ss.best.num_occurrences == 3
 
     def test_truncate(self):
-        ss = SampleSet([Sample((i,), float(i)) for i in range(2)] + [Sample((0, 1), 5.0)])
-        assert len(ss.truncate(2)) == 2
+        ss = SampleSet([(1, 1), (0, 0), (0, 1)], [5.0, 0.0, 1.0])
+        assert [s.bits for s in ss.truncate(2)] == [(0, 0), (0, 1)]
 
     def test_empty_best_raises(self):
         with pytest.raises(IndexError):
-            SampleSet([]).best
+            SampleSet([], []).best
 
     def test_decode_best(self):
         m = QuboModel()
         m.variable("a")
         m.variable("b")
-        ss = SampleSet([Sample((1, 0), 0.0)])
+        ss = SampleSet([(1, 0)], [0.0])
         assert ss.decode_best(m) == {"a": 1, "b": 0}
 
 
