@@ -199,7 +199,6 @@ class AnnealerBackend(Backend):
         num_reads: int = 24,
         num_sweeps: int = 256,
         use_embedding: bool = True,
-        cache_embeddings: bool = True,
     ):
         from repro.annealing.device import AnnealerDevice
 
@@ -207,7 +206,6 @@ class AnnealerBackend(Backend):
             sampler=sampler, num_reads=num_reads, num_sweeps=num_sweeps
         )
         self.use_embedding = use_embedding
-        self.cache_embeddings = cache_embeddings
         self._embedding_cache: dict = {}
         # A logical problem can never use more variables than the device has
         # physical qubits (chains only shrink the usable count further).
@@ -221,13 +219,12 @@ class AnnealerBackend(Backend):
             return self.device.sample_unembedded(model, rng=rng)
         # A cached embedding maps variable *indices*; any same-signature
         # model shares those indices, so reuse is label-safe.
-        key = qubo_signature(model) if self.cache_embeddings else None
-        embedding = self._embedding_cache.get(key) if key is not None else None
+        key = qubo_signature(model)
+        embedding = self._embedding_cache.get(key)
         cache_hit = embedding is not None
         if embedding is None:
             embedding = self.device.find_embedding(model, rng=rng)
-            if key is not None:
-                self._embedding_cache[key] = embedding
+            self._embedding_cache[key] = embedding
         samples = self.device.sample(model, rng=rng, embedding=embedding)
         samples.info["embedding_cached"] = cache_hit
         return samples
@@ -251,14 +248,12 @@ class QAOABackend(Backend):
         restarts: int = 2,
         shots: int = 512,
         optimizer: str = "COBYLA",
-        warm_start: bool = True,
     ):
         self.num_layers = num_layers
         self.maxiter = maxiter
         self.restarts = restarts
         self.shots = shots
         self.optimizer = optimizer
-        self.warm_start = warm_start
         self._params_cache: dict = {}
 
     def run(self, jobs):
@@ -268,8 +263,8 @@ class QAOABackend(Backend):
         from repro.algorithms.qaoa import QAOA
 
         qaoa = QAOA.from_qubo(model, num_layers=self.num_layers)
-        key = (qubo_signature(model), self.num_layers) if self.warm_start else None
-        initial = self._params_cache.get(key) if key is not None else None
+        key = (qubo_signature(model), self.num_layers)
+        initial = self._params_cache.get(key)
         opt = qaoa.optimize(
             optimizer=self.optimizer,
             maxiter=self.maxiter,
@@ -277,8 +272,7 @@ class QAOABackend(Backend):
             rng=rng,
             initial_params=initial,
         )
-        if key is not None:
-            self._params_cache[key] = opt.params
+        self._params_cache[key] = opt.params
         samples = qaoa.sample(opt.params, shots=self.shots, rng=rng)
         samples.info.update(
             expectation=opt.value,

@@ -31,12 +31,11 @@ from repro.api.adapters import as_problem
 from repro.api.backends import Backend, get_backend
 from repro.api.problem import Problem
 from repro.api.result import SolveResult
-from repro.engine.plan import _SEED_RANGE
 from repro.engine.runner import run_portfolio, solve_batch
 from repro.engine.scheduler import AdaptiveScheduler
 from repro.exceptions import ReproError
 from repro.obs import trace as obs
-from repro.utils.rngtools import ensure_rng
+from repro.utils.rngtools import SEED_RANGE, ensure_rng
 
 #: How many of the lowest-energy samples are decoded (and refined) per
 #: solve.  Post-processing several reads — not just the single best — is
@@ -139,7 +138,7 @@ def solve(
         # Generator the item draws from in place, which is never cached.
         if isinstance(seed, (int, np.integer)) and seed < 0:
             raise ReproError(f"seed must be an integer >= 0, a Generator or None, got {seed}")
-        if isinstance(seed, (int, np.integer)) and seed < _SEED_RANGE:
+        if isinstance(seed, (int, np.integer)) and seed < SEED_RANGE:
             item_seed = int(seed)
         else:
             item_seed = ensure_rng(seed)

@@ -35,9 +35,7 @@ import numpy as np
 from repro.exceptions import ReproError
 from repro.obs import trace as obs
 from repro.qubo.model import QuboModel
-
-#: Child-seed bound, matching the engine planner's.
-_SEED_RANGE = 2**63 - 1
+from repro.utils.rngtools import SEED_RANGE
 
 
 def partition_variables(
@@ -179,7 +177,7 @@ def solve_decomposed(
                     for block in blocks
                 ]
                 round_seeds = [
-                    int(s) for s in rng.integers(0, _SEED_RANGE, size=len(blocks))
+                    int(s) for s in rng.integers(0, SEED_RANGE, size=len(blocks))
                 ]
                 sub_results = solve_many(
                     sub_problems,

@@ -32,6 +32,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
 from repro.exceptions import ReproError
+from repro.obs import trace as obs
 
 
 class Executor(abc.ABC):
@@ -87,7 +88,10 @@ class ProcessExecutor(Executor):
             self._pool.shutdown()
             self._pool = None
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            # A worker traces only what a payload's context asks for, never
+            # through a process-wide tracer it inherited at fork.
+            self._pool = ProcessPoolExecutor(max_workers=self.workers,
+                                             initializer=obs.install, initargs=(None,))
             self._registry = registry
         try:
             return list(self._pool.map(worker, payloads))

@@ -38,14 +38,11 @@ import numpy as np
 
 from repro.engine.cache import make_cache_key
 from repro.exceptions import ReproError
-from repro.utils.rngtools import ensure_rng
+from repro.utils.rngtools import SEED_RANGE, ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.api.backends import Backend
     from repro.api.problem import Problem
-
-#: Upper bound on the child-seed range; matches ``repro.utils.rngtools.spawn``.
-_SEED_RANGE = 2**63 - 1
 
 
 def _opts_key(backend_opts: dict, refine: bool, top_k: int) -> str:
@@ -143,9 +140,9 @@ def _explicit_seed(index: int, seed) -> "int | np.random.Generator":
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
-        if 0 <= seed < _SEED_RANGE:
+        if 0 <= seed < SEED_RANGE:
             return int(seed)
-    raise ReproError(f"seeds[{index}] must be an int in [0, {_SEED_RANGE}) or a Generator, "
+    raise ReproError(f"seeds[{index}] must be an int in [0, {SEED_RANGE}) or a Generator, "
                      f"got {seed!r}")
 
 
@@ -222,7 +219,7 @@ def compile_plan(
             )
     else:
         base = ensure_rng(seed)
-        child_seeds = [int(s) for s in base.integers(0, _SEED_RANGE, size=len(coerced))]
+        child_seeds = [int(s) for s in base.integers(0, SEED_RANGE, size=len(coerced))]
     if labels is not None:
         item_labels = list(labels)
         if len(item_labels) != len(coerced):

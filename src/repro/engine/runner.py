@@ -4,7 +4,10 @@ This module owns the code that actually runs a compiled
 :class:`~repro.engine.plan.ExecutionPlan`:
 
 * :func:`_execute_pack` — the pack kernel, Problems -> QUBOs -> one
-  ``Backend.run`` -> SolveResults per shard, shared by both executors;
+  ``Backend.run`` -> SolveResults per shard, shared by both executors.
+  Every item, sampled or solved directly, takes one per-item path
+  (:func:`_best_of`), and the kernel's spans are scoped, so stage spans
+  nest under their item's ``engine.solve``;
 * :func:`execute_plan` — cache keys and lookup, packing of the uncached
   items (:func:`_packs`), dispatch through the ``serial`` or ``processes``
   executor, cache fill, and per-result engine metadata.  It is the only
@@ -42,6 +45,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import replace
+from functools import partial
 from itertools import groupby, islice
 from typing import TYPE_CHECKING, Sequence
 
@@ -50,7 +54,6 @@ import numpy as np
 from repro.engine.cache import ResultCache, resolve_cache
 from repro.engine.executors import get_executor
 from repro.engine.plan import (
-    _SEED_RANGE,
     ExecutionPlan,
     PlanItem,
     Shard,
@@ -68,7 +71,7 @@ from repro.engine.scheduler import (
 from repro.engine.store import record_best_effort, resolve_store
 from repro.exceptions import ReproError
 from repro.obs import trace as obs
-from repro.utils.rngtools import ensure_rng
+from repro.utils.rngtools import SEED_RANGE, ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.api.backends import Backend
@@ -78,82 +81,58 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.engine.store import EngineStore, SharedCacheTier
 
 
-def _solve_directly(problem: Problem, backend: Backend, rng, refine: bool) -> SolveResult:
-    """A direct-solve backend (``classical``) on one problem.
+def _best_of(problem: Problem, backend: Backend, rng, model, samples, refine: bool,
+             top_k: int, formulate_s: float, solve_s: float) -> SolveResult:
+    """One item's result: the best evaluated of its candidates (each refined
+    first when ``refine``).
 
-    Sampling is bypassed, but ``num_variables`` still comes from the
-    problem's cached formulation so result rows stay comparable across
-    backends; ``energy`` is NaN by convention (see
-    :class:`~repro.api.result.SolveResult`) and ``decode_time`` is 0.
+    A sampler's candidates are the ``top_k`` lowest-energy of its
+    ``samples``, decoded; ``solve_s`` is the item's share of the pack's
+    sampling.  A direct-solve backend (``samples`` is ``None``) has one
+    candidate, ``backend.solve_problem`` on the item's ``rng``, timed here
+    as its ``solve_time``; it decodes nothing (``decode_time`` 0.0) and its
+    ``energy`` is NaN by convention (see
+    :class:`~repro.api.result.SolveResult`).  ``wall_time`` is the item's
+    formulate and solve seconds plus its own decode, refine and evaluate.
     """
+    from repro.api.result import SolveResult
+
     start = time.perf_counter()
-    model = problem.to_qubo()
-    solve_t0 = time.perf_counter()
-    solution = backend.solve_problem(problem, rng=rng)
-    t0 = time.perf_counter()
-    if refine:
-        solution = problem.refine(solution)
-    t1 = time.perf_counter()
-    objective = problem.evaluate(solution)
-    timings = {
-        "formulate_time": solve_t0 - start,
-        "solve_time": t0 - solve_t0,
-        "decode_time": 0.0,
-        "refine_time": t1 - t0,
-        "evaluate_time": time.perf_counter() - t1,
-    }
-    return _result(problem, backend, model, solution, objective, math.nan,
-                   {"solver": backend.name}, timings, time.perf_counter() - start)
-
-
-def _best_of(problem: Problem, backend: Backend, model, samples, refine: bool, top_k: int,
-             formulate_s: float, solve_s: float) -> SolveResult:
-    """Decode (and refine) the ``top_k`` lowest-energy samples; the best evaluated wins.
-
-    ``solve_s`` is this item's share of the shard's sampling, and
-    ``wall_time`` is that share plus the item's own formulate, decode,
-    refine and evaluate seconds.
-    """
-    start = time.perf_counter()
+    if samples is None:
+        candidates = [backend.solve_problem(problem, rng=rng)]
+        solve_s = time.perf_counter() - start
+        decode_s, spent_s = 0.0, formulate_s  # seconds spent before this call
+        energy, info = math.nan, {"solver": backend.name}
+    else:
+        candidates = [problem.decode(sample.bits) for sample in islice(samples, max(top_k, 1))]
+        decode_s, spent_s = time.perf_counter() - start, formulate_s + solve_s
+        energy, info = samples.best.energy, dict(samples.info)
     solution, objective = None, math.inf
-    decode_s = refine_s = evaluate_s = 0.0
-    for sample in islice(samples, max(top_k, 1)):
-        t0 = time.perf_counter()
-        candidate = problem.decode(sample.bits)
+    refine_s = evaluate_s = 0.0
+    for candidate in candidates:
         t1 = time.perf_counter()
         if refine:
             candidate = problem.refine(candidate)
         t2 = time.perf_counter()
         value = problem.evaluate(candidate)
-        t3 = time.perf_counter()
-        decode_s += t1 - t0
         refine_s += t2 - t1
-        evaluate_s += t3 - t2
+        evaluate_s += time.perf_counter() - t2
         if value < objective:
             solution, objective = candidate, value
-    timings = {
+    info["timings"] = {
         "formulate_time": formulate_s,
         "solve_time": solve_s,
         "decode_time": decode_s,
         "refine_time": refine_s,
         "evaluate_time": evaluate_s,
     }
-    wall = formulate_s + solve_s + time.perf_counter() - start
-    return _result(problem, backend, model, solution, objective, samples.best.energy,
-                   dict(samples.info), timings, wall)
-
-
-def _result(problem, backend, model, solution, objective, energy, info, timings, wall):
-    from repro.api.result import SolveResult
-
-    info["timings"] = timings
     return SolveResult(
         problem=problem.name,
         method=backend.name,
         solution=solution,
         objective=objective,
         energy=energy,
-        wall_time=wall,
+        wall_time=spent_s + time.perf_counter() - start,
         num_variables=model.num_variables,
         info=info,
     )
@@ -244,102 +223,81 @@ def _engine_info(result, shard_id: int, shard: Shard, pos: int, executor: str,
 def _execute_pack(payload: dict) -> dict:
     """The pack kernel, run on one backend; module-level for pickling.
 
-    Sampling backends: formulate every item of every shard in the pack,
-    call ``Backend.run`` **once** with every item's ``(model, rng)``, then
-    decode, refine and evaluate each item (:func:`_best_of`).  Items are
-    passed in pack order — shard by shard, each in shard order — so
+    Formulate every item of every shard in the pack; a sampling backend
+    then gets **one** ``Backend.run`` over every item's ``(model, rng)``,
+    and each item's ``solve_time`` is an equal share of that call.  Items
+    are passed in pack order — shard by shard, each in shard order — so
     signature-keyed backend caches (embeddings, warm-start angles)
-    amortise across a stateful backend's one-shard pack.  Each item's
-    ``solve_time`` is an equal share of that one call.  Direct-solve
-    backends solve item by item (:func:`_solve_directly`).  A live
+    amortise across a stateful backend's one-shard pack.  Every item then
+    takes the one per-item path, :func:`_best_of`, which also runs a
+    direct-solve backend (``classical``) on the item's rng.  A live
     Generator seed (an uncacheable one-item plan) is drawn in place.
 
-    One ``engine.dispatch`` span holds formulation and the one ``run``; under
-    it, one ``engine.shard`` span per shard holds that shard's
-    ``engine.solve`` spans, one per item over its own stages.
+    One ``engine.dispatch`` span holds formulation and the one ``run``;
+    under it, one ``engine.shard`` span per shard holds that shard's
+    ``engine.solve`` spans, one per item.  They are scoped spans on a
+    collector of the pack's own, opened only when the payload carries a
+    trace context, so a span opened inside a stage nests under its item's
+    ``engine.solve`` on either executor; without one every span here is
+    the shared no-op.
 
     Returns ``{"results": [[...], ...], "spans": [...]}`` — results per
-    shard in pack order, each in shard order; spans collected worker-side
-    when the payload carries a trace context, so the dispatching side can
-    re-emit them regardless of executor.
+    shard in pack order, each in shard order, and the collected spans, so
+    the dispatching side can re-emit them regardless of executor.
     """
     from repro.api.backends import get_backend
 
     shards = payload["shards"]
     lead = shards[0][1]
     items = [item for _, shard in shards for item in shard.items]
-    refine, top_k = payload["refine"], payload["top_k"]
+    refine, top_k, executor = payload["refine"], payload["top_k"], payload["executor"]
     backend = lead.backend
     if isinstance(backend, str):
         backend = get_backend(backend, **lead.backend_opts)
-    tracer = obs.collector_for(payload.get("trace"))
-    dispatch_span = None
-    if tracer is not None:
-        dispatch_span = tracer.begin(
-            "engine.dispatch",
-            parent=payload.get("trace"),
-            backend=backend.name,
-            executor=payload["executor"],
-            shards=[shard_id for shard_id, _ in shards],
-            items=len(items),
-        )
-
-    rngs = [np.random.default_rng(item.seed) for item in items]
-    if not backend.solves_problem_directly:
+    context = payload["trace"]
+    tracer = None if context is None else obs.SpanCollector()
+    root = obs.span if tracer is None else partial(tracer.span, parent=context)
+    out = []
+    with obs.activate(tracer), root(
+        "engine.dispatch", backend=backend.name, executor=executor,
+        shards=[shard_id for shard_id, _ in shards], items=len(items),
+    ):
+        rngs = [np.random.default_rng(item.seed) for item in items]
         models, formulate_s = [], []
         for item in items:
             t0 = time.perf_counter()
             models.append(item.problem.to_qubo())
             formulate_s.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        sample_sets = backend.run(list(zip(models, rngs)))
-        share = (time.perf_counter() - t0) / len(items)
-        if len(sample_sets) != len(items):
-            raise ReproError(
-                f"backend {backend.name!r} returned {len(sample_sets)} sample sets "
-                f"for {len(items)} jobs"
-            )
-    out, k = [], 0
-    for shard_id, shard in shards:
-        if tracer is not None:
-            shard_span = tracer.begin(
-                "engine.shard",
-                parent=dispatch_span,
-                shard=shard_id,
-                shard_size=len(shard.items),
-                signature=shard.signature,
-                backend=backend.name,
-                executor=payload["executor"],
-            )
-        results = []
-        for item in shard.items:
-            if tracer is not None:
-                solve_span = tracer.begin(
-                    "engine.solve",
-                    parent=shard_span,
-                    shard=shard_id,
-                    index=item.index,
-                    seed=item.seed if isinstance(item.seed, int) else None,
-                    fingerprint=item.fingerprint[:16],
+        sample_sets, share = [None] * len(items), 0.0
+        if not backend.solves_problem_directly:
+            t0 = time.perf_counter()
+            sample_sets = backend.run(list(zip(models, rngs)))
+            share = (time.perf_counter() - t0) / len(items)
+            if len(sample_sets) != len(items):
+                raise ReproError(
+                    f"backend {backend.name!r} returned {len(sample_sets)} sample sets "
+                    f"for {len(items)} jobs"
                 )
-            if backend.solves_problem_directly:
-                result = _solve_directly(item.problem, backend, rngs[k], refine)
-            else:
-                result = _best_of(item.problem, backend, models[k], sample_sets[k],
-                                  refine, top_k, formulate_s[k], share)
-            if tracer is not None:
-                tracer.end(solve_span)
-                result.info["trace"] = {
-                    "trace_id": solve_span["trace_id"], "span_id": solve_span["span_id"]
-                }
-            results.append(result)
-            k += 1
-        if tracer is not None:
-            tracer.end(shard_span)
-        out.append(results)
-    if tracer is not None:
-        tracer.end(dispatch_span)
-    return {"results": out, "spans": tracer.drain() if tracer is not None else []}
+        k = 0
+        for shard_id, shard in shards:
+            results = []
+            with obs.span("engine.shard", shard=shard_id, shard_size=len(shard.items),
+                          signature=shard.signature, backend=backend.name, executor=executor):
+                for item in shard.items:
+                    with obs.span(
+                        "engine.solve", shard=shard_id, index=item.index,
+                        seed=item.seed if isinstance(item.seed, int) else None,
+                        fingerprint=item.fingerprint[:16],
+                    ) as span:
+                        result = _best_of(item.problem, backend, rngs[k], models[k],
+                                          sample_sets[k], refine, top_k, formulate_s[k], share)
+                    if span.span_id is not None:
+                        result.info["trace"] = {"trace_id": span.trace_id,
+                                                "span_id": span.span_id}
+                    results.append(result)
+                    k += 1
+            out.append(results)
+    return {"results": out, "spans": [] if tracer is None else tracer.drain()}
 
 
 def execute_plan(
@@ -600,7 +558,7 @@ def run_portfolio(
         routing = None
         if scheduler is not None:
             backends, routing = scheduler.select_contenders(signature, backends)
-        seeds = ensure_rng(seed).integers(0, _SEED_RANGE, size=len(backends))
+        seeds = ensure_rng(seed).integers(0, SEED_RANGE, size=len(backends))
         fingerprint = model.fingerprint()
         plan = ExecutionPlan([], [], refine, top_k)
         for index, (backend, child_seed) in enumerate(zip(backends, seeds)):

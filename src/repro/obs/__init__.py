@@ -20,7 +20,6 @@ from repro.obs.trace import (
     Tracer,
     activate,
     active_tracer,
-    collector_for,
     current_context,
     current_ids,
     ingest,
@@ -37,7 +36,6 @@ __all__ = [
     "Tracer",
     "activate",
     "active_tracer",
-    "collector_for",
     "current_context",
     "current_ids",
     "ingest",

@@ -13,17 +13,19 @@ layer the same three primitives:
   what keeps the no-op overhead inside the benchmark gate.
 * :class:`Tracer` — builds spans and hands them to a ``sink`` callable
   (the service's :class:`~repro.obs.recorder.FlightRecorder`, or a
-  :class:`SpanCollector` buffering for a worker).  ``begin``/``end`` exist
-  for spans that cross task boundaries (queue wait starts on the handler
-  task and ends on the dispatcher).
+  :class:`SpanCollector` buffering for a pack).  ``Tracer.span(parent=...)``
+  opens a scoped span under an explicit parent.  ``begin``/``end`` are the
+  service's alone, for spans that cross task boundaries (queue wait starts
+  on the handler task and ends on the dispatcher); the engine opens every
+  span it emits through the scoped API.
 * :class:`TraceContext` — the picklable ``(trace_id, span_id)`` pair that
   travels *inside* pack payloads.  Process pools share no memory, so
-  the engine stamps the current context into each payload; the worker
-  rebuilds parentage from it with a local :class:`SpanCollector`
-  and returns the collected spans alongside its results, which the
-  dispatching side re-emits via :func:`ingest`.  Asyncio needs none of
-  this: tasks and ``asyncio.to_thread`` copy the ambient context, so the
-  contextvars propagate on their own.
+  the engine stamps the current context into each payload; the pack
+  kernel activates a :class:`SpanCollector` of its own, opens its root
+  span under that context, and returns the collected spans alongside its
+  results, which the dispatching side re-emits via :func:`ingest`.
+  Asyncio needs none of this: tasks and ``asyncio.to_thread`` copy the
+  ambient context, so the contextvars propagate on their own.
 
 Spans are plain dicts (JSON-ready, picklable)::
 
@@ -162,9 +164,6 @@ class SpanHandle:
     def span_id(self) -> str:
         return self.span["span_id"]
 
-    def context(self) -> TraceContext:
-        return TraceContext(self.span["trace_id"], self.span["span_id"])
-
 
 class _SpanScope:
     __slots__ = ("tracer", "name", "parent", "attrs", "span", "_token")
@@ -194,9 +193,6 @@ class _NoopHandle:
 
     def set(self, **attrs) -> None:
         pass
-
-    def context(self) -> None:
-        return None
 
 
 class _NoopScope:
@@ -291,14 +287,6 @@ def ingest(spans: "Iterable[dict]") -> None:
     tracer = active_tracer()
     if tracer is not None:
         tracer.ingest(spans)
-
-
-# -- worker-side helpers (payload-carried context) --------------------------
-
-
-def collector_for(context: "TraceContext | None") -> "SpanCollector | None":
-    """A worker-local collector when the payload carries a context."""
-    return None if context is None else SpanCollector()
 
 
 def request_slice(spans: "list[dict]", span_id: "str | None") -> list[dict]:

@@ -53,10 +53,7 @@ from repro.service.metrics import (
     MetricsRegistry,
 )
 from repro.service.problems import problem_from_spec
-
-#: Engine seed ceiling (repro.engine.plan._SEED_RANGE): request seeds must
-#: be valid explicit child seeds.
-MAX_SEED = 2**63 - 1
+from repro.utils.rngtools import SEED_RANGE
 
 
 class SolverService:
@@ -358,9 +355,9 @@ class SolverService:
         if not self._accepting:
             self._m["rejected"].inc(reason="draining")
             raise ReproError("service is draining; not accepting new work")
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < MAX_SEED:
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < SEED_RANGE:
             self._m["rejected"].inc(reason="bad_seed")
-            raise ReproError(f"seed must be an integer in [0, {MAX_SEED}), got {seed!r}")
+            raise ReproError(f"seed must be an integer in [0, {SEED_RANGE}), got {seed!r}")
         if not isinstance(tenant, str) or not tenant or len(tenant) > 128:
             self._m["rejected"].inc(reason="bad_tenant")
             raise ReproError("tenant must be a non-empty string (at most 128 chars)")

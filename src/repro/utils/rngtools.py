@@ -11,6 +11,10 @@ import numpy as np
 
 RngLike = "int | np.random.Generator | None"
 
+#: Exclusive upper bound of every child seed the library draws (``[0,
+#: SEED_RANGE)``), and so of the explicit seeds it accepts in their place.
+SEED_RANGE = 2**63 - 1
+
 
 def ensure_rng(rng: "int | np.random.Generator | None" = None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for any accepted input.
@@ -29,5 +33,5 @@ def ensure_rng(rng: "int | np.random.Generator | None" = None) -> np.random.Gene
 
 def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     """Split ``rng`` into ``n`` independent child generators."""
-    seeds = rng.integers(0, 2**63 - 1, size=n)
+    seeds = rng.integers(0, SEED_RANGE, size=n)
     return [np.random.default_rng(int(s)) for s in seeds]
