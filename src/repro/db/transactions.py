@@ -80,11 +80,7 @@ class Transaction:
         if self.txn_id == other.txn_id:
             return False
         shared = self.items & other.items
-        if not shared:
-            return False
-        return any(
-            item in self.write_items or item in other.write_items for item in shared
-        )
+        return bool(shared) and not shared.isdisjoint(self.write_items | other.write_items)
 
     def duration(self) -> int:
         """Execution length in ticks (one per operation, minimum 1)."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class MQOProblem:
     :meth:`total_cost` and the plan-swap descents of
     :mod:`repro.mqo.classical` read the flat :class:`SwapIndex` tables,
     built on first use and dropped by :meth:`add_plan` and
-    :meth:`add_saving`.
+    :meth:`add_savings` (which :meth:`add_saving` goes through).
     """
 
     def __init__(self):
@@ -76,8 +76,8 @@ class MQOProblem:
     # -- construction -------------------------------------------------------------
 
     def add_plan(self, query: str, plan: str, cost: float) -> PlanChoice:
-        if cost < 0:
-            raise ReproError("plan cost must be non-negative")
+        if not cost >= 0:  # NaN fails this too
+            raise ReproError("plan cost must be a non-negative number")
         choice = PlanChoice(query, plan, float(cost))
         if choice.key in self._by_key:
             raise ReproError(f"duplicate plan {plan!r} for query {query!r}")
@@ -88,20 +88,35 @@ class MQOProblem:
 
     def add_saving(self, a: PlanKey, b: PlanKey, amount: float) -> None:
         """Record that selecting both plans saves ``amount`` cost units."""
-        if amount < 0:
-            raise ReproError("savings must be non-negative")
-        if a[0] == b[0]:
-            raise ReproError("savings apply to plans of *different* queries")
-        self._plan_or_raise(a)
-        self._plan_or_raise(b)
-        key = (min(a, b), max(a, b))
-        self._savings[key] = self._savings.get(key, 0.0) + float(amount)
+        self.add_savings([(a, b, amount)])
+
+    def add_savings(self, savings: Iterable[tuple[PlanKey, PlanKey, float]]) -> None:
+        """Record each ``(a, b, amount)`` in turn, as :meth:`add_saving` would.
+
+        Each item is checked before it is recorded, so a bad item raises
+        with the items before it recorded, as the same :meth:`add_saving`
+        calls one by one would.  Amounts of a repeated pair add up.
+        """
+        stored, recorded = self._by_key, self._savings
         self._swap_index = None
+        for a, b, amount in savings:
+            if not amount >= 0:  # NaN fails this too
+                raise ReproError("savings must be non-negative numbers")
+            try:
+                known = a in stored and b in stored
+            except TypeError:  # an unhashable name, such as a list
+                known = False
+            if not known:  # record the found plans' keys, not the names given
+                a, b = self._plan_or_raise(a).key, self._plan_or_raise(b).key
+            if a[0] == b[0]:
+                raise ReproError("savings apply to plans of *different* queries")
+            key = (a, b) if a < b else (b, a)
+            recorded[key] = recorded.get(key, 0.0) + float(amount)
 
     def _plan_or_raise(self, key: PlanKey) -> PlanChoice:
         try:
             return self._by_key[(key[0], key[1])]
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, IndexError):
             raise ReproError(f"unknown plan {key!r}") from None
 
     # -- accessors ----------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for transactions, serializability and 2PL simulation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.transactions import (
     LockManager,
@@ -47,6 +49,19 @@ class TestOperations:
         assert t1.conflicts_with(t2)  # w-r on x
         assert not t1.conflicts_with(t3)
         assert not t2.conflicts_with(t4)  # read-read only
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["T1", "T2", "T3"]),
+                              st.lists(st.tuples(st.sampled_from("rw"),
+                                                 st.sampled_from("xyzu")), max_size=5)),
+                    min_size=2, max_size=2))
+    def test_transaction_conflicts_equal_the_per_item_rule(self, specs):
+        a, b = (Transaction(txn_id, [Operation(txn_id, kind, item) for kind, item in ops])
+                for txn_id, ops in specs)
+        shared = a.items & b.items
+        per_item = a.txn_id != b.txn_id and any(
+            item in a.write_items or item in b.write_items for item in shared)
+        assert a.conflicts_with(b) == b.conflicts_with(a) == per_item
 
 
 class TestSerializability:

@@ -57,6 +57,49 @@ class TestProblem:
         with pytest.raises(ReproError):
             p.add_saving(("q", "a"), ("q", "b"), 0.5)
 
+    def test_saving_named_by_lists_records_the_plan_keys(self):
+        p = _tiny_problem()
+        p.add_saving(["q0", "p0"], ["q1", "p0"], 1.0)
+        assert p.savings[(("q0", "p0"), ("q1", "p0"))] == 1.0
+        assert p.total_cost({"q0": "p0", "q1": "p0"}) == 29.0
+
+    def test_unknown_or_malformed_plan_in_saving_rejected(self):
+        for a in (("q0", "p9"), ["q0"], "q", 3, ("q0", ["p0"])):
+            p = _tiny_problem()
+            with pytest.raises(ReproError):
+                p.add_saving(a, ("q1", "p0"), 1.0)
+            assert p.savings == _tiny_problem().savings
+
+    def test_nan_cost_and_nan_saving_rejected(self):
+        p = MQOProblem()
+        with pytest.raises(ReproError):
+            p.add_plan("q", "p", float("nan"))
+        assert p.num_plans == 0
+        p = _tiny_problem()
+        with pytest.raises(ReproError):
+            p.add_saving(("q0", "p0"), ("q1", "p0"), float("nan"))
+        with pytest.raises(ReproError):
+            p.add_saving(("q0", "p0"), ("q1", "p0"), -1.0)
+        assert p.savings == _tiny_problem().savings
+
+    def test_bulk_savings_add_up_in_order_like_single_ones(self):
+        items = [(("q1", "p1"), ("q0", "p1"), 0.1), (("q0", "p0"), ("q1", "p0"), 2.0),
+                 (("q0", "p1"), ("q1", "p1"), 0.2)]
+        one_by_one, bulk = _tiny_problem(), _tiny_problem()
+        for a, b, amount in items:
+            one_by_one.add_saving(a, b, amount)
+        bulk.add_savings(items)
+        assert list(bulk.savings.items()) == list(one_by_one.savings.items())
+        assert bulk.savings[(("q0", "p1"), ("q1", "p1"))] == 8.0 + 0.1 + 0.2
+
+    def test_bulk_savings_stop_at_the_first_bad_item(self):
+        p = _tiny_problem()
+        with pytest.raises(ReproError):
+            p.add_savings([(("q0", "p0"), ("q1", "p0"), 1.0),
+                           (("q0", "p0"), ("q0", "p1"), 1.0),
+                           (("q0", "p1"), ("q1", "p0"), 1.0)])
+        assert list(p.savings) == [(("q0", "p1"), ("q1", "p1")), (("q0", "p0"), ("q1", "p0"))]
+
     def test_cost_bounds_bracket_optimum(self):
         p = generate_mqo_problem(3, 3, rng=0)
         lo, hi = p.cost_bounds()
@@ -88,6 +131,11 @@ class TestGenerator:
             generate_mqo_problem(0, 3)
         with pytest.raises(ReproError):
             generate_mqo_problem(2, 2, sharing_density=1.5)
+        with pytest.raises(ReproError):
+            generate_mqo_problem(3, 2, cost_range=(-5.0, 1.0), rng=0)
+        for fraction in (0.05, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ReproError):
+                generate_mqo_problem(3, 2, max_saving_fraction=fraction, rng=0)
 
 
 class TestQuboMapping:
