@@ -62,6 +62,9 @@ class TestProblem:
         p.add_saving(["q0", "p0"], ["q1", "p0"], 1.0)
         assert p.savings[(("q0", "p0"), ("q1", "p0"))] == 1.0
         assert p.total_cost({"q0": "p0", "q1": "p0"}) == 29.0
+        p.add_saving(("q0", "p0", "extra"), ("q1", "p1"), 2.0)
+        assert (("q0", "p0"), ("q1", "p1")) in p.savings
+        assert p.total_cost({"q0": "p0", "q1": "p1"}) == 29.0
 
     def test_unknown_or_malformed_plan_in_saving_rejected(self):
         for a in (("q0", "p9"), ["q0"], "q", 3, ("q0", ["p0"])):
