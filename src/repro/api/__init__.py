@@ -45,7 +45,7 @@ from repro.api.backends import (
     register_backend,
 )
 from repro.api.facade import solve, solve_many, solve_portfolio
-from repro.api.problem import Problem, qubo_signature
+from repro.api.problem import Problem
 from repro.api.result import SolveResult
 from repro.engine import (
     AdaptiveScheduler,
@@ -71,7 +71,6 @@ from repro.workload import (  # noqa: E402
 
 __all__ = [
     "Problem",
-    "qubo_signature",
     "SolveResult",
     "Backend",
     "register_backend",

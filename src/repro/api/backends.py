@@ -23,7 +23,6 @@ from __future__ import annotations
 import abc
 from typing import Callable, Sequence
 
-from repro.api.problem import qubo_signature
 from repro.exceptions import ReproError
 from repro.qubo.model import QuboModel
 from repro.qubo.sampleset import SampleSet
@@ -219,7 +218,7 @@ class AnnealerBackend(Backend):
             return self.device.sample_unembedded(model, rng=rng)
         # A cached embedding maps variable *indices*; any same-signature
         # model shares those indices, so reuse is label-safe.
-        key = qubo_signature(model)
+        key = model.signature()
         embedding = self._embedding_cache.get(key)
         cache_hit = embedding is not None
         if embedding is None:
@@ -263,7 +262,7 @@ class QAOABackend(Backend):
         from repro.algorithms.qaoa import QAOA
 
         qaoa = QAOA.from_qubo(model, num_layers=self.num_layers)
-        key = (qubo_signature(model), self.num_layers)
+        key = (model.signature(), self.num_layers)
         initial = self._params_cache.get(key)
         opt = qaoa.optimize(
             optimizer=self.optimizer,

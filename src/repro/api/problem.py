@@ -14,7 +14,7 @@ classically (the hybrid quantum-classical loop of Sec. III-C).
 from __future__ import annotations
 
 import abc
-from typing import Any, Hashable
+from typing import Any
 
 from repro.qubo.model import QuboModel
 
@@ -84,14 +84,3 @@ class Problem(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
-
-def qubo_signature(model: QuboModel) -> Hashable:
-    """Structural fingerprint of a QUBO: variable count + coupling pattern.
-
-    Two models with the same signature share an interaction graph, so
-    hardware embeddings (and warm-start parameters) computed for one are
-    valid for the other — the key the backends' batch caches hash on.
-    The COO store is sorted by ``(i, j)``, so its pairs come in order.
-    """
-    _, _, quad_i, quad_j, _ = model.coo_terms()
-    return (model.num_variables, tuple(zip(quad_i.tolist(), quad_j.tolist())))

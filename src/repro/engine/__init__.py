@@ -22,10 +22,11 @@ The design invariants, relied on throughout:
   in batch order at plan time, so executor choice and cache state never
   shift any item's RNG stream; serial and parallel runs of one plan return
   identical objectives;
-* **shard = structure** — items are sharded by QUBO structural signature so
-  stateful backend caches (hardware embeddings, warm-start angles) amortise
-  within a shard; shards are packed into ``Backend.run`` calls, and packs
-  run in parallel on the ``processes`` executor;
+* **shard = structure** — items are sharded by QUBO structural signature
+  (:meth:`~repro.qubo.model.QuboModel.signature`) so stateful backend
+  caches (hardware embeddings, warm-start angles) amortise within a shard;
+  shards are packed into ``Backend.run`` calls, and packs run in parallel
+  on the ``processes`` executor;
 * **content-addressed results** — cache keys hash the canonical QUBO
   fingerprint, backend, opts and seed (plus, on a stateful backend, the
   shard-prefix history), making a hit byte-equivalent to a re-run.
@@ -44,7 +45,7 @@ from repro.engine.executors import (
     get_executor,
     list_executors,
 )
-from repro.engine.plan import ExecutionPlan, PlanItem, Shard, compile_plan, signature_key
+from repro.engine.plan import ExecutionPlan, PlanItem, Shard, compile_plan
 from repro.engine.runner import (
     execute_plan,
     run_portfolio,
@@ -82,7 +83,6 @@ __all__ = [
     "PlanItem",
     "Shard",
     "compile_plan",
-    "signature_key",
     "execute_plan",
     "solve_batch",
     "run_portfolio",

@@ -13,9 +13,8 @@ them, and stitches the pieces back into one global assignment:
    into the block's linear terms (an outside ``x_j`` is a constant inside
    the block).
 3. **Solve all blocks as one engine batch** through the facade's
-   ``solve_many``, so sharding, result caching, the adaptive scheduler,
-   and the durable store all apply to subproblems exactly as they do to
-   whole problems.
+   ``solve_many``, so sharding, result caching and the durable store all
+   apply to subproblems exactly as they do to whole problems.
 4. **Stitch**: accept a block's new bits only if they lower the *global*
    energy, then iterate (re-clamp against the improved assignment) until a
    full round yields no improvement.
@@ -36,6 +35,9 @@ from repro.exceptions import ReproError
 from repro.obs import trace as obs
 from repro.qubo.model import QuboModel
 from repro.utils.rngtools import SEED_RANGE
+
+#: Refinement rounds after which stitching stops even if a block still improved.
+MAX_ROUNDS = 8
 
 
 def partition_variables(
@@ -126,12 +128,8 @@ def solve_decomposed(
     seed: "int | None" = None,
     refine: bool = True,
     top_k: int = 8,
-    executor: str = "serial",
     cache: Any = None,
-    scheduler: Any = None,
     store: Any = None,
-    max_rounds: int = 8,
-    overlap: int = 0,
 ):
     """Solve an oversized problem by decompose -> batch-solve -> stitch.
 
@@ -145,7 +143,7 @@ def solve_decomposed(
 
     Rounds are monotone in global QUBO energy: a block's bits are accepted
     only if flipping them lowers the energy of the full assignment, and the
-    loop stops after a round with no accepted block (or ``max_rounds``).
+    loop stops after a round with no accepted block (or :data:`MAX_ROUNDS`).
     """
     # Lazy imports: engine modules must not import repro.api at module level.
     from repro.api.adapters.qubo import RawQuboProblem
@@ -157,7 +155,7 @@ def solve_decomposed(
     started = time.perf_counter()
     model = problem.to_qubo()
     n = model.num_variables
-    blocks = partition_variables(model, capacity, overlap=overlap)
+    blocks = partition_variables(model, capacity)
     a, S = model.symmetric_couplings()
 
     # Deterministic greedy start: set the bits whose linear term is negative
@@ -170,7 +168,7 @@ def solve_decomposed(
     with obs.span(
         "engine.decompose", capacity=int(capacity), blocks=len(blocks)
     ) as decompose_span:
-        for round_no in range(max_rounds):
+        for round_no in range(MAX_ROUNDS):
             with obs.span("decompose.round", round=round_no) as round_span:
                 sub_problems = [
                     RawQuboProblem(clamp_subqubo(model, block, x, a=a, S=S))
@@ -185,9 +183,7 @@ def solve_decomposed(
                     seeds=round_seeds,
                     refine=False,
                     top_k=top_k,
-                    executor=executor,
                     cache=cache,
-                    scheduler=scheduler,
                     store=store,
                     **(backend_opts or {}),
                 )
@@ -225,7 +221,6 @@ def solve_decomposed(
                 "capacity": int(capacity),
                 "num_blocks": len(blocks),
                 "block_sizes": [int(len(b)) for b in blocks],
-                "overlap": int(overlap),
                 "rounds": rounds_meta,
                 "energy_trajectory": [r["energy"] for r in rounds_meta],
             }

@@ -10,7 +10,7 @@ can run:
    choice, or cache state, which is what makes serial and parallel runs of
    the same plan return identical objectives;
 3. items are grouped into **shards** by structural signature
-   (:func:`~repro.api.problem.qubo_signature`), the unit of telemetry.
+   (:meth:`~repro.qubo.model.QuboModel.signature`), the unit of telemetry.
    The runner packs items into ``Backend.run`` calls — all uncached items
    of a stateless backend share one, each shard of a stateful backend gets
    its own instance so embedding / warm-start caches amortise within it —
@@ -48,17 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
 def _opts_key(backend_opts: dict, refine: bool, top_k: int) -> str:
     """Canonical string of everything besides model/seed that shapes a result."""
     return repr((sorted(backend_opts.items()), bool(refine), int(top_k)))
-
-
-def signature_key(signature) -> str:
-    """Short stable hex key of a :func:`~repro.api.problem.qubo_signature`.
-
-    Signatures are plain-data tuples (variable count + sorted coupling
-    pairs), so ``repr`` is deterministic across processes; the digest makes
-    them usable as telemetry fields and scoreboard keys without dragging a
-    potentially large tuple through every result's ``info`` dict.
-    """
-    return hashlib.sha256(repr(signature).encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass
@@ -154,7 +143,6 @@ def compile_plan(
     top_k: int = 8,
     backend_opts: "dict | None" = None,
     max_shard_size: "int | None" = None,
-    adapter_opts: "dict | None" = None,
     seeds: "Sequence[int | np.random.Generator] | None" = None,
     labels: "Sequence[str | None] | None" = None,
 ) -> ExecutionPlan:
@@ -172,7 +160,6 @@ def compile_plan(
         max_shard_size: Split signature groups larger than this into
             several shards (more parallelism, embedding paid once per
             split); ``None`` keeps one shard per signature.
-        adapter_opts: Extra kwargs for ``as_problems`` coercion.
         seeds: Explicit per-item child seeds, overriding the batch split.
             One ``int`` in ``[0, 2**63 - 1)`` per problem, used verbatim,
             or a live ``numpy`` Generator, which the item draws from in
@@ -193,7 +180,6 @@ def compile_plan(
     # Lazy imports: repro.api.facade imports this package at module load,
     # so engine modules must not import repro.api back at module level.
     from repro.api.adapters import as_problems
-    from repro.api.problem import qubo_signature
 
     backend, backend_opts, stateful = shard_backend(backend, backend_opts)
     if max_shard_size is not None and not isinstance(backend, str):
@@ -209,7 +195,7 @@ def compile_plan(
     if max_shard_size is not None and max_shard_size < 1:
         raise ReproError("max_shard_size must be >= 1")
 
-    coerced = as_problems(problems, **(adapter_opts or {}))
+    coerced = as_problems(problems)
     if seeds is not None:
         child_seeds = [_explicit_seed(i, s) for i, s in enumerate(seeds)]
         if len(child_seeds) != len(coerced):
@@ -237,14 +223,14 @@ def compile_plan(
     items: list[PlanItem] = []
     for index, (problem, child_seed) in enumerate(zip(coerced, child_seeds)):
         model = problem.to_qubo()
-        signature = qubo_signature(model)
+        signature = model.signature()
         shard_id = open_shard.get(signature)
         if shard_id is None or (
             max_shard_size is not None and len(shards[shard_id].items) >= max_shard_size
         ):
             shard_id = len(shards)
             open_shard[signature] = shard_id
-            shards.append(Shard([], signature_key(signature), backend, backend_opts, stateful))
+            shards.append(Shard([], signature, backend, backend_opts, stateful))
         item = PlanItem(
             index=index,
             problem=problem,

@@ -60,7 +60,6 @@ from repro.engine.plan import (
     cache_keys,
     compile_plan,
     shard_backend,
-    signature_key,
 )
 from repro.engine.scheduler import (
     DEFAULT_ALPHA,
@@ -538,7 +537,6 @@ def run_portfolio(
     into it once.  ``store=False`` records nothing durable.
     """
     from repro.api.backends import Backend
-    from repro.api.problem import qubo_signature
 
     durable = resolve_store(store)
     backends = [backends] if isinstance(backends, (str, Backend)) else list(backends)
@@ -554,7 +552,7 @@ def run_portfolio(
         scheduler.scoreboard.hydrate(durable)
     with obs.span("engine.plan_compile") as plan_span:
         model = problem.to_qubo()
-        signature = signature_key(qubo_signature(model))
+        signature = model.signature()
         routing = None
         if scheduler is not None:
             backends, routing = scheduler.select_contenders(signature, backends)

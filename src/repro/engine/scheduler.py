@@ -49,6 +49,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
 #: produce the same arithmetic.
 DEFAULT_ALPHA = 0.25
 
+#: Relative quality gap within which routing treats two backends as tied
+#: and prefers the lower latency.
+QUALITY_TOL = 1e-9
+
 
 def expected_service_time(
     snapshot: "dict[str, dict]",
@@ -163,7 +167,7 @@ class BackendScoreboard:
 
     Keys are backend registry names crossed with the 16-hex structure keys
     the planner stamps into ``info["engine"]["signature"]`` (see
-    :func:`~repro.engine.plan.signature_key`).  Every observation also
+    :meth:`~repro.qubo.model.QuboModel.signature`).  Every observation also
     updates a backend-global aggregate (signature ``None``) so routing has
     a fallback for structures the exact pair has never seen.
 
@@ -293,8 +297,8 @@ class AdaptiveScheduler:
     structure — candidates whose expected latency exceeds ``deadline_s``
     are demoted behind every deadline-feasible one (but never dropped: if
     *all* candidates blow the deadline the fastest is still picked, so no
-    shard is ever starved).  Quality ties within ``quality_tol`` (relative)
-    break toward lower latency.  Exploration has two triggers: a backend
+    shard is ever starved).  Quality ties within :data:`QUALITY_TOL`
+    (relative) break toward lower latency.  Exploration has two triggers: a backend
     the scoreboard has never seen anywhere is sampled first ("cold"), and
     an ``epsilon`` draw routes uniformly at random so the scoreboard keeps
     re-measuring backends that looked bad early ("explore").
@@ -319,7 +323,6 @@ class AdaptiveScheduler:
         deadline_s: "float | None" = None,
         race_top_k: int = 2,
         alpha: float = DEFAULT_ALPHA,
-        quality_tol: float = 1e-9,
     ):
         if not 0.0 <= epsilon <= 1.0:
             raise ReproError("epsilon must be in [0, 1]")
@@ -329,7 +332,6 @@ class AdaptiveScheduler:
         self.epsilon = epsilon
         self.deadline_s = deadline_s
         self.race_top_k = race_top_k
-        self.quality_tol = quality_tol
         self._rng = np.random.default_rng(seed)
 
     # -- routing ---------------------------------------------------------------
@@ -372,7 +374,7 @@ class AdaptiveScheduler:
             if not group:
                 continue
             best_quality = min(s[2] for s in group)
-            tol = self.quality_tol * (1.0 + abs(best_quality))
+            tol = QUALITY_TOL * (1.0 + abs(best_quality))
             tied = sorted((s for s in group if s[2] <= best_quality + tol),
                           key=lambda s: (s[3], s[0]))
             rest = sorted((s for s in group if s[2] > best_quality + tol),

@@ -490,6 +490,33 @@ class QuboModel:
         """
         return hashlib.sha256(self.to_stable_bytes(include_labels=include_labels)).hexdigest()
 
+    def signature(self) -> str:
+        """16-hex structural key: variable count plus stored coupling pattern.
+
+        Two models with the same signature share an interaction graph, so a
+        hardware embedding or warm-start angles found for one are valid for
+        the other.  Plan shards, scoreboard rows, durable store rows and the
+        stateful backends' caches all key on it.  Labels, coefficients and
+        the offset do not enter; a stored zero coupling does.
+
+        The hex is ``sha256(repr((n, ((i, j), ...))))[:16]`` over the
+        ``(i, j)``-sorted couplings, and stored rows are keyed on it, so the
+        text must not change.  The text is written row by row from the sorted
+        COO arrays (``tests/qubo/test_signature.py`` checks it against the
+        tuple form).
+        """
+        _, _, qi, qj, _ = self.coo_terms()
+        n = self.num_variables
+        cols = list(map(str, qj.tolist()))
+        ends = np.searchsorted(qi, np.arange(1, n + 1)).tolist()
+        rows = "), (".join(
+            f"{i}, " + f"), ({i}, ".join(cols[start:end])
+            for i, (start, end) in enumerate(zip([0, *ends], ends))
+            if end > start
+        )
+        pairs = "()" if not qi.size else f"(({rows}),)" if qi.size == 1 else f"(({rows}))"
+        return hashlib.sha256(f"({n}, {pairs})".encode("ascii")).hexdigest()[:16]
+
     # -- conversions ---------------------------------------------------------------
 
     def to_ising(self):

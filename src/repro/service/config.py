@@ -275,11 +275,6 @@ class ServiceConfig:
             raise ReproError("trace_buffer must be >= 1")
         return self
 
-    @property
-    def scheduled(self) -> bool:
-        """Whether the fleet is large enough to need adaptive routing."""
-        return len(self.backends) > 1
-
     def resolved_lane_weights(self) -> dict:
         """Defaults overlaid with this config's ``lane_weights``."""
         weights = dict(DEFAULT_LANE_WEIGHTS)

@@ -28,7 +28,7 @@ from repro.api.result import SolveResult
 from repro.db.catalog import Catalog
 from repro.db.plans import JoinTree
 from repro.obs import trace as obs
-from repro.workload.planner import WorkloadInstance, WorkloadPlan, compile_workload
+from repro.workload.planner import WorkloadPlan, compile_workload
 
 
 @dataclass
@@ -64,10 +64,6 @@ class WorkloadReport:
     results: list[SolveResult]
     statement_plans: list[StatementPlan]
     info: dict = field(default_factory=dict)
-
-    def result_of(self, instance: "int | WorkloadInstance") -> SolveResult:
-        index = instance.index if isinstance(instance, WorkloadInstance) else instance
-        return self.results[index]
 
     @property
     def total_objective(self) -> float:

@@ -5,9 +5,8 @@ import pytest
 
 from repro.api import MQOAdapter, get_backend
 from repro.api.adapters import LeftDeepJoinAdapter, as_problems
-from repro.api.problem import qubo_signature
 from repro.db.generator import chain_query
-from repro.engine import compile_plan, signature_key
+from repro.engine import compile_plan
 from repro.engine.plan import cache_keys
 from repro.exceptions import ReproError
 from repro.mqo import generate_mqo_problem
@@ -96,8 +95,7 @@ class TestSignatureKey:
     def test_signature_key_is_pinned(self, case):
         build, key = self.PINNED[case]
         model = build()
-        assert signature_key(qubo_signature(model)) == key
-        assert qubo_signature(model) == (model.num_variables, tuple(sorted(model.quadratic)))
+        assert model.signature() == key
 
 
 class TestCompilePlan:

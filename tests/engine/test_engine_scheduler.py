@@ -21,7 +21,6 @@ from repro.engine import (
     BackendScoreboard,
     ResultCache,
     compile_plan,
-    signature_key,
 )
 from repro.engine.plan import cache_keys
 from repro.exceptions import ReproError
@@ -265,13 +264,11 @@ class TestScheduledBatch:
                 self.calls.append(len(payloads))
                 return [worker(p) for p in payloads]
 
-        from repro.api.problem import qubo_signature
-
         scheduler = AdaptiveScheduler(epsilon=0.0, seed=0)
         # Warm the scoreboard so exploitation splits the batch: "good" wins
         # the n=4 and n=6 structures, "bad" wins n=5.
         signatures = {
-            n: signature_key(qubo_signature(ToyProblem(n).to_qubo())) for n in (4, 5, 6)
+            n: ToyProblem(n).to_qubo().signature() for n in (4, 5, 6)
         }
         for n, winner in ((4, "scripted_good"), (5, "scripted_bad"), (6, "scripted_good")):
             loser = "scripted_bad" if winner == "scripted_good" else "scripted_good"
@@ -330,8 +327,8 @@ class TestScheduledPortfolio:
         assert meta["ranked"][0] == "scripted_good"
         assert meta["raced"] == ["scripted_good"]
         assert result.method == "scripted_good" and result.objective == 0.0
-        sig = signature_key((4, ((0, 1), (1, 2), (2, 3))))
-        assert meta["signature"] == sig
+        # sha256(repr((4, ((0, 1), (1, 2), (2, 3)))))[:16]: a chain of 4.
+        assert meta["signature"] == ToyProblem(4).to_qubo().signature() == "aab0c3bf0f402c65"
 
     def test_scoreboard_fed_by_raced_contenders(self):
         scheduler = AdaptiveScheduler(epsilon=0.0, seed=3, race_top_k=2)

@@ -102,10 +102,8 @@ class TestTraceInvariance:
         """A portfolio is one plan: one compile (the problem signed and
         fingerprinted once) and one execute under the facade span, and one
         ``engine.solve`` per contender."""
-        import repro.api.problem as problem_module
-
         calls = {"signature": 0, "fingerprint": 0}
-        signature, fingerprint = problem_module.qubo_signature, QuboModel.fingerprint
+        signature, fingerprint = QuboModel.signature, QuboModel.fingerprint
 
         def counted_signature(model):
             calls["signature"] += 1
@@ -115,7 +113,7 @@ class TestTraceInvariance:
             calls["fingerprint"] += 1
             return fingerprint(model, *args, **kwargs)
 
-        monkeypatch.setattr(problem_module, "qubo_signature", counted_signature)
+        monkeypatch.setattr(QuboModel, "signature", counted_signature)
         monkeypatch.setattr(QuboModel, "fingerprint", counted_fingerprint)
         kwargs = dict(backends=("sa", "tabu", "sa"), seed=5, backend_opts=MATRIX_BACKENDS)
 

@@ -10,7 +10,6 @@ def test_defaults_are_valid_and_unscheduled():
     config = load_config(env={})
     assert config.host == "127.0.0.1"
     assert config.backends == ("sa",)
-    assert config.scheduled is False
     assert config.max_wave == 64
     assert config.validate() is config
 
@@ -47,7 +46,6 @@ def test_env_overrides_beat_defaults():
     assert config.port == 9001
     assert config.window_s == 0.5
     assert config.backends == ("sa", "tabu")
-    assert config.scheduled is True
     assert config.max_wave == 8
 
 
